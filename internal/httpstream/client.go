@@ -806,6 +806,10 @@ func (c *Client) downloadResilient(ctx context.Context, videoID, seg int, cv int
 	return out, nil
 }
 
+// readBufPool recycles the 64 KiB buffers segment bodies are read through;
+// the bytes are only counted, so any buffer will do.
+var readBufPool = sync.Pool{New: func() any { return new([64 << 10]byte) }}
+
 // downloadOnce GETs one segment version and paces reads against the shaping
 // trace, returning the byte count and the (virtual) elapsed seconds. On
 // failure the partial byte count and elapsed time are still returned so the
@@ -842,9 +846,10 @@ func (c *Client) downloadOnce(ctx context.Context, videoID, seg int, cv int64, c
 	start := time.Now()
 	var nBytes int64
 	var readErr error
-	buf := make([]byte, 64*1024)
+	buf := readBufPool.Get().(*[64 << 10]byte)
+	defer readBufPool.Put(buf)
 	for {
-		n, err := resp.Body.Read(buf)
+		n, err := resp.Body.Read(buf[:])
 		nBytes += int64(n)
 		if c.cfg.Shape != nil && n > 0 {
 			// Pace against the trace: reading n bytes at rate R takes

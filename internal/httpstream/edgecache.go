@@ -169,8 +169,10 @@ func writeCached(w http.ResponseWriter, resp *cachedResponse) {
 }
 
 // captureWriter tees the origin response to the requesting client while
-// buffering up to max bytes for the cache. Oversized bodies flip overflow
-// and drop the buffer — the client still gets the full stream.
+// buffering up to max bytes for the cache. A 200 that declares a
+// Content-Length within max gets its buffer allocated once, at that size;
+// any other body grows by append. Oversized bodies flip overflow and drop
+// the buffer — the client still gets the full stream.
 type captureWriter struct {
 	dst         http.ResponseWriter
 	status      int
@@ -186,6 +188,10 @@ func (cw *captureWriter) WriteHeader(code int) {
 	if !cw.wroteHeader {
 		cw.status = code
 		cw.wroteHeader = true
+		n, err := strconv.ParseInt(cw.dst.Header().Get("Content-Length"), 10, 64)
+		if code == http.StatusOK && err == nil && n > 0 && n <= int64(cw.max) {
+			cw.buf = make([]byte, 0, n)
+		}
 	}
 	cw.dst.WriteHeader(code)
 }
@@ -228,7 +234,9 @@ func (cw *captureWriter) storable() bool {
 	return true
 }
 
-// snapshot clones the captured response for storage.
+// snapshot packages the captured response for storage. The body buffer
+// moves to the cache without a copy, so the capture writer is dead after
+// the fill.
 func (cw *captureWriter) snapshot() *cachedResponse {
 	status := cw.status
 	if !cw.wroteHeader {
@@ -238,6 +246,7 @@ func (cw *captureWriter) snapshot() *cachedResponse {
 	for k, vs := range cw.dst.Header() {
 		hdr[k] = append([]string(nil), vs...)
 	}
-	body := append([]byte(nil), cw.buf...)
+	body := cw.buf
+	cw.buf = nil
 	return &cachedResponse{status: status, header: hdr, body: body}
 }

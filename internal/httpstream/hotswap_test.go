@@ -305,10 +305,13 @@ func TestCatalogHotSwapSoak(t *testing.T) {
 	}
 
 	// Drain the chains and reconcile: ledger partition, ledger == scrape,
-	// shard requests == chain terminal outcomes.
+	// shard requests == chain terminal outcomes. A client can hold a whole
+	// body before the handler that wrote it has returned and counted its
+	// outcome, so close the server first: Close waits for every handler.
 	for _, p := range parts {
 		p.chain.StartDrain()
 	}
+	ts.Close()
 	led := rt.Ledger()
 	if led.Requests != led.CacheHits+led.ShardRequests+led.Unrouted {
 		t.Fatalf("ledger does not partition: %+v", led)
@@ -368,7 +371,6 @@ func TestCatalogHotSwapSoak(t *testing.T) {
 	}
 
 	// Goroutine-leak check after drain.
-	ts.Close()
 	if tr, ok := http.DefaultTransport.(*http.Transport); ok {
 		tr.CloseIdleConnections()
 	}

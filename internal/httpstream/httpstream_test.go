@@ -152,6 +152,12 @@ func TestSegmentEndpointPtile(t *testing.T) {
 	if strconv.Itoa(len(body)) != wantLen {
 		t.Fatalf("body %d bytes vs Content-Length %s", len(body), wantLen)
 	}
+	// Byte k of every body is byte(k), across the server's write slices.
+	for k, b := range body {
+		if b != byte(k) {
+			t.Fatalf("body byte %d is %d, want %d", k, b, byte(k))
+		}
+	}
 
 	// A lower quality must be smaller.
 	resp2, err := http.Get(h.server.URL + "/segment?video=2&seg=" + strconv.Itoa(seg) + "&q=1&f=27&ptile=0")

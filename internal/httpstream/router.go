@@ -306,11 +306,13 @@ func (rt *Router) Ledger() TierLedger {
 // directly.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rt.requests.Inc()
+	// The ring key names the span and picks the shard.
+	key := rt.keyFunc(r)
 	// Join (or start) the cross-tier trace: the router adopts the client's
 	// trace id from the propagation headers, minting one for untraced
 	// requests, and re-parents both the context and the forward headers so
 	// shards — in-process or remote — continue the same trace.
-	span := rt.tracer.Start(rt.keyFunc(r))
+	span := rt.tracer.Start(key)
 	tc, _ := obs.TraceFromHeader(r.Header)
 	span.WithTrace(tc)
 	down := span.TraceContext()
@@ -325,7 +327,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	rt.mu.RLock()
-	name, ok := rt.ring.Lookup(rt.keyFunc(r))
+	name, ok := rt.ring.Lookup(key)
 	h := rt.handlers[name]
 	counter := rt.perShard[name]
 	rt.mu.RUnlock()

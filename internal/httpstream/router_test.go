@@ -236,32 +236,37 @@ func TestRouterCacheSingleflightAndInvalidation(t *testing.T) {
 }
 
 func TestEdgeCacheRejectsTruncatedBody(t *testing.T) {
-	var origin atomic.Int64
-	truncating := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		origin.Add(1)
-		// Declares 100 bytes, delivers 4: must never enter the cache.
-		w.Header().Set("Content-Length", "100")
-		w.Write([]byte("oops"))
-		panic(http.ErrAbortHandler)
-	})
-	rt, err := NewRouter(RouterConfig{}, Shard{Name: "a", Handler: truncating})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(rt)
-	defer ts.Close()
-	for i := 0; i < 3; i++ {
-		resp, err := http.Get(ts.URL + "/segment?video=2&seg=0&q=1")
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.Header.Get("X-Edge-Cache") == "hit" {
-				t.Fatal("truncated response was served from cache")
+	// Declares 100 bytes, delivers 4 — whether the handler then aborts the
+	// connection or returns normally, the body must never enter the cache.
+	for _, abort := range []bool{true, false} {
+		var origin atomic.Int64
+		truncating := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			origin.Add(1)
+			w.Header().Set("Content-Length", "100")
+			w.Write([]byte("oops"))
+			if abort {
+				panic(http.ErrAbortHandler)
+			}
+		})
+		rt, err := NewRouter(RouterConfig{}, Shard{Name: "a", Handler: truncating})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(rt)
+		defer ts.Close()
+		for i := 0; i < 3; i++ {
+			resp, err := http.Get(ts.URL + "/segment?video=2&seg=0&q=1")
+			if err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.Header.Get("X-Edge-Cache") == "hit" {
+					t.Fatalf("abort=%v: truncated response was served from cache", abort)
+				}
 			}
 		}
-	}
-	if got := origin.Load(); got != 3 {
-		t.Fatalf("origin saw %d requests, want 3 (nothing cacheable)", got)
+		if got := origin.Load(); got != 3 {
+			t.Fatalf("abort=%v: origin saw %d requests, want 3 (nothing cacheable)", abort, got)
+		}
 	}
 }
 
@@ -465,6 +470,10 @@ func TestShardedTierSoak(t *testing.T) {
 	}
 
 	// ---- Reconciliation ----
+	// A client can hold a whole body before the handler that wrote it has
+	// returned and counted its outcome, so close the server first: Close
+	// waits for every handler.
+	ts.Close()
 	led := rt.Ledger()
 	wantRequests := attempts.Load() + probes
 	if led.Requests != wantRequests {
@@ -535,7 +544,6 @@ func TestShardedTierSoak(t *testing.T) {
 	}
 
 	// Goroutine-leak check after drain.
-	ts.Close()
 	if tr, ok := http.DefaultTransport.(*http.Transport); ok {
 		tr.CloseIdleConnections()
 	}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -96,6 +97,7 @@ type Server struct {
 	swapMu sync.Mutex // serializes writers; readers never take it
 	enc    video.EncoderConfig
 	frames []float64
+	grid   geom.Grid
 	inst   *serverObs // nil until Instrument
 	pacing atomic.Pointer[pacingState]
 	sink   atomic.Pointer[ViewportSink]
@@ -126,10 +128,15 @@ func NewServer(catalogs map[int]*sim.Catalog, enc video.EncoderConfig, frameRate
 	if len(frameRates) == 0 {
 		return nil, fmt.Errorf("httpstream: no frame rates")
 	}
+	grid, err := geom.NewGrid(4, 8)
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
 		mux:    http.NewServeMux(),
 		enc:    enc,
 		frames: frameRates,
+		grid:   grid,
 	}
 	s.cats.Store(&catalogSet{version: 1, catalogs: catalogs})
 	s.mux.HandleFunc("/manifest", s.handleManifest)
@@ -219,12 +226,11 @@ func (s *Server) report(video, segment int, x, y float64) {
 	}
 }
 
-// catalogFor resolves the request's catalogue: the video parameter selects
-// the video, and the optional cv parameter pins the catalogue generation a
-// session started on. An evicted generation answers 410 Gone — the signal
-// to refetch the manifest.
-func (s *Server) catalogFor(w http.ResponseWriter, r *http.Request) (*sim.Catalog, int64, bool) {
-	qy := r.URL.Query()
+// catalogFor resolves the request's catalogue from its parsed query: the
+// video parameter selects the video, and the optional cv parameter pins the
+// catalogue generation a session started on. An evicted generation answers
+// 410 Gone — the signal to refetch the manifest.
+func (s *Server) catalogFor(w http.ResponseWriter, qy url.Values) (*sim.Catalog, int64, bool) {
 	id, err := strconv.Atoi(qy.Get("video"))
 	if err != nil || id < 0 {
 		http.Error(w, "bad or missing video parameter", http.StatusBadRequest)
@@ -254,7 +260,7 @@ func (s *Server) catalogFor(w http.ResponseWriter, r *http.Request) (*sim.Catalo
 }
 
 func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
-	cat, version, ok := s.catalogFor(w, r)
+	cat, version, ok := s.catalogFor(w, r.URL.Query())
 	if !ok {
 		return
 	}
@@ -264,8 +270,8 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 		Qualities:      int(video.MaxQuality),
 		FrameRates:     s.frames,
 		SourceFPS:      s.enc.FrameRate,
-		GridRows:       4,
-		GridCols:       8,
+		GridRows:       s.grid.Rows,
+		GridCols:       s.grid.Cols,
 		CatalogVersion: version,
 	}
 	for seg := range cat.Content {
@@ -293,11 +299,11 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 //	                       response is the Ptile (plus background blocks),
 //	                       otherwise the conventional tile set is served.
 func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
-	cat, _, ok := s.catalogFor(w, r)
+	qy := r.URL.Query()
+	cat, _, ok := s.catalogFor(w, qy)
 	if !ok {
 		return
 	}
-	qy := r.URL.Query()
 	seg, err := strconv.Atoi(qy.Get("seg"))
 	if err != nil || seg < 0 || seg >= len(cat.Content) {
 		http.Error(w, "bad segment index", http.StatusBadRequest)
@@ -325,11 +331,6 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 	}
 
 	sc := cat.Content[seg]
-	grid, err := geom.NewGrid(4, 8)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 
 	var bits float64
 	if ps := qy.Get("ptile"); ps != "" {
@@ -347,7 +348,7 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		for _, block := range ptile.BackgroundBlocks(pt, grid) {
+		for _, block := range ptile.BackgroundBlocks(pt, s.grid) {
 			b, err := s.enc.TileBits(video.TileSpec{
 				Rect: block, Quality: video.MinQuality, Kind: video.KindBlock,
 			}, cat.SegmentSec, sc)
@@ -373,27 +374,27 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 		// only needed if the grid cannot carry tile masks.
 		var fovSet geom.TileSet
 		var inFoV map[geom.TileID]bool
-		if lut := geom.FoVLUTFor(grid, 100, 100); lut != nil {
+		if lut := geom.FoVLUTFor(s.grid, 100, 100); lut != nil {
 			fovSet = lut.SetAt(center)
 		} else {
-			fov := grid.FoVTiles(center, 100, 100)
+			fov := s.grid.FoVTiles(center, 100, 100)
 			inFoV = make(map[geom.TileID]bool, len(fov))
 			for _, id := range fov {
 				inFoV[id] = true
 			}
 		}
-		for row := 0; row < grid.Rows; row++ {
-			for col := 0; col < grid.Cols; col++ {
+		for row := 0; row < s.grid.Rows; row++ {
+			for col := 0; col < s.grid.Cols; col++ {
 				id := geom.TileID{Row: row, Col: col}
 				tq := video.MinQuality
 				if inFoV != nil {
 					if inFoV[id] {
 						tq = quality
 					}
-				} else if fovSet.Contains(grid.Index(id)) {
+				} else if fovSet.Contains(s.grid.Index(id)) {
 					tq = quality
 				}
-				b, err := s.enc.TileBits(video.TileSpec{Rect: grid.TileRect(id), Quality: tq}, cat.SegmentSec, sc)
+				b, err := s.enc.TileBits(video.TileSpec{Rect: s.grid.TileRect(id), Quality: tq}, cat.SegmentSec, sc)
 				if err != nil {
 					http.Error(w, err.Error(), http.StatusInternalServerError)
 					return
@@ -419,19 +420,22 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 	writePayload(dst, nBytes)
 }
 
-// writePayload streams nBytes of deterministic filler without allocating the
-// whole body.
-func writePayload(w io.Writer, nBytes int64) {
-	var chunk [8192]byte
-	for i := range chunk {
-		chunk[i] = byte(i)
+// filler is the read-only segment body pattern: byte k of every body is
+// byte(k), because the filler's length is a multiple of 256.
+var filler = func() []byte {
+	b := make([]byte, 64<<10)
+	for i := range b {
+		b[i] = byte(i)
 	}
+	return b
+}()
+
+// writePayload streams nBytes of deterministic filler in slices of the
+// shared filler, allocating nothing.
+func writePayload(w io.Writer, nBytes int64) {
 	for nBytes > 0 {
-		n := int64(len(chunk))
-		if n > nBytes {
-			n = nBytes
-		}
-		if _, err := w.Write(chunk[:n]); err != nil {
+		n := min(int64(len(filler)), nBytes)
+		if _, err := w.Write(filler[:n]); err != nil {
 			return
 		}
 		nBytes -= n

@@ -72,3 +72,43 @@ func BenchmarkPacerWrite(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkConnTransfer moves 500 kB segment bodies across an ideal Pipe:
+// the writer's chunk copies and the reader's drain, with no emulated delay.
+func BenchmarkConnTransfer(b *testing.B) {
+	p, err := Named("ideal")
+	if err != nil {
+		b.Fatal(err)
+	}
+	client, server, err := Pipe(p, 1, 1, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer client.Close()
+	defer server.Close()
+	payload := make([]byte, 500_000)
+	buf := make([]byte, 64<<10)
+	werr := make(chan error, 1)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	go func() {
+		for i := 0; i < b.N; i++ {
+			if _, err := server.Write(payload); err != nil {
+				werr <- err
+				return
+			}
+		}
+		werr <- nil
+	}()
+	for got, total := 0, b.N*len(payload); got < total; {
+		n, err := client.Read(buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		got += n
+	}
+	if err := <-werr; err != nil {
+		b.Fatal(err)
+	}
+}

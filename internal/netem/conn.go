@@ -18,10 +18,52 @@ import (
 // retransmission budget; the connection is unusable afterwards.
 var ErrLinkDead = errors.New("netem: link dead")
 
-// chunk is one in-order delivery unit crossing a Conn direction.
+// A Conn direction moves bytes in chunks: each Write copies a run of up to
+// chunkPackets MTU packets into one pooled chunk, and at most
+// connQueueChunks chunks queue per direction — so at most
+// chunkPackets × connQueueChunks = 256 MTU packets are ever in flight.
+const (
+	chunkPackets    = 64
+	connQueueChunks = 4
+)
+
+// chunk is one run of in-order MTU packets crossing a Conn direction.
+// Packet i holds data[i·mtu : (i+1)·mtu] and becomes readable at due[i],
+// a wall-clock offset from the pipe's start; in-order delivery makes due
+// non-decreasing. off is the reader's position in data.
 type chunk struct {
 	data []byte
-	due  time.Time
+	mtu  int
+	due  [chunkPackets]time.Duration
+	off  int
+}
+
+// chunkPool recycles chunks: the reader returns each one once drained.
+var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
+
+// newChunk copies payload (at most chunkPackets MTU packets) into a pooled
+// chunk.
+func newChunk(payload []byte, mtu int) *chunk {
+	ck := chunkPool.Get().(*chunk)
+	if cap(ck.data) < len(payload) {
+		ck.data = make([]byte, 0, chunkPackets*mtu)
+	}
+	ck.data = append(ck.data[:0], payload...)
+	ck.mtu, ck.off = mtu, 0
+	return ck
+}
+
+// packets returns the number of MTU packets the chunk carries.
+func (ck *chunk) packets() int { return (len(ck.data) + ck.mtu - 1) / ck.mtu }
+
+// readyEnd returns the end of the unread bytes whose packets are due at
+// now; the packet holding the first unread byte must already be due.
+func (ck *chunk) readyEnd(now time.Duration) int {
+	i := ck.off / ck.mtu
+	for i+1 < ck.packets() && ck.due[i+1] <= now {
+		i++
+	}
+	return min((i+1)*ck.mtu, len(ck.data))
 }
 
 // dirState is one direction of an emulated connection: a Link plus the
@@ -48,7 +90,7 @@ type Conn struct {
 
 	// out is this end's transmit direction; in is the peer's.
 	out *dirState
-	ch  chan chunk // peer -> us deliveries; closed by peer's Close
+	ch  chan *chunk // peer -> us deliveries; closed by peer's Close
 
 	peer *Conn
 
@@ -61,8 +103,8 @@ type Conn struct {
 	closeOnce sync.Once
 	broken    atomic.Bool // set when the link died mid-write
 
-	// pending is a delivered-but-unconsumed chunk (single-reader, like
-	// net.Conn's contract).
+	// pending is a delivered chunk the reader has not drained yet
+	// (single-reader, like net.Conn's contract).
 	pending *chunk
 }
 
@@ -93,9 +135,9 @@ func Pipe(p *Profile, seed int64, timeScale float64, m *Metrics) (client, server
 	}
 	start := time.Now()
 	c := &Conn{name: "client", out: up, start: start, timeScale: timeScale,
-		ch: make(chan chunk, 256), localDone: make(chan struct{}), readDeadline: makeConnDeadline()}
+		ch: make(chan *chunk, connQueueChunks), localDone: make(chan struct{}), readDeadline: makeConnDeadline()}
 	s := &Conn{name: "server", out: down, start: start, timeScale: timeScale,
-		ch: make(chan chunk, 256), localDone: make(chan struct{}), readDeadline: makeConnDeadline()}
+		ch: make(chan *chunk, connQueueChunks), localDone: make(chan struct{}), readDeadline: makeConnDeadline()}
 	c.peer, s.peer = s, c
 	return c, s, nil
 }
@@ -105,15 +147,12 @@ func (c *Conn) emuNow() float64 {
 	return time.Since(c.start).Seconds() * c.timeScale
 }
 
-// wallAt maps an emulated timestamp back to the wall clock.
-func (c *Conn) wallAt(emuSec float64) time.Time {
-	return c.start.Add(time.Duration(emuSec / c.timeScale * float64(time.Second)))
-}
-
-// Write sends p toward the peer through this end's emulated link. It copies
-// p, computes each MTU packet's delivery time analytically (retransmitting
-// through the same link on loss or droptail), and blocks only when the
-// peer's delivery queue applies backpressure.
+// Write sends p toward the peer through this end's emulated link. Each run
+// of up to 64 MTU packets is copied once into a pooled chunk and pushed
+// through the link under one lock; every packet still draws its own loss,
+// retransmits at +RTO on loss or droptail, and is clamped to in-order
+// delivery, and the chunk records each packet's delivery time. Write
+// blocks only when the peer's four-chunk delivery queue is full.
 func (c *Conn) Write(p []byte) (int, error) {
 	if c.broken.Load() {
 		return 0, ErrLinkDead
@@ -128,21 +167,16 @@ func (c *Conn) Write(p []byte) (int, error) {
 	written := 0
 	mtu := c.out.link.MTU()
 	for written < len(p) {
-		end := written + mtu
-		if end > len(p) {
-			end = len(p)
-		}
-		n := end - written
-		due, err := c.out.deliver(n, c.emuNow())
-		if err != nil {
+		end := min(written+chunkPackets*mtu, len(p))
+		ck := newChunk(p[written:end], mtu)
+		if err := c.out.transmit(ck, c.emuNow(), c.timeScale); err != nil {
+			chunkPool.Put(ck)
 			c.broken.Store(true)
 			c.peer.broken.Store(true)
 			return written, err
 		}
-		data := make([]byte, n)
-		copy(data, p[written:end])
 		select {
-		case c.peer.ch <- chunk{data: data, due: c.wallAt(due)}:
+		case c.peer.ch <- ck:
 		case <-c.localDone:
 			return written, io.ErrClosedPipe
 		case <-c.peer.localDone:
@@ -153,46 +187,52 @@ func (c *Conn) Write(p []byte) (int, error) {
 	return written, nil
 }
 
-// deliver pushes one packet through the direction's link at emulated time
-// at, retrying at +RTO on loss or droptail, and returns the emulated
-// arrival time clamped to in-order delivery.
-func (d *dirState) deliver(bytes int, at float64) (float64, error) {
+// transmit pushes the chunk's packets through the direction's link in
+// order, all sent at emulated time at: each packet is retried at +RTO on
+// loss or droptail, and its emulated arrival, clamped to in-order
+// delivery, is recorded in ck.due as a wall-clock offset from the pipe's
+// start.
+func (d *dirState) transmit(ck *chunk, at, timeScale float64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for attempt := 0; ; attempt++ {
-		if attempt >= maxSendAttempts {
-			return 0, fmt.Errorf("%w: packet dropped %d times at t=%.3f", ErrLinkDead, attempt, at)
+	for i := 0; i < ck.packets(); i++ {
+		size := min(ck.mtu, len(ck.data)-i*ck.mtu)
+		t := at
+		for attempt := 0; ; attempt++ {
+			if attempt >= maxSendAttempts {
+				return fmt.Errorf("%w: packet dropped %d times at t=%.3f", ErrLinkDead, attempt, t)
+			}
+			p := d.link.ParamsAt(t)
+			rto := math.Max(2*p.RTTSec, minRTOSec)
+			if p.LossProb > 0 && d.rng.Float64() < p.LossProb {
+				d.metrics.dropLoss()
+				d.metrics.retransmit()
+				t += rto
+				continue
+			}
+			served, dropped := d.link.Send(size, t)
+			if dropped {
+				d.metrics.dropTail()
+				d.metrics.retransmit()
+				t += rto
+				continue
+			}
+			if math.IsInf(served, 1) {
+				return fmt.Errorf("%w: service horizon exceeded at t=%.3f", ErrLinkDead, t)
+			}
+			d.metrics.packet(served - t)
+			d.lastDeliver = math.Max(served+p.RTTSec/2, d.lastDeliver)
+			ck.due[i] = time.Duration(d.lastDeliver / timeScale * float64(time.Second))
+			break
 		}
-		p := d.link.ParamsAt(at)
-		rto := math.Max(2*p.RTTSec, minRTOSec)
-		if p.LossProb > 0 && d.rng.Float64() < p.LossProb {
-			d.metrics.dropLoss()
-			d.metrics.retransmit()
-			at += rto
-			continue
-		}
-		served, dropped := d.link.Send(bytes, at)
-		if dropped {
-			d.metrics.dropTail()
-			d.metrics.retransmit()
-			at += rto
-			continue
-		}
-		if math.IsInf(served, 1) {
-			return 0, fmt.Errorf("%w: service horizon exceeded at t=%.3f", ErrLinkDead, at)
-		}
-		d.metrics.packet(served - at)
-		recv := served + p.RTTSec/2
-		if recv < d.lastDeliver {
-			recv = d.lastDeliver
-		}
-		d.lastDeliver = recv
-		return recv, nil
 	}
+	return nil
 }
 
-// Read receives in-order bytes from the peer, waiting until each chunk's
-// emulated arrival time has passed on the (scaled) wall clock.
+// Read receives in-order bytes from the peer. It waits until the packet
+// holding the first unread byte is due on the (scaled) wall clock, then
+// returns every following byte whose packet is due too — never a byte
+// early. A drained chunk goes back to the pool.
 func (c *Conn) Read(p []byte) (int, error) {
 	if c.broken.Load() {
 		return 0, ErrLinkDead
@@ -204,15 +244,15 @@ func (c *Conn) Read(p []byte) (int, error) {
 			return 0, io.ErrClosedPipe
 		default:
 		}
-		if c.pending != nil {
-			if err := c.waitUntil(c.pending.due); err != nil {
+		if ck := c.pending; ck != nil {
+			if err := c.waitUntil(ck.due[ck.off/ck.mtu]); err != nil {
 				return 0, err
 			}
-			n := copy(p, c.pending.data)
-			if n == len(c.pending.data) {
+			n := copy(p, ck.data[ck.off:ck.readyEnd(time.Since(c.start))])
+			ck.off += n
+			if ck.off == len(ck.data) {
 				c.pending = nil
-			} else {
-				c.pending.data = c.pending.data[n:]
+				chunkPool.Put(ck)
 			}
 			return n, nil
 		}
@@ -221,7 +261,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 			if !ok {
 				return 0, io.EOF
 			}
-			c.pending = &ck
+			c.pending = ck
 		case <-c.readDeadline.wait():
 			return 0, os.ErrDeadlineExceeded
 		case <-c.localDone:
@@ -233,7 +273,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 				if !ok {
 					return 0, io.EOF
 				}
-				c.pending = &ck
+				c.pending = ck
 			default:
 				return 0, io.EOF
 			}
@@ -244,10 +284,10 @@ func (c *Conn) Read(p []byte) (int, error) {
 // peerClosed returns the peer's done channel (closed on peer Close).
 func (c *Conn) peerClosed() <-chan struct{} { return c.peer.localDone }
 
-// waitUntil blocks until the wall clock reaches due, the read deadline
-// fires, or the conn closes.
-func (c *Conn) waitUntil(due time.Time) error {
-	d := time.Until(due)
+// waitUntil blocks until due has passed since the pipe opened, the read
+// deadline fires, or the conn closes.
+func (c *Conn) waitUntil(due time.Duration) error {
+	d := due - time.Since(c.start)
 	if d <= 0 {
 		return nil
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"os"
@@ -19,6 +20,8 @@ import (
 const soakTimeScale = 400
 
 func TestConnRoundTrip(t *testing.T) {
+	// A payload spanning several 64-packet chunks, read 7 bytes at a time,
+	// arrives intact: reads straddle packet and chunk boundaries alike.
 	p := mustProfile(t, "stable")
 	client, server, err := Pipe(p, 11, soakTimeScale, nil)
 	if err != nil {
@@ -27,15 +30,24 @@ func TestConnRoundTrip(t *testing.T) {
 	defer client.Close()
 	defer server.Close()
 
-	payload := bytes.Repeat([]byte("ptile360-netem!"), 4096) // ~60 KB
+	payload := make([]byte, 5*64*p.MTU()+123)
+	rand.New(rand.NewSource(7)).Read(payload)
+	werr := make(chan error, 1)
 	go func() {
-		if _, err := server.Write(payload); err != nil {
-			t.Errorf("server write: %v", err)
-		}
+		_, err := server.Write(payload)
+		werr <- err
 	}()
-	got := make([]byte, len(payload))
-	if _, err := io.ReadFull(client, got); err != nil {
-		t.Fatalf("client read: %v", err)
+	got := make([]byte, 0, len(payload))
+	buf := make([]byte, 7)
+	for len(got) < len(payload) {
+		n, err := client.Read(buf)
+		if err != nil {
+			t.Fatalf("client read at byte %d: %v", len(got), err)
+		}
+		got = append(got, buf[:n]...)
+	}
+	if err := <-werr; err != nil {
+		t.Fatalf("server write: %v", err)
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatal("payload corrupted in transit")
@@ -43,22 +55,86 @@ func TestConnRoundTrip(t *testing.T) {
 }
 
 func TestConnDelaysReflectLink(t *testing.T) {
-	// Over 40ms-RTT stable at timeScale 1, the first byte cannot arrive
-	// before ~20ms of wall time (one-way propagation).
-	client, server, err := Pipe(mustProfile(t, "stable"), 5, 1, nil)
+	// One Write of a 64-packet run over 40ms-RTT stable at timeScale 1: no
+	// Read may return a byte before its packet is due — packet k after the
+	// ~20ms one-way propagation plus the serialization of packets 0..k at
+	// 40 Mbps, so the first byte after ~20ms and the last after ~39ms.
+	p := mustProfile(t, "stable")
+	client, server, err := Pipe(p, 5, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
 	defer server.Close()
-	go server.Write([]byte("x"))
+	params := p.Phases[0].Params
+	mtu := p.MTU()
+	payload := make([]byte, 64*mtu)
 	start := time.Now()
-	buf := make([]byte, 1)
-	if _, err := io.ReadFull(client, buf); err != nil {
+	if _, err := server.Write(payload); err != nil {
 		t.Fatal(err)
 	}
-	if el := time.Since(start); el < 15*time.Millisecond {
-		t.Fatalf("byte arrived after %v, want >= ~20ms propagation", el)
+	const slack = 100 * time.Microsecond
+	dueAt := func(end int) time.Duration {
+		// The packet holding byte end-1 finishes serializing once every
+		// byte of it and of the packets ahead of it has left.
+		sent := min(((end-1)/mtu+1)*mtu, len(payload))
+		sec := params.RTTSec/2 + float64(sent*8)/params.CapacityBps
+		return time.Duration(sec * float64(time.Second))
+	}
+	buf := make([]byte, len(payload))
+	for got := 0; got < len(payload); {
+		n, err := client.Read(buf[got:])
+		el := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got += n
+		if due := dueAt(got); el < due-slack {
+			t.Fatalf("byte %d arrived after %v, before its packet was due at %v", got-1, el, due)
+		}
+	}
+}
+
+func TestConnInFlightBound(t *testing.T) {
+	// With no reader, a writer can queue 256 × MTU bytes, then blocks until
+	// Close wakes it.
+	p := mustProfile(t, "ideal")
+	client, server, err := Pipe(p, 1, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	window := 256 * p.MTU()
+	done := make(chan error, 1)
+	go func() {
+		_, err := server.Write(make([]byte, window))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("writer blocked before %d bytes were in flight", window)
+	}
+	go func() {
+		_, err := server.Write([]byte{1})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("write beyond %d in-flight bytes returned without a reader: %v", window, err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	server.Close()
+	select {
+	case err := <-done:
+		if !errors.Is(err, io.ErrClosedPipe) {
+			t.Fatalf("blocked write after Close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not unblock the writer")
 	}
 }
 
