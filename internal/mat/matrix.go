@@ -116,15 +116,20 @@ func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 		return nil, fmt.Errorf("%w: %dx%d × vec(%d)", ErrShape, m.rows, m.cols, len(x))
 	}
 	out := make([]float64, m.rows)
+	m.mulVecInto(out, x)
+	return out, nil
+}
+
+// mulVecInto writes m·x into dst (len m.rows) without allocating.
+func (m *Matrix) mulVecInto(dst, x []float64) {
 	for i := 0; i < m.rows; i++ {
 		var s float64
 		row := m.data[i*m.cols : (i+1)*m.cols]
 		for j, v := range row {
 			s += v * x[j]
 		}
-		out[i] = s
+		dst[i] = s
 	}
-	return out, nil
 }
 
 // Add returns m + b.
@@ -221,7 +226,19 @@ func Cholesky(a *Matrix, b []float64) ([]float64, error) {
 	if len(b) != n {
 		return nil, fmt.Errorf("%w: rhs has length %d, want %d", ErrShape, len(b), n)
 	}
-	// Lower-triangular factor L with a = L·Lᵀ.
+	l, err := choleskyFactor(a)
+	if err != nil {
+		return nil, err
+	}
+	x := make([]float64, n)
+	choleskySolve(l, b, make([]float64, n), x)
+	return x, nil
+}
+
+// choleskyFactor returns the lower-triangular factor L with a = L·Lᵀ of a
+// square a, or ErrSingular when a is not positive definite.
+func choleskyFactor(a *Matrix) (*Matrix, error) {
+	n := a.rows
 	l := New(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
@@ -239,8 +256,13 @@ func Cholesky(a *Matrix, b []float64) ([]float64, error) {
 			}
 		}
 	}
-	// Forward substitution L·y = b.
-	y := make([]float64, n)
+	return l, nil
+}
+
+// choleskySolve solves L·Lᵀ·x = b for the factor l: forward substitution
+// L·y = b into the scratch y, then back substitution Lᵀ·x = y into x.
+func choleskySolve(l *Matrix, b, y, x []float64) {
+	n := l.rows
 	for i := 0; i < n; i++ {
 		s := b[i]
 		for k := 0; k < i; k++ {
@@ -248,8 +270,6 @@ func Cholesky(a *Matrix, b []float64) ([]float64, error) {
 		}
 		y[i] = s / l.At(i, i)
 	}
-	// Back substitution Lᵀ·x = y.
-	x := make([]float64, n)
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for k := i + 1; k < n; k++ {
@@ -257,5 +277,4 @@ func Cholesky(a *Matrix, b []float64) ([]float64, error) {
 		}
 		x[i] = s / l.At(i, i)
 	}
-	return x, nil
 }

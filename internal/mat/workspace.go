@@ -1,53 +1,34 @@
 package mat
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// RidgeWorkspace holds the scratch buffers for repeated
-// RidgeLeastSquaresPenalized solves of one design shape, so per-solve
-// allocation drops to zero on the hot MPC/predictor path. Every intermediate
-// is computed with the same loops in the same order as the allocating path,
-// so the solutions are bit-identical.
+// RidgeWorkspace is RidgeLeastSquaresPenalized prepared for one fixed design
+// A and penalty vector P. Everything that depends only on them — Aᵀ,
+// AᵀA + P and its Cholesky factor — is computed once at construction, so a
+// solve costs only Aᵀy and two triangular substitutions and allocates
+// nothing. Construction and solves run the allocating path's own functions
+// (T, Mul, the Cholesky factorization and substitutions) on the same
+// operands, so the solutions are bit-identical to
+// RidgeLeastSquaresPenalized(A, y, P).
 //
 // A workspace is not safe for concurrent use, and the slice returned by
 // Solve aliases the workspace: callers must consume (or copy) it before the
 // next Solve call.
 type RidgeWorkspace struct {
-	rows, cols int
-	at         *Matrix // cols×rows transpose
-	ata        *Matrix // cols×cols normal matrix
-	aty        []float64
-	l          *Matrix // Cholesky factor
-	y          []float64
-	x          []float64
+	at  *Matrix // cols×rows transpose of the design
+	ata *Matrix // AᵀA + P
+	// l is the Cholesky factor of ata, or nil when the factorization failed;
+	// solves then take the pivoted fallback, as the allocating path does.
+	l       *Matrix
+	aty     []float64
+	scratch []float64
+	x       []float64
 }
 
-// NewRidgeWorkspace returns a workspace for rows×cols designs.
-func NewRidgeWorkspace(rows, cols int) *RidgeWorkspace {
-	return &RidgeWorkspace{
-		rows: rows,
-		cols: cols,
-		at:   New(cols, rows),
-		ata:  New(cols, cols),
-		aty:  make([]float64, cols),
-		l:    New(cols, cols),
-		y:    make([]float64, cols),
-		x:    make([]float64, cols),
-	}
-}
-
-// Solve computes RidgeLeastSquaresPenalized(a, y, penalties) into the
-// workspace buffers. a must be rows×cols as declared at construction. The
-// returned slice is owned by the workspace and overwritten by the next call.
-func (w *RidgeWorkspace) Solve(a *Matrix, y, penalties []float64) ([]float64, error) {
-	if a.rows != w.rows || a.cols != w.cols {
-		return nil, fmt.Errorf("%w: design %dx%d in %dx%d workspace", ErrShape, a.rows, a.cols, w.rows, w.cols)
-	}
-	if a.rows != len(y) {
-		return nil, fmt.Errorf("%w: design %dx%d vs %d observations", ErrShape, a.rows, a.cols, len(y))
-	}
+// NewRidgeWorkspace prepares ridge solves for design a (one row per
+// observation) with one non-negative penalty per coefficient. The workspace
+// keeps no reference to a or penalties.
+func NewRidgeWorkspace(a *Matrix, penalties []float64) (*RidgeWorkspace, error) {
 	if len(penalties) != a.cols {
 		return nil, fmt.Errorf("%w: %d penalties for %d coefficients", ErrShape, len(penalties), a.cols)
 	}
@@ -56,83 +37,39 @@ func (w *RidgeWorkspace) Solve(a *Matrix, y, penalties []float64) ([]float64, er
 			return nil, fmt.Errorf("mat: negative ridge penalty %g for coefficient %d", p, j)
 		}
 	}
-	// Aᵀ — same element placement as T().
-	for i := 0; i < a.rows; i++ {
-		for j := 0; j < a.cols; j++ {
-			w.at.Set(j, i, a.At(i, j))
-		}
+	at := a.T()
+	ata, err := at.Mul(a)
+	if err != nil {
+		return nil, err
 	}
-	// AᵀA — the Mul loop (i, k with skip-zero, j) verbatim, accumulating into
-	// a zeroed buffer so the additions happen in the identical order.
-	for i := range w.ata.data {
-		w.ata.data[i] = 0
+	for i := 0; i < ata.rows; i++ {
+		ata.Set(i, i, ata.At(i, i)+penalties[i])
 	}
-	for i := 0; i < w.at.rows; i++ {
-		for k := 0; k < w.at.cols; k++ {
-			v := w.at.At(i, k)
-			if v == 0 {
-				continue
-			}
-			for j := 0; j < a.cols; j++ {
-				w.ata.data[i*w.ata.cols+j] += v * a.At(k, j)
-			}
-		}
-	}
-	for i := 0; i < w.ata.rows; i++ {
-		w.ata.Set(i, i, w.ata.At(i, i)+penalties[i])
-	}
-	// Aᵀy — the MulVec loop verbatim.
-	for i := 0; i < w.at.rows; i++ {
-		var s float64
-		row := w.at.data[i*w.at.cols : (i+1)*w.at.cols]
-		for j, v := range row {
-			s += v * y[j]
-		}
-		w.aty[i] = s
-	}
-	if err := w.choleskyInto(); err != nil {
-		// Same degenerate-path fallback as the allocating solver.
-		return Solve(w.ata, w.aty)
-	}
-	return w.x, nil
+	// A failed factorization leaves l nil and routes solves to the fallback.
+	l, _ := choleskyFactor(ata)
+	return &RidgeWorkspace{
+		at:      at,
+		ata:     ata,
+		l:       l,
+		aty:     make([]float64, a.cols),
+		scratch: make([]float64, a.cols),
+		x:       make([]float64, a.cols),
+	}, nil
 }
 
-// choleskyInto is Cholesky(w.ata, w.aty) into the workspace factor and
-// solution buffers, loop-for-loop identical to the allocating version.
-func (w *RidgeWorkspace) choleskyInto() error {
-	n := w.ata.rows
-	for i := range w.l.data {
-		w.l.data[i] = 0
+// Solve returns RidgeLeastSquaresPenalized(a, y, penalties) for the design
+// and penalties the workspace was prepared with. The returned slice is owned
+// by the workspace and overwritten by the next call.
+func (w *RidgeWorkspace) Solve(y []float64) ([]float64, error) {
+	if len(y) != w.at.cols {
+		return nil, fmt.Errorf("%w: design %dx%d vs %d observations", ErrShape, w.at.cols, w.at.rows, len(y))
 	}
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			s := w.ata.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= w.l.At(i, k) * w.l.At(j, k)
-			}
-			if i == j {
-				if s <= 0 {
-					return fmt.Errorf("%w: non-positive diagonal %g at %d", ErrSingular, s, i)
-				}
-				w.l.Set(i, i, math.Sqrt(s))
-			} else {
-				w.l.Set(i, j, s/w.l.At(j, j))
-			}
-		}
+	w.at.mulVecInto(w.aty, y)
+	if w.l == nil {
+		// The normal matrix lost definiteness: the same pivoted-solver
+		// fallback as the allocating path.
+		return Solve(w.ata, w.aty)
 	}
-	for i := 0; i < n; i++ {
-		s := w.aty[i]
-		for k := 0; k < i; k++ {
-			s -= w.l.At(i, k) * w.y[k]
-		}
-		w.y[i] = s / w.l.At(i, i)
-	}
-	for i := n - 1; i >= 0; i-- {
-		s := w.y[i]
-		for k := i + 1; k < n; k++ {
-			s -= w.l.At(k, i) * w.x[k]
-		}
-		w.x[i] = s / w.l.At(i, i)
-	}
-	return nil
+	choleskySolve(w.l, w.aty, w.scratch, w.x)
+	return w.x, nil
 }

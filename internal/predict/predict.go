@@ -109,22 +109,8 @@ func Viewport(xs, ys []float64, horizonSec float64, cfg ViewportConfig) (geom.Po
 	hx := xs[len(xs)-n:]
 	hy := ys[len(ys)-n:]
 
-	dt := 1 / cfg.SampleRate
-	// Time axis centred at "now" (t = 0) so the intercept is the current
-	// position and extrapolation is numerically stable.
-	design := mat.New(n, 2)
-	for i := 0; i < n; i++ {
-		design.Set(i, 0, 1)
-		design.Set(i, 1, float64(i-(n-1))*dt)
-	}
-	// Penalize only the slope: shrinking the intercept would bias the
-	// prediction toward panorama coordinate 0. The OLS kind zeroes the
-	// penalty entirely.
-	lambda := cfg.Lambda
-	if cfg.Kind == ViewportOLS {
-		lambda = 0
-	}
-	penalties := []float64{0, lambda}
+	design := viewportDesign(n, cfg.SampleRate)
+	penalties := viewportPenalties(cfg)
 	cx, err := mat.RidgeLeastSquaresPenalized(design, hx, penalties)
 	if err != nil {
 		return geom.Point{}, fmt.Errorf("predict: x fit: %w", err)
@@ -136,6 +122,30 @@ func Viewport(xs, ys []float64, horizonSec float64, cfg ViewportConfig) (geom.Po
 	px := cx[0] + cx[1]*horizonSec
 	py := cy[0] + cy[1]*horizonSec
 	return geom.Point{X: geom.NormalizeYaw(px), Y: clampY(py)}, nil
+}
+
+// viewportDesign is the regression design for an n-sample window: rows
+// [1, tᵢ] with the time axis centred at "now" (t = 0), so the intercept is
+// the current position and extrapolation is numerically stable.
+func viewportDesign(n int, sampleRate float64) *mat.Matrix {
+	dt := 1 / sampleRate
+	design := mat.New(n, 2)
+	for i := 0; i < n; i++ {
+		design.Set(i, 0, 1)
+		design.Set(i, 1, float64(i-(n-1))*dt)
+	}
+	return design
+}
+
+// viewportPenalties penalizes only the slope: shrinking the intercept would
+// bias the prediction toward panorama coordinate 0. The OLS kind zeroes the
+// penalty entirely.
+func viewportPenalties(cfg ViewportConfig) []float64 {
+	lambda := cfg.Lambda
+	if cfg.Kind == ViewportOLS {
+		lambda = 0
+	}
+	return []float64{0, lambda}
 }
 
 func clampY(y float64) float64 {

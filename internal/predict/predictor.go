@@ -7,18 +7,20 @@ import (
 	"ptile360/internal/mat"
 )
 
-// ViewportPredictor is the reusable form of Viewport for session loops: the
-// design matrix depends only on the window length, so it is built once and
-// cached, and both per-coordinate ridge solves run through one preallocated
-// mat.RidgeWorkspace. Predictions are bit-identical to Viewport with the
-// same configuration. Not safe for concurrent use.
+// ViewportPredictor is the reusable form of Viewport for session loops. The
+// regression design depends only on the window length n, so the predictor
+// keeps one prepared ridge solve (mat.RidgeWorkspace, its normal matrix
+// already factored) per n, built on first use: a session still warming up
+// (n < the full window) and a steady one can interleave on one predictor
+// without rebuilding anything. Predictions are bit-identical to Viewport
+// with the same configuration. Not safe for concurrent use.
 type ViewportPredictor struct {
 	cfg       ViewportConfig
 	winN      int
-	n         int // rows of the cached design; 0 until first use
-	design    *mat.Matrix
-	ws        *mat.RidgeWorkspace
 	penalties []float64
+	// preps[n] is the prepared solve for an n-sample window (n ≤ winN), nil
+	// until an n-sample prediction first asks for it.
+	preps []*mat.RidgeWorkspace
 }
 
 // NewViewportPredictor validates cfg once and returns a predictor.
@@ -30,11 +32,12 @@ func NewViewportPredictor(cfg ViewportConfig) (*ViewportPredictor, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("predict: history window of %d samples too short", n)
 	}
-	lambda := cfg.Lambda
-	if cfg.Kind == ViewportOLS {
-		lambda = 0
-	}
-	return &ViewportPredictor{cfg: cfg, winN: n, penalties: []float64{0, lambda}}, nil
+	return &ViewportPredictor{
+		cfg:       cfg,
+		winN:      n,
+		penalties: viewportPenalties(cfg),
+		preps:     make([]*mat.RidgeWorkspace, n+1),
+	}, nil
 }
 
 // Predict is Viewport over the predictor's configuration: xs is the
@@ -57,26 +60,22 @@ func (p *ViewportPredictor) Predict(xs, ys []float64, horizonSec float64) (geom.
 	if len(xs) < n {
 		n = len(xs)
 	}
-	hx := xs[len(xs)-n:]
-	hy := ys[len(ys)-n:]
-	if n != p.n {
-		dt := 1 / p.cfg.SampleRate
-		p.design = mat.New(n, 2)
-		for i := 0; i < n; i++ {
-			p.design.Set(i, 0, 1)
-			p.design.Set(i, 1, float64(i-(n-1))*dt)
+	ws := p.preps[n]
+	if ws == nil {
+		var err error
+		if ws, err = mat.NewRidgeWorkspace(viewportDesign(n, p.cfg.SampleRate), p.penalties); err != nil {
+			return geom.Point{}, fmt.Errorf("predict: %w", err)
 		}
-		p.ws = mat.NewRidgeWorkspace(n, 2)
-		p.n = n
+		p.preps[n] = ws
 	}
-	cx, err := p.ws.Solve(p.design, hx, p.penalties)
+	cx, err := ws.Solve(xs[len(xs)-n:])
 	if err != nil {
 		return geom.Point{}, fmt.Errorf("predict: x fit: %w", err)
 	}
 	// The workspace reuses its solution buffer: consume the x coefficients
 	// before the y solve overwrites them.
 	px := cx[0] + cx[1]*horizonSec
-	cy, err := p.ws.Solve(p.design, hy, p.penalties)
+	cy, err := ws.Solve(ys[len(ys)-n:])
 	if err != nil {
 		return geom.Point{}, fmt.Errorf("predict: y fit: %w", err)
 	}

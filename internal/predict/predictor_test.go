@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestViewportPredictorMatchesViewport pins the cached-design/workspace
-// predictor bit-for-bit against the one-shot Viewport across kinds, history
-// lengths (shorter and longer than the window), and horizons — reusing one
+// TestViewportPredictorMatchesViewport pins the prepared-design predictor
+// bit-for-bit against the one-shot Viewport across kinds, history lengths
+// (shorter and longer than the window), and horizons — reusing one
 // predictor for every call so buffer reuse is exercised.
 func TestViewportPredictorMatchesViewport(t *testing.T) {
 	state := uint64(2024)
@@ -34,7 +34,9 @@ func TestViewportPredictorMatchesViewport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, n := range []int{2, 10, 49, 50, 51, 200} {
+		// Lengths revisit earlier ones, as interleaved warming-up and steady
+		// sessions do, so prepared designs are reused across other lengths.
+		for _, n := range []int{2, 10, 49, 50, 51, 200, 10, 3, 50, 2} {
 			xs, ys := walk(n)
 			for _, h := range []float64{0, 0.5, 1, 2} {
 				want, err := Viewport(xs, ys, h, cfg)

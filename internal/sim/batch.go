@@ -76,15 +76,14 @@ type BatchStats struct {
 	Fallbacks int
 }
 
-// BatchScratch is the reusable workspace of StepBatch: signature storage,
-// the group table, and the per-tick decision cache. One scratch serves one
-// stepper; like the stepper it must not be shared by concurrent goroutines.
+// BatchScratch is the reusable workspace of StepBatch: signature storage and
+// the group table. One scratch serves one stepper; like the stepper it must
+// not be shared by concurrent goroutines.
 type BatchScratch struct {
 	noQuant bool
 	words   []uint64
 	groups  []batchGroup
 	table   map[batchKey]int32
-	dec     *abr.DecisionCache
 }
 
 // batchKey is the group rendezvous: shared-trace identity plus the bucket
@@ -119,7 +118,6 @@ func NewBatchScratch(opts BatchOptions) *BatchScratch {
 	return &BatchScratch{
 		noQuant: opts.NoQuant,
 		table:   make(map[batchKey]int32),
-		dec:     abr.NewDecisionCache(),
 	}
 }
 
@@ -127,7 +125,6 @@ func (sc *BatchScratch) reset() {
 	sc.words = sc.words[:0]
 	sc.groups = sc.groups[:0]
 	clear(sc.table)
-	sc.dec.Reset()
 }
 
 // batchFingerprintDisabled forces every session onto the scalar fallback —
@@ -205,8 +202,6 @@ func (st *Stepper) StepBatch(sc *BatchScratch, states []*State, infos []StepInfo
 		return stats, fmt.Errorf("sim: StepBatch needs a scratch")
 	}
 	sc.reset()
-	st.s.decCache = sc.dec
-	defer func() { st.s.decCache = nil }()
 
 	for i, state := range states {
 		base := len(sc.words)

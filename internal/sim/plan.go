@@ -9,6 +9,7 @@ import (
 	"ptile360/internal/power"
 	"ptile360/internal/ptile"
 	"ptile360/internal/video"
+	"ptile360/internal/vmaf"
 )
 
 // segmentPlan is the request structure for one segment: the quality-version
@@ -58,18 +59,27 @@ func (s *session) segmentPlan(k, slot int, predCenter geom.Point, speedEst float
 	}
 }
 
-// optionBuf returns the recycled zero-length options slice for scratch slot
-// i; storeOptionBuf gives the (possibly grown) slice back. One slot is live
-// per horizon position, so after the first few decisions option storage is
-// allocation-free.
-func (s *session) optionBuf(slot int) []abr.OptionMeta {
+// optionBuf returns scratch slot's recycled options slice resized to n,
+// growing its storage when needed. One slot is live per horizon position, so
+// after the first few decisions option storage is allocation-free.
+func (s *session) optionBuf(slot, n int) []abr.OptionMeta {
 	for slot >= len(s.optBufs) {
 		s.optBufs = append(s.optBufs, nil)
 	}
-	return s.optBufs[slot][:0]
+	if cap(s.optBufs[slot]) < n {
+		s.optBufs[slot] = make([]abr.OptionMeta, n)
+	}
+	return s.optBufs[slot][:n]
 }
 
-func (s *session) storeOptionBuf(slot int, buf []abr.OptionMeta) { s.optBufs[slot] = buf }
+// setOption fills one option in place. OptionMeta is too large to live in
+// registers, so appending a composite literal builds it on the stack and
+// copies it with wide loads that stall on the narrow stores just made;
+// assigning the fields directly does neither.
+func setOption(o *abr.OptionMeta, v video.Quality, f, sizeBits, q, procMW float64) {
+	o.Quality, o.FrameRate = v, f
+	o.SizeBits, o.PerceivedQuality, o.ProcPowerMW = sizeBits, q, procMW
+}
 
 // planBuf returns the recycled segmentPlan for scratch slot i, cleared of the
 // previous decision while keeping grown buffers. Slots 0..Horizon are
@@ -91,15 +101,67 @@ func (s *session) planBuf(slot int) *segmentPlan {
 	return p
 }
 
-// quality evaluates the perceived quality Q(v, f) for this segment. The
-// switching speed is scaled by AlphaScale, implementing α = κ·S_fov/TI
-// (see Config.AlphaScale).
-func (s *session) quality(sc video.SegmentContent, v video.Quality, f, speed float64) (float64, error) {
-	b, err := s.cfg.Encoder.QoEBitrateMbps(v)
+// The perceived quality Q(v, f) = Q₀(v)·F(α, f) (Eq. 3 × Eq. 4) factors by
+// axis: Q₀ depends only on the segment's content and the quality v, so it
+// is tabled per catalogue (planTables.q0), and F depends only on α (the
+// switching speed over the segment's TI) and the frame rate f, so a plan
+// evaluates α once and F once per f rather than both once per option. Each
+// factor comes from the same vmaf call PerceivedQuality makes (F through
+// the FrameRateCurve that FrameRateFactor itself evaluates), and
+// q0 * factor is the product it returns, so every option's quality is
+// bit-identical to the one-call form.
+
+// directQ0 is Eq. 3's Q₀ of content sc at quality v, computed with the calls
+// PerceivedQuality makes.
+func directQ0(cfg *Config, sc video.SegmentContent, v video.Quality) (float64, error) {
+	b, err := cfg.Encoder.QoEBitrateMbps(v)
 	if err != nil {
 		return 0, err
 	}
-	return s.cfg.QoECoeffs.PerceivedQuality(sc.SI, sc.TI, b, speed*s.cfg.AlphaScale, f, s.fm)
+	return cfg.QoECoeffs.Q0(sc.SI, sc.TI, b)
+}
+
+// q0 returns segment k's Q₀ at quality v: tabled, or computed directly on
+// the reference path.
+func (s *session) q0(k int, v video.Quality) (float64, error) {
+	if s.tab != nil {
+		return s.tab.q0[k][int(v)-1], nil
+	}
+	return directQ0(&s.cfg, s.cat.Content[k], v)
+}
+
+// rateCurve is Eq. 4's frame-rate factor F(α, ·) for content sc at the
+// given switching speed. The speed is scaled by AlphaScale, implementing
+// α = κ·S_fov/TI (see Config.AlphaScale).
+func (s *session) rateCurve(sc video.SegmentContent, speed float64) (vmaf.FrameRateCurve, error) {
+	alpha, err := vmaf.Alpha(speed*s.cfg.AlphaScale, sc.TI)
+	if err != nil {
+		return vmaf.FrameRateCurve{}, err
+	}
+	return vmaf.NewFrameRateCurve(alpha, s.fm)
+}
+
+// rateFactor is rateCurve evaluated at one frame rate f.
+func (s *session) rateFactor(sc video.SegmentContent, speed, f float64) (float64, error) {
+	curve, err := s.rateCurve(sc, speed)
+	if err != nil {
+		return 0, err
+	}
+	return curve.At(f)
+}
+
+// quality evaluates the perceived quality Q(v, f) of segment k at the given
+// switching speed.
+func (s *session) quality(k int, v video.Quality, f, speed float64) (float64, error) {
+	q0, err := s.q0(k, v)
+	if err != nil {
+		return 0, err
+	}
+	factor, err := s.rateFactor(s.cat.Content[k], speed, f)
+	if err != nil {
+		return 0, err
+	}
+	return q0 * factor, nil
 }
 
 // procPower returns P_d(f) + P_r(f) for the given decode pipeline.
@@ -141,24 +203,23 @@ func (s *session) ctilePlan(k, slot int, predCenter geom.Point, speedEst float64
 	if err != nil {
 		return nil, err
 	}
-	plan.options = s.optionBuf(slot)
+	factor, err := s.rateFactor(sc, speedEst, s.fm)
+	if err != nil {
+		return nil, err
+	}
+	plan.options = s.optionBuf(slot, numQualities)
 	for v := video.MinQuality; v <= video.MaxQuality; v++ {
 		tileBits, err := gridBits(v)
 		if err != nil {
 			return nil, err
 		}
-		q, err := s.quality(sc, v, s.fm, speedEst)
+		q0, err := s.q0(k, v)
 		if err != nil {
 			return nil, err
 		}
-		plan.options = append(plan.options, abr.OptionMeta{
-			Option:           abr.Option{Quality: v, FrameRate: s.fm},
-			SizeBits:         float64(len(hq))*tileBits + float64(nBG)*bgBits,
-			PerceivedQuality: q,
-			ProcPowerMW:      proc,
-		})
+		setOption(&plan.options[int(v)-1], v, s.fm,
+			float64(len(hq))*tileBits+float64(nBG)*bgBits, q0*factor, proc)
 	}
-	s.storeOptionBuf(slot, plan.options)
 	return plan, nil
 }
 
@@ -203,13 +264,17 @@ func (s *session) ftilePlan(k, slot int, predCenter geom.Point, speedEst float64
 	if err != nil {
 		return nil, err
 	}
+	factor, err := s.rateFactor(sc, speedEst, s.fm)
+	if err != nil {
+		return nil, err
+	}
 	groupBits := func(gi int, g FtileGroup, q video.Quality) (float64, error) {
 		if s.tab != nil {
 			return s.tab.ftileBits[k][gi][int(q)-1], nil
 		}
 		return s.cfg.Encoder.RegionBits(g.AreaFrac, q, s.fm, video.KindFtile, s.cfg.SegmentSec, sc)
 	}
-	plan.options = s.optionBuf(slot)
+	plan.options = s.optionBuf(slot, numQualities)
 	for v := video.MinQuality; v <= video.MaxQuality; v++ {
 		var total float64
 		for gi, g := range groups {
@@ -223,18 +288,12 @@ func (s *session) ftilePlan(k, slot int, predCenter geom.Point, speedEst float64
 			}
 			total += bits
 		}
-		q, err := s.quality(sc, v, s.fm, speedEst)
+		q0, err := s.q0(k, v)
 		if err != nil {
 			return nil, err
 		}
-		plan.options = append(plan.options, abr.OptionMeta{
-			Option:           abr.Option{Quality: v, FrameRate: s.fm},
-			SizeBits:         total,
-			PerceivedQuality: q,
-			ProcPowerMW:      proc,
-		})
+		setOption(&plan.options[int(v)-1], v, s.fm, total, q0*factor, proc)
 	}
-	s.storeOptionBuf(slot, plan.options)
 	return plan, nil
 }
 
@@ -244,8 +303,12 @@ func (s *session) nontilePlan(k, slot int, speedEst float64, sc video.SegmentCon
 	if err != nil {
 		return nil, err
 	}
+	factor, err := s.rateFactor(sc, speedEst, s.fm)
+	if err != nil {
+		return nil, err
+	}
 	plan := s.planBuf(slot)
-	plan.options = s.optionBuf(slot)
+	plan.options = s.optionBuf(slot, numQualities)
 	for v := video.MinQuality; v <= video.MaxQuality; v++ {
 		var bits float64
 		if s.tab != nil {
@@ -256,18 +319,12 @@ func (s *session) nontilePlan(k, slot int, speedEst float64, sc video.SegmentCon
 				return nil, err
 			}
 		}
-		q, err := s.quality(sc, v, s.fm, speedEst)
+		q0, err := s.q0(k, v)
 		if err != nil {
 			return nil, err
 		}
-		plan.options = append(plan.options, abr.OptionMeta{
-			Option:           abr.Option{Quality: v, FrameRate: s.fm},
-			SizeBits:         bits,
-			PerceivedQuality: q,
-			ProcPowerMW:      proc,
-		})
+		setOption(&plan.options[int(v)-1], v, s.fm, bits, q0*factor, proc)
 	}
-	s.storeOptionBuf(slot, plan.options)
 	return plan, nil
 }
 
@@ -312,16 +369,35 @@ func (s *session) ptilePlan(k, slot int, predCenter geom.Point, speedEst float64
 		}
 	}
 
+	// Eq. 4's factor once per frame rate: α is shared by the whole plan.
+	curve, err := s.rateCurve(sc, speedEst)
+	if err != nil {
+		return nil, err
+	}
+	factors := s.factorBuf[:0]
+	for _, f := range s.cfg.FrameRates {
+		factor, err := curve.At(f)
+		if err != nil {
+			return nil, err
+		}
+		factors = append(factors, factor)
+	}
+	s.factorBuf = factors
+
 	plan := s.planBuf(slot)
 	plan.chosenPtile = pt
-	plan.options = s.optionBuf(slot)
+	nRates := len(s.cfg.FrameRates)
+	plan.options = s.optionBuf(slot, numQualities*nRates)
 	for v := video.MinQuality; v <= video.MaxQuality; v++ {
+		q0, err := s.q0(k, v)
+		if err != nil {
+			return nil, err
+		}
 		for fi, f := range s.cfg.FrameRates {
 			var bits float64
 			if tab != nil {
 				bits = tab.bits[int(v)-1][fi]
 			} else {
-				var err error
 				bits, err = s.cfg.Encoder.TileBits(video.TileSpec{
 					Rect: pt.Rect, Quality: v, FrameRate: f, Kind: video.KindPtile,
 				}, s.cfg.SegmentSec, sc)
@@ -329,23 +405,9 @@ func (s *session) ptilePlan(k, slot int, predCenter geom.Point, speedEst float64
 					return nil, err
 				}
 			}
-			q, err := s.quality(sc, v, f, speedEst)
-			if err != nil {
-				return nil, err
-			}
-			proc, err := s.procPower(power.PtileScheme, f)
-			if err != nil {
-				return nil, err
-			}
-			plan.options = append(plan.options, abr.OptionMeta{
-				Option:           abr.Option{Quality: v, FrameRate: f},
-				SizeBits:         bits + bgBits,
-				PerceivedQuality: q,
-				ProcPowerMW:      proc,
-			})
+			setOption(&plan.options[(int(v)-1)*nRates+fi], v, f, bits+bgBits, q0*factors[fi], s.ptileProc[fi])
 		}
 	}
-	s.storeOptionBuf(slot, plan.options)
 	return plan, nil
 }
 
@@ -425,17 +487,16 @@ func (s *session) perceivedQuality(k int, plan *segmentPlan, chosen abr.OptionMe
 	if err != nil {
 		actualSpeed = 0
 	}
-	sc := s.cat.Content[k]
 	frac := s.coverageFraction(k, plan, actual)
 
-	qHigh, err := s.quality(sc, chosen.Quality, chosen.FrameRate, actualSpeed)
+	qHigh, err := s.quality(k, chosen.Quality, chosen.FrameRate, actualSpeed)
 	if err != nil {
 		return 0, false, err
 	}
 	if !s.cfg.StrictViewportQoE {
 		return qHigh, frac >= 1, nil
 	}
-	qLow, err := s.quality(sc, video.MinQuality, s.fm, actualSpeed)
+	qLow, err := s.quality(k, video.MinQuality, s.fm, actualSpeed)
 	if err != nil {
 		return 0, false, err
 	}

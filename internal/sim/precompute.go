@@ -7,15 +7,18 @@ import (
 	"ptile360/internal/geom"
 	"ptile360/internal/ptile"
 	"ptile360/internal/video"
+	"ptile360/internal/vmaf"
 )
 
-// This file holds the catalogue's precomputed encoded-size tables: the
+// This file holds the catalogue's precomputed planning tables: the
 // planner's hot loop (segmentPlan and the MPC horizon) used to re-derive the
 // same EncoderConfig.TileBits/RegionBits values — including a math.Pow per
-// call — for every user, every scheme, and H times per segment through
-// horizonPlans. Sizes depend only on (catalogue, encoder config, grid,
-// segment duration, frame-rate ladder), so they are computed once per
-// catalogue per configuration fingerprint and shared by every session.
+// call — and the same Eq. 3 Q₀ — a math.Exp per call — for every user,
+// every scheme, and H times per segment through horizonPlans. Sizes depend
+// only on (catalogue, encoder config, grid, segment duration, frame-rate
+// ladder) and Q₀ only on (catalogue, encoder config, Eq. 3 coefficients),
+// so they are computed once per catalogue per configuration fingerprint and
+// shared by every session.
 //
 // Determinism: the tables memoize the exact outputs of the same pure
 // function calls the direct path makes, and every consumer sums them in the
@@ -30,14 +33,14 @@ const numQualities = int(video.MaxQuality-video.MinQuality) + 1
 // against. Toggled via export_test.go only.
 var disablePlanTables bool
 
-// planKey fingerprints every session-config field the size tables depend
-// on. Frame rates are rendered to a string because slices are not
-// comparable.
+// planKey fingerprints every session-config field the tables depend on.
+// Frame rates are rendered to a string because slices are not comparable.
 type planKey struct {
 	enc        video.EncoderConfig
 	grid       struct{ rows, cols int }
 	segmentSec float64
 	rates      string
+	qoe        vmaf.Coefficients
 }
 
 func planKeyFor(cfg *Config) planKey {
@@ -45,6 +48,7 @@ func planKeyFor(cfg *Config) planKey {
 		enc:        cfg.Encoder,
 		segmentSec: cfg.SegmentSec,
 		rates:      fmt.Sprint(cfg.FrameRates),
+		qoe:        cfg.QoECoeffs,
 	}
 	k.grid.rows, k.grid.cols = cfg.Grid.Rows, cfg.Grid.Cols
 	return k
@@ -60,11 +64,13 @@ type ptileTable struct {
 	bits [numQualities][]float64
 }
 
-// planTables carries the per-segment size tables for one (catalogue,
-// planKey) pair.
+// planTables carries the per-segment tables for one (catalogue, planKey)
+// pair.
 type planTables struct {
 	// rates is the frame-rate ladder the ptile tables are indexed by.
 	rates []float64
+	// q0[k][v-1] is Eq. 3's Q₀ of segment k's content at quality v.
+	q0 [][numQualities]float64
 	// gridTileBits[k][v-1] is one conventional grid tile's size at quality v
 	// and the source frame rate.
 	gridTileBits [][numQualities]float64
@@ -114,8 +120,8 @@ func (c *Catalog) tablesFor(cfg *Config) (*planTables, error) {
 	return e.tab, e.err
 }
 
-// buildPlanTables computes every size the planners can request, in the same
-// call order as the direct path.
+// buildPlanTables computes every size and Q₀ the planners can request, with
+// the same calls as the direct path.
 func (c *Catalog) buildPlanTables(cfg *Config) (*planTables, error) {
 	nSeg := len(c.Content)
 	enc := cfg.Encoder
@@ -123,6 +129,7 @@ func (c *Catalog) buildPlanTables(cfg *Config) (*planTables, error) {
 	tileFrac := 1.0 / float64(cfg.Grid.NumTiles())
 	t := &planTables{
 		rates:        append([]float64(nil), cfg.FrameRates...),
+		q0:           make([][numQualities]float64, nSeg),
 		gridTileBits: make([][numQualities]float64, nSeg),
 		panoramaBits: make([][numQualities]float64, nSeg),
 		ftileBits:    make([][][numQualities]float64, nSeg),
@@ -161,6 +168,11 @@ func (c *Catalog) buildPlanTables(cfg *Config) (*planTables, error) {
 				return nil, err
 			}
 			t.panoramaBits[k][int(v)-1] = pb
+			q0, err := directQ0(cfg, sc, v)
+			if err != nil {
+				return nil, err
+			}
+			t.q0[k][int(v)-1] = q0
 		}
 
 		groups := c.Ftiles[k]

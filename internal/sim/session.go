@@ -275,10 +275,11 @@ type session struct {
 	planBufs   []segmentPlan
 	optBufs    [][]abr.OptionMeta
 	horizonBuf []abr.SegmentMeta
-	// decCache, when set by a batch step, memoizes MPC decisions across the
-	// group leaders of one planning tick (see batch.go); nil on the scalar
-	// path.
-	decCache *abr.DecisionCache
+	// factorBuf holds a Ptile plan's Eq. 4 factor per frame rate.
+	factorBuf []float64
+	// ptileProc[fi] is P_d(f) + P_r(f) of the Ptile pipeline at
+	// cfg.FrameRates[fi]: it depends only on the phone and f.
+	ptileProc []float64
 	// rec, when set, receives the step's delta record for follower replay
 	// (see batch.go); nil on the scalar path.
 	rec        *stepDelta

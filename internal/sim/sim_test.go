@@ -29,7 +29,7 @@ var (
 	fixtureErr   error
 )
 
-func fixture(t *testing.T) *testFixture {
+func fixture(t testing.TB) *testFixture {
 	t.Helper()
 	fixtureOnce.Do(func() { fixtureCache, fixtureErr = buildFixture() })
 	if fixtureErr != nil {

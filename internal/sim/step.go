@@ -207,6 +207,13 @@ func NewStepper(cat *Catalog, cfg Config) (*Stepper, error) {
 		xyCache: make(map[*headtrace.Trace]xySeries),
 		netSeen: make(map[*lte.Trace]struct{}),
 	}
+	for _, f := range cfg.FrameRates {
+		proc, err := st.s.procPower(power.PtileScheme, f)
+		if err != nil {
+			return nil, err
+		}
+		st.s.ptileProc = append(st.s.ptileProc, proc)
+	}
 	// Shared FoV coverage LUT (nil on grids too large for a TileSet — the
 	// planners then keep the direct FoVTiles paths) and the reusable
 	// viewport predictor. A config the predictor rejects is one Viewport
@@ -395,17 +402,14 @@ func (s *session) step(state *State) (StepInfo, error) {
 		if err != nil {
 			return info, err
 		}
-		// DecideCached with a nil cache is exactly Decide; a batch step
-		// installs a per-tick cache so group leaders with bit-identical
-		// (buffer, rate, horizon) inputs share one DP solve.
 		if s.cfg.UseQoEMPC {
 			prevQ := s.prevQ0
 			if !s.hasPrevQ0 {
 				prevQ = bestQuality(seg.options)
 			}
-			decision, err = s.qoeMPC.DecideCached(s.decCache, s.buffer, rateEst, prevQ, horizon)
+			decision, err = s.qoeMPC.Decide(s.buffer, rateEst, prevQ, horizon)
 		} else {
-			decision, err = s.mpc.DecideCached(s.decCache, s.buffer, rateEst, horizon)
+			decision, err = s.mpc.Decide(s.buffer, rateEst, horizon)
 		}
 		if err != nil {
 			return info, err

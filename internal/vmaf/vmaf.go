@@ -60,17 +60,46 @@ func Alpha(switchSpeedDegPerSec, ti float64) (float64, error) {
 // the source rate fm (Section III-C2). The factor is 1 at f = fm and
 // decreases as f drops; larger α means a slower drop.
 func FrameRateFactor(alpha, f, fm float64) (float64, error) {
-	if fm <= 0 || f <= 0 || f > fm {
-		return 0, fmt.Errorf("vmaf: frame rate %g outside (0, %g]", f, fm)
+	c, err := NewFrameRateCurve(alpha, fm)
+	if err != nil {
+		return 0, err
+	}
+	return c.At(f)
+}
+
+// FrameRateCurve is the Eq. 4 factor as a function of f at one α and source
+// rate fm. Its denominator 1 − e^{−α} is evaluated once, so scoring several
+// frame rates at one α costs one exponential per rate rather than two; At
+// is FrameRateFactor(α, f, fm) bit for bit.
+type FrameRateCurve struct {
+	alpha, fm, den float64
+}
+
+// NewFrameRateCurve validates α and fm and evaluates the denominator.
+func NewFrameRateCurve(alpha, fm float64) (FrameRateCurve, error) {
+	if fm <= 0 {
+		return FrameRateCurve{}, fmt.Errorf("vmaf: non-positive source frame rate %g", fm)
 	}
 	if alpha < 0 {
-		return 0, fmt.Errorf("vmaf: negative alpha %g", alpha)
+		return FrameRateCurve{}, fmt.Errorf("vmaf: negative alpha %g", alpha)
 	}
-	if alpha == 0 {
+	c := FrameRateCurve{alpha: alpha, fm: fm}
+	if alpha != 0 {
+		c.den = 1 - math.Exp(-alpha)
+	}
+	return c, nil
+}
+
+// At returns the factor at frame rate f.
+func (c FrameRateCurve) At(f float64) (float64, error) {
+	if f <= 0 || f > c.fm {
+		return 0, fmt.Errorf("vmaf: frame rate %g outside (0, %g]", f, c.fm)
+	}
+	if c.alpha == 0 {
 		// Limit α→0: factor → f/fm (linear sensitivity).
-		return f / fm, nil
+		return f / c.fm, nil
 	}
-	return (1 - math.Exp(-alpha*f/fm)) / (1 - math.Exp(-alpha)), nil
+	return (1 - math.Exp(-c.alpha*f/c.fm)) / c.den, nil
 }
 
 // PerceivedQuality evaluates the full quality model: Eq. 3 degraded by the

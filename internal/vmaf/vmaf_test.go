@@ -158,6 +158,52 @@ func TestFrameRateFactorValidation(t *testing.T) {
 	}
 }
 
+// TestFrameRateCurveMatchesFactor pins the curve, which evaluates the
+// denominator once per α, to the closed form (1 − e^{−α·f/fm}) / (1 − e^{−α})
+// on Float64bits, the source rate f = fm included: at α = 0.3973,
+// α·30/30 ≠ α in floating point and the factor at f = fm is
+// 1.0000000000000004, not 1.
+func TestFrameRateCurveMatchesFactor(t *testing.T) {
+	const fm = 30.0
+	for _, alpha := range []float64{0, 1e-9, 0.05, 0.3973, 0.6, 1, 2.5, 13, 87.3} {
+		c, err := NewFrameRateCurve(alpha, fm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []float64{fm, 27, 24, 21, 15, 0.5} {
+			got, err := c.At(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := f / fm
+			if alpha != 0 {
+				want = (1 - math.Exp(-alpha*f/fm)) / (1 - math.Exp(-alpha))
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("α %g f %g: curve %v, closed form %v", alpha, f, got, want)
+			}
+			if fac, err := FrameRateFactor(alpha, f, fm); err != nil || math.Float64bits(fac) != math.Float64bits(got) {
+				t.Fatalf("α %g f %g: FrameRateFactor %v (%v), curve %v", alpha, f, fac, err, got)
+			}
+		}
+	}
+	if _, err := NewFrameRateCurve(-1, fm); err == nil {
+		t.Fatal("want error for negative alpha")
+	}
+	if _, err := NewFrameRateCurve(1, 0); err == nil {
+		t.Fatal("want error for non-positive source rate")
+	}
+	c, err := NewFrameRateCurve(1, fm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []float64{0, -3, fm + 1} {
+		if _, err := c.At(f); err == nil {
+			t.Fatalf("want error for f = %g", f)
+		}
+	}
+}
+
 func TestPerceivedQuality(t *testing.T) {
 	c := TableII()
 	full, err := c.PerceivedQuality(50, 25, 4, 0, 30, 30)
