@@ -11,7 +11,7 @@ import (
 )
 
 // runPlanner builds and drains one engine with the given planner mode.
-func runPlanner(t *testing.T, cfg sim.Config, specs []SessionSpec, planner PlannerMode, noQuant bool, workers int) *Engine {
+func runPlanner(t *testing.T, cfg sim.Config, specs []SessionSpec, planner PlannerMode, workers int) *Engine {
 	t.Helper()
 	fx := fixture(t)
 	eng, err := New(Config{
@@ -21,7 +21,6 @@ func runPlanner(t *testing.T, cfg sim.Config, specs []SessionSpec, planner Plann
 		Workers:           workers,
 		ViewportUpdateSec: 0.5,
 		Planner:           planner,
-		BatchNoQuant:      noQuant,
 	}, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +33,7 @@ func runPlanner(t *testing.T, cfg sim.Config, specs []SessionSpec, planner Plann
 
 // TestBatchedPlannerMatchesScalar is the fleet-level differential pin for
 // the tentpole: across schemes (both Ours controllers), bandwidth seeds,
-// worker counts, and quantization modes, the batched planner must produce
+// and worker counts, the batched planner must produce
 // per-session results bit-identical to the scalar planner — including the
 // full per-segment traces — and an identical ledger apart from the batch
 // decomposition counters themselves. It also checks the batch counters are
@@ -61,34 +60,32 @@ func TestBatchedPlannerMatchesScalar(t *testing.T) {
 			cfg.UseQoEMPC = tc.qoeMPC
 			specs := specsFor(fx, net, 200)
 
-			scalar := runPlanner(t, cfg, specs, PlannerScalar, false, 1)
+			scalar := runPlanner(t, cfg, specs, PlannerScalar, 1)
 			sLed := scalar.Ledger()
 			if sLed.BatchLeaders != 0 || sLed.BatchReplays != 0 || sLed.BatchFallbacks != 0 {
 				t.Fatalf("scalar planner reported batch work: %+v", sLed)
 			}
 			for _, workers := range []int{1, 8} {
-				for _, noQuant := range []bool{false, true} {
-					batched := runPlanner(t, cfg, specs, PlannerBatched, noQuant, workers)
-					label := fmt.Sprintf("workers=%d noquant=%v", workers, noQuant)
-					for i := range scalar.Results() {
-						requireSameResult(t, fmt.Sprintf("%s session %d", label, i),
-							batched.Results()[i], scalar.Results()[i])
-					}
-					bLed := batched.Ledger()
-					// Every join steps once and every segment completion
-					// steps again unless it retires the session instead.
-					want := bLed.Joined + bLed.Segments - bLed.Finished
-					if steps := bLed.BatchLeaders + bLed.BatchReplays + bLed.BatchFallbacks; steps != want {
-						t.Fatalf("%s: batch counters %d don't cover the %d steps taken",
-							label, steps, want)
-					}
-					if bLed.BatchReplays == 0 {
-						t.Fatalf("%s: batched planner never shared work: %+v", label, bLed)
-					}
-					bLed.BatchLeaders, bLed.BatchReplays, bLed.BatchFallbacks = 0, 0, 0
-					if !reflect.DeepEqual(bLed, sLed) {
-						t.Fatalf("%s: ledgers diverged:\nbatched: %+v\nscalar:  %+v", label, bLed, sLed)
-					}
+				batched := runPlanner(t, cfg, specs, PlannerBatched, workers)
+				label := fmt.Sprintf("workers=%d", workers)
+				for i := range scalar.Results() {
+					requireSameResult(t, fmt.Sprintf("%s session %d", label, i),
+						batched.Results()[i], scalar.Results()[i])
+				}
+				bLed := batched.Ledger()
+				// Every join steps once and every segment completion
+				// steps again unless it retires the session instead.
+				want := bLed.Joined + bLed.Segments - bLed.Finished
+				if steps := bLed.BatchLeaders + bLed.BatchReplays + bLed.BatchFallbacks; steps != want {
+					t.Fatalf("%s: batch counters %d don't cover the %d steps taken",
+						label, steps, want)
+				}
+				if bLed.BatchReplays == 0 {
+					t.Fatalf("%s: batched planner never shared work: %+v", label, bLed)
+				}
+				bLed.BatchLeaders, bLed.BatchReplays, bLed.BatchFallbacks = 0, 0, 0
+				if !reflect.DeepEqual(bLed, sLed) {
+					t.Fatalf("%s: ledgers diverged:\nbatched: %+v\nscalar:  %+v", label, bLed, sLed)
 				}
 			}
 		})

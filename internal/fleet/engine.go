@@ -92,10 +92,6 @@ type Config struct {
 	Registry *obs.Registry
 	// Planner selects batched (default) or per-session scalar planning.
 	Planner PlannerMode
-	// BatchNoQuant disables the quantized bucket hash in the batched
-	// planner's grouping (sim.BatchOptions.NoQuant). Diagnostic only:
-	// results are identical either way.
-	BatchNoQuant bool
 	// ViewportSink, when set, receives one viewport report per completed
 	// segment download: the session's trace viewing center for the segment
 	// it just finished. This is the fleet-side feed of the online Ptile
@@ -335,7 +331,7 @@ func New(cfg Config, specs []SessionSpec) (*Engine, error) {
 			sh.flight = make([]*obs.FlightSession, n)
 		}
 		if cfg.Planner == PlannerBatched {
-			sh.scratch = sim.NewBatchScratch(sim.BatchOptions{NoQuant: cfg.BatchNoQuant})
+			sh.scratch = sim.NewBatchScratch()
 		}
 		e.shards[si] = sh
 	}
@@ -550,14 +546,10 @@ func (sh *shard) advanceRun(t float64, kind Kind) error {
 			sh.led.Events++
 			sh.led.EventsByKind[KindJoin]++
 			slot := sh.slot(session)
-			spec := sh.eng.specs[session]
-			state := sh.allocState()
-			if err := sh.stepper.InitState(state, spec.User, spec.Net); err != nil {
+			state, err := sh.join(t, slot, session)
+			if err != nil {
 				return err
 			}
-			sh.states[slot] = state
-			sh.led.Joined++
-			sh.flightJoin(t, slot, session)
 			sh.runMembers = append(sh.runMembers, runMember{
 				session: session, slot: slot, stepIdx: int32(len(sh.runStates)),
 			})
@@ -574,14 +566,9 @@ func (sh *shard) advanceRun(t float64, kind Kind) error {
 			sh.led.EventsByKind[kind]++
 			slot := sh.slot(ev.Session)
 			m := runMember{session: ev.Session, slot: slot, stepIdx: -1}
-			sh.led.Segments++
-			info := sh.pending[slot]
-			state := sh.states[slot]
-			sh.reportViewport(ev.Session, state)
-			sh.flightDownload(t, slot, state, info)
-			if !info.Done && (sh.leave[slot] == 0 || state.Segments() < int(sh.leave[slot])) {
+			if sh.complete(t, slot, ev.Session) {
 				m.stepIdx = int32(len(sh.runStates))
-				sh.runStates = append(sh.runStates, state)
+				sh.runStates = append(sh.runStates, sh.states[slot])
 			}
 			sh.runMembers = append(sh.runMembers, m)
 		}
@@ -603,27 +590,58 @@ func (sh *shard) advanceRun(t float64, kind Kind) error {
 	}
 
 	// Phase 3: perform each member's pushes in pop order.
-	vp := sh.eng.cfg.ViewportUpdateSec
 	for _, m := range sh.runMembers {
 		if m.stepIdx < 0 {
 			sh.heap.Push(t, KindLeave, m.session)
 			continue
 		}
-		if kind == KindJoin && vp > 0 {
-			sh.vpEvent[m.slot] = sh.heap.PushCancellable(t+vp, KindViewportUpdate, m.session)
-		}
-		info := sh.runInfos[m.stepIdx]
-		sh.pending[m.slot] = info
-		done := t + info.WaitSec + info.DownloadSec
-		if info.StallSec > 0 {
-			sh.heap.Push(done, KindStallResume, m.session)
-		}
-		sh.heap.Push(done, KindSegmentComplete, m.session)
+		sh.schedule(t, m.slot, m.session, kind == KindJoin, sh.runInfos[m.stepIdx])
 	}
 	return nil
 }
 
 func (sh *shard) slot(session int) int { return session / len(sh.eng.shards) }
+
+// join binds a joining session's state into its slot and books the join.
+func (sh *shard) join(t float64, slot, session int) (*sim.State, error) {
+	spec := sh.eng.specs[session]
+	state := sh.allocState()
+	if err := sh.stepper.InitState(state, spec.User, spec.Net); err != nil {
+		return nil, err
+	}
+	sh.states[slot] = state
+	sh.led.Joined++
+	sh.flightJoin(t, slot, session)
+	return state, nil
+}
+
+// complete books a finished segment download and reports whether the
+// session steps again; false means it leaves (catalogue exhausted or its
+// LeaveAfterSegments reached).
+func (sh *shard) complete(t float64, slot, session int) bool {
+	sh.led.Segments++
+	info := sh.pending[slot]
+	state := sh.states[slot]
+	sh.reportViewport(session, state)
+	sh.flightDownload(t, slot, state, info)
+	return !info.Done && (sh.leave[slot] == 0 || state.Segments() < int(sh.leave[slot]))
+}
+
+// schedule records a step taken at time t and pushes its events: a joining
+// session's first viewport tick, then the stall-resume event (playback
+// restarting the instant the blocking download delivers), which pops before
+// the completion event at the shared timestamp.
+func (sh *shard) schedule(t float64, slot, session int, joined bool, info sim.StepInfo) {
+	if vp := sh.eng.cfg.ViewportUpdateSec; joined && vp > 0 {
+		sh.vpEvent[slot] = sh.heap.PushCancellable(t+vp, KindViewportUpdate, session)
+	}
+	sh.pending[slot] = info
+	done := t + info.WaitSec + info.DownloadSec
+	if info.StallSec > 0 {
+		sh.heap.Push(done, KindStallResume, session)
+	}
+	sh.heap.Push(done, KindSegmentComplete, session)
+}
 
 // flightJoin passes a joining session through the flight recorder's sampling
 // gate and records its join event. A no-op without Config.Flight.
@@ -674,31 +692,22 @@ func (sh *shard) reportViewport(session int, state *sim.State) {
 func (sh *shard) handle(ev Event) error {
 	slot := sh.slot(ev.Session)
 	switch ev.Kind {
-	case KindJoin:
-		spec := sh.eng.specs[ev.Session]
-		state := sh.allocState()
-		if err := sh.stepper.InitState(state, spec.User, spec.Net); err != nil {
-			return err
-		}
-		sh.states[slot] = state
-		sh.led.Joined++
-		sh.flightJoin(ev.Time, slot, ev.Session)
-		if vp := sh.eng.cfg.ViewportUpdateSec; vp > 0 {
-			sh.vpEvent[slot] = sh.heap.PushCancellable(ev.Time+vp, KindViewportUpdate, ev.Session)
-		}
-		return sh.stepOnce(ev.Time, slot, ev.Session)
-
-	case KindSegmentComplete:
-		sh.led.Segments++
-		info := sh.pending[slot]
-		state := sh.states[slot]
-		sh.reportViewport(ev.Session, state)
-		sh.flightDownload(ev.Time, slot, state, info)
-		if info.Done || (sh.leave[slot] > 0 && state.Segments() >= int(sh.leave[slot])) {
+	case KindJoin, KindSegmentComplete:
+		joined := ev.Kind == KindJoin
+		if joined {
+			if _, err := sh.join(ev.Time, slot, ev.Session); err != nil {
+				return err
+			}
+		} else if !sh.complete(ev.Time, slot, ev.Session) {
 			sh.heap.Push(ev.Time, KindLeave, ev.Session)
 			return nil
 		}
-		return sh.stepOnce(ev.Time, slot, ev.Session)
+		info, err := sh.stepper.Step(sh.states[slot])
+		if err != nil {
+			return err
+		}
+		sh.schedule(ev.Time, slot, ev.Session, joined, info)
+		return nil
 
 	case KindStallResume:
 		sh.led.Stalls++
@@ -747,22 +756,4 @@ func (sh *shard) handle(ev Event) error {
 		return nil
 	}
 	return fmt.Errorf("unknown event kind %d", ev.Kind)
-}
-
-// stepOnce advances one session by one segment and schedules its
-// completion. The stall-resume event (playback restarting the instant the
-// blocking download delivers) is pushed first so it pops before the
-// completion event at the shared timestamp.
-func (sh *shard) stepOnce(now float64, slot, session int) error {
-	info, err := sh.stepper.Step(sh.states[slot])
-	if err != nil {
-		return err
-	}
-	sh.pending[slot] = info
-	done := now + info.WaitSec + info.DownloadSec
-	if info.StallSec > 0 {
-		sh.heap.Push(done, KindStallResume, session)
-	}
-	sh.heap.Push(done, KindSegmentComplete, session)
-	return nil
 }

@@ -4,12 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"ptile360/internal/abr"
 	"ptile360/internal/headtrace"
-	"ptile360/internal/lte"
-	"ptile360/internal/power"
 	"ptile360/internal/predict"
-	"ptile360/internal/qoe"
 )
 
 // This file is the batched form of Step. A fleet advancing N sessions at one
@@ -23,56 +19,33 @@ import (
 // StepBatch exploits that structurally, not statistically:
 //
 //   - Each session's decision-relevant residual state is fingerprinted into
-//     raw words: (user, net, next segment) identity plus the exact bits of
+//     raw words: (user, trace, next segment) identity plus the exact bits of
 //     the wall clock, buffer, previous-choice memory, and the full
 //     bandwidth-estimator window (predict.StateBits).
-//   - Sessions are grouped by a quantized bucket hash of those words. The
-//     bucket is only a rendezvous: membership in a group always requires
-//     word-for-word equality with the group leader — the exactness guard.
-//     A session whose words match no leader becomes a new leader; a session
-//     that cannot be fingerprinted falls back to the scalar Step.
-//   - The group leader runs the ordinary scalar step (plan build, MPC DP,
-//     download integration, energy/QoE evaluation), recording the computed
-//     values as a stepDelta. Followers replay the delta: the same mutation
-//     sequence with the same addends applied to their own accounting sums.
+//   - Sessions are grouped by word-for-word equality of those words; a hash
+//     of the words only routes the lookup. A session whose words match no
+//     group starts a new one as its leader; a session that cannot be
+//     fingerprinted falls back to the scalar Step.
+//   - The leader computes the step once into the group's stepDelta (plan
+//     build, MPC DP, download integration, energy/QoE evaluation), and every
+//     member, the leader included, applies that delta to its own state.
 //
-// Replay is bit-identical to the scalar path by construction. Every value a
-// scalar step would compute is a deterministic function of state the
-// fingerprint pins exactly, so the leader's captured values are the very
-// values the follower's own step would have produced; applying them in the
-// same order performs the same floating-point operations. Nothing is
-// re-associated, re-ordered, or approximated — which is why the shared
-// result survives Float64bits comparison across schemes, seeds, and worker
-// counts (see the differential tests here and in internal/fleet).
-//
-// Quantization (the bucket-hash truncation) affects only how candidates
-// rendezvous, never what is shared; BatchOptions.NoQuant switches to
-// full-bit hashing with identical results.
-
-// stepDelta captures what one scalar step computed, so a decision-identical
-// follower can apply the same mutations without re-planning.
-type stepDelta struct {
-	info         StepInfo
-	chosen       abr.OptionMeta
-	emergency    bool
-	downloadSec  float64
-	measuredRate float64
-	energy       power.SegmentEnergy
-	q0           float64
-	hit          bool
-	fromPtile    bool
-	bd           qoe.Breakdown
-	trace        SegmentTrace
-}
+// This is bit-identical to the scalar path by construction. compute reads
+// only state the fingerprint pins exactly, so a follower's own compute would
+// produce the leader's delta, and apply is the same function Step runs.
+// Nothing is re-associated, re-ordered, or approximated — which is why the
+// shared result survives Float64bits comparison across schemes, seeds, and
+// worker counts (see the differential tests here and in internal/fleet).
 
 // BatchStats reports how one StepBatch call decomposed its input.
 type BatchStats struct {
-	// Leaders counts sessions that ran the full scalar step for their group.
+	// Leaders counts sessions that computed the step for their group.
 	Leaders int
-	// Replays counts sessions resolved by delta replay against a leader.
+	// Replays counts sessions that applied a leader's computed step.
 	Replays int
 	// Fallbacks counts sessions stepped scalar because their state could not
-	// be fingerprinted (estimator without predict.StateBits).
+	// be fingerprinted (a packet-level link, or an estimator without
+	// predict.StateBits).
 	Fallbacks int
 }
 
@@ -80,22 +53,21 @@ type BatchStats struct {
 // the group table. One scratch serves one stepper; like the stepper it must
 // not be shared by concurrent goroutines.
 type BatchScratch struct {
-	noQuant bool
-	words   []uint64
-	groups  []batchGroup
-	table   map[batchKey]int32
+	words  []uint64
+	groups []batchGroup
+	table  map[batchKey]int32
 }
 
-// batchKey is the group rendezvous: shared-trace identity plus the bucket
-// hash of the residual-state words.
+// batchKey is the group rendezvous: shared-trace identity plus the hash of
+// the residual-state words.
 type batchKey struct {
 	user *headtrace.Trace
-	net  *lte.Trace
+	link *traceLink
 	seg  int
 	hash uint64
 }
 
-// batchGroup is one leader's signature (words[off:off+n]) and captured
+// batchGroup is one leader's signature (words[off:off+n]) and computed
 // delta; groups whose keys collide chain through next.
 type batchGroup struct {
 	off, n int32
@@ -103,22 +75,9 @@ type batchGroup struct {
 	delta  stepDelta
 }
 
-// BatchOptions tunes StepBatch grouping.
-type BatchOptions struct {
-	// NoQuant hashes the full signature words instead of the quantized
-	// (buffer, rate) bucket form. Grouping decisions — and therefore results
-	// — are identical either way (the exact word comparison is always the
-	// arbiter); this knob exists for the quantization-on/off differential
-	// tests and for diagnosing bucket-collision pathologies.
-	NoQuant bool
-}
-
 // NewBatchScratch returns an empty batch workspace.
-func NewBatchScratch(opts BatchOptions) *BatchScratch {
-	return &BatchScratch{
-		noQuant: opts.NoQuant,
-		table:   make(map[batchKey]int32),
-	}
+func NewBatchScratch() *BatchScratch {
+	return &BatchScratch{table: make(map[batchKey]int32)}
 }
 
 func (sc *BatchScratch) reset() {
@@ -133,22 +92,22 @@ func (sc *BatchScratch) reset() {
 var batchFingerprintDisabled bool
 
 // appendSigWords appends state's decision-relevant fingerprint: every datum
-// the step reads besides the shared (stepper, user trace, net trace, segment
-// index) identity carried in batchKey. ok is false when the bandwidth
-// estimator does not expose its state (no predict.StateBits).
-func appendSigWords(dst []uint64, state *State) (_ []uint64, ok bool) {
+// compute reads besides the shared (stepper, user trace, bandwidth trace,
+// segment index) identity carried in batchKey, which it returns the trace
+// of. ok is false when the state cannot be fingerprinted.
+func appendSigWords(dst []uint64, state *State) (_ []uint64, _ *traceLink, ok bool) {
 	if batchFingerprintDisabled {
-		return dst, false
+		return dst, nil, false
 	}
-	// Packet-level sessions carry per-session link state (queue backlog,
-	// loss RNG) outside the fingerprint; batchKey's net pointer is nil for
-	// all of them, so two distinct links would collide. Scalar-only.
-	if state.pnet != nil {
-		return dst, false
+	// A packet-level link carries per-session queue state and a loss RNG
+	// outside the fingerprint. Scalar-only.
+	tl, isTrace := state.link.(*traceLink)
+	if !isTrace {
+		return dst, nil, false
 	}
 	sb, fits := state.bw.(predict.StateBits)
 	if !fits {
-		return dst, false
+		return dst, nil, false
 	}
 	var flags uint64
 	if state.hasPrevQ0 {
@@ -164,19 +123,13 @@ func appendSigWords(dst []uint64, state *State) (_ []uint64, ok bool) {
 	if state.hasPrev {
 		dst = append(dst, uint64(state.prevChoice.Quality), math.Float64bits(state.prevChoice.FrameRate))
 	}
-	return sb.AppendStateBits(dst), true
+	return sb.AppendStateBits(dst), tl, true
 }
 
-// sigHash folds the signature words into the bucket hash. In quantized mode
-// the low 20 mantissa bits of each word are dropped first, so states that
-// differ only microscopically still rendezvous in one bucket and settle
-// membership by the exact comparison; NoQuant hashes full words.
-func sigHash(words []uint64, noQuant bool) uint64 {
+// sigHash folds the signature words into the group-table hash.
+func sigHash(words []uint64) uint64 {
 	h := uint64(1469598103934665603)
 	for _, w := range words {
-		if !noQuant {
-			w >>= 20
-		}
 		h ^= w
 		h *= 1099511628211
 	}
@@ -205,7 +158,7 @@ func (st *Stepper) StepBatch(sc *BatchScratch, states []*State, infos []StepInfo
 
 	for i, state := range states {
 		base := len(sc.words)
-		words, ok := appendSigWords(sc.words, state)
+		words, tl, ok := appendSigWords(sc.words, state)
 		if !ok {
 			info, err := st.Step(state)
 			if err != nil {
@@ -217,7 +170,7 @@ func (st *Stepper) StepBatch(sc *BatchScratch, states []*State, infos []StepInfo
 		}
 		sc.words = words
 		sig := sc.words[base:]
-		key := batchKey{user: state.user, net: state.net, seg: state.nextSeg, hash: sigHash(sig, sc.noQuant)}
+		key := batchKey{user: state.user, link: tl, seg: state.nextSeg, hash: sigHash(sig)}
 
 		// Probe the bucket; exact word equality decides membership.
 		gi, seen := sc.table[key]
@@ -233,33 +186,33 @@ func (st *Stepper) StepBatch(sc *BatchScratch, states []*State, infos []StepInfo
 			}
 			gi = g.next
 		}
-		if seen && gi >= 0 {
-			// Follower: replay the leader's delta. Its signature words are
-			// no longer needed.
+		follower := seen && gi >= 0
+		if follower {
+			// Its signature words are no longer needed.
 			sc.words = sc.words[:base]
-			info, err := st.replay(state, &sc.groups[gi].delta)
-			if err != nil {
+		} else {
+			// Leader: compute the group's delta.
+			sc.groups = append(sc.groups, batchGroup{off: int32(base), n: int32(len(sig)), next: -1})
+			gi = int32(len(sc.groups) - 1)
+			if tail >= 0 {
+				sc.groups[tail].next = gi
+			} else {
+				sc.table[key] = gi
+			}
+			if err := st.s.compute(state, &sc.groups[gi].delta); err != nil {
 				return stats, err
 			}
-			infos[i] = info
-			stats.Replays++
-			continue
 		}
-
-		// Leader: run the scalar step, recording the delta for followers.
-		sc.groups = append(sc.groups, batchGroup{off: int32(base), n: int32(len(sig)), next: -1})
-		ni := int32(len(sc.groups) - 1)
-		if tail >= 0 {
-			sc.groups[tail].next = ni
-		} else {
-			sc.table[key] = ni
-		}
-		info, err := st.stepRecorded(state, &sc.groups[ni].delta)
+		info, err := st.s.apply(state, &sc.groups[gi].delta)
 		if err != nil {
 			return stats, err
 		}
 		infos[i] = info
-		stats.Leaders++
+		if follower {
+			stats.Replays++
+		} else {
+			stats.Leaders++
+		}
 	}
 	return stats, nil
 }
@@ -274,69 +227,4 @@ func wordsEqual(a, b []uint64) bool {
 		}
 	}
 	return true
-}
-
-// stepRecorded is Step with delta capture enabled.
-func (st *Stepper) stepRecorded(state *State, d *stepDelta) (StepInfo, error) {
-	if state.nextSeg >= len(st.s.cat.Content) {
-		return StepInfo{}, fmt.Errorf("sim: session already streamed all %d segments", len(st.s.cat.Content))
-	}
-	s := &st.s
-	s.attach(state)
-	s.rec = d
-	info, err := s.step(state)
-	s.rec = nil
-	s.detach(state)
-	return info, err
-}
-
-// replay applies a leader's captured step to a follower whose
-// decision-relevant state is word-identical to the leader's. Each mutation
-// below is the scalar step's mutation with the same operands in the same
-// order, applied to the follower's own accounting — so the follower ends in
-// exactly the state its own scalar step would have produced.
-func (st *Stepper) replay(state *State, d *stepDelta) (StepInfo, error) {
-	cfg := &st.s.cfg
-	k := state.nextSeg
-
-	// Wait rule, on state the signature pinned equal to the leader's.
-	if dt := state.buffer - cfg.BufferCapSec; dt > 0 {
-		state.tWall += dt
-		state.buffer -= dt
-	}
-	if d.emergency {
-		state.emergencies++
-	}
-	state.prevChoice = d.chosen.Option
-	state.hasPrev = true
-
-	state.tWall += d.downloadSec
-	if err := state.bw.Observe(d.measuredRate); err != nil {
-		return StepInfo{}, err
-	}
-	state.buffer = math.Max(state.buffer-d.downloadSec, 0) + cfg.SegmentSec
-
-	state.energy.Tx += d.energy.Tx
-	state.energy.Decode += d.energy.Decode
-	state.energy.Render += d.energy.Render
-
-	if d.hit {
-		state.viewportHits++
-	}
-	state.acc.Add(d.bd)
-	state.prevQ0 = d.q0
-	state.hasPrevQ0 = true
-
-	state.bits += d.chosen.SizeBits
-	state.qualitySum += float64(d.chosen.Quality)
-	state.frameRateSum += d.chosen.FrameRate
-	if d.fromPtile {
-		state.ptileSegments++
-	}
-	if cfg.RecordSegments {
-		state.perSegment = append(state.perSegment, d.trace)
-	}
-	state.segments++
-	state.nextSeg = k + 1
-	return d.info, nil
 }

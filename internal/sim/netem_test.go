@@ -193,7 +193,7 @@ func TestStepBatchSkipsNetemStates(t *testing.T) {
 		}
 		states = append(states, state)
 	}
-	sc := NewBatchScratch(BatchOptions{})
+	sc := NewBatchScratch()
 	infos := make([]StepInfo, len(states))
 	stats, err := st.StepBatch(sc, states, infos)
 	if err != nil {
@@ -231,5 +231,59 @@ func TestRunNetemIdealMatchesUnlimitedTrace(t *testing.T) {
 	}
 	if r.Segments != len(cat.Content) {
 		t.Fatalf("streamed %d/%d segments", r.Segments, len(cat.Content))
+	}
+}
+
+// TestFailedStepLeavesState pins Step's failure contract: a step that
+// returns an error leaves the session where it was. The link runs at
+// 40 Mbps for 10 s, then cross traffic claims the whole capacity, so a
+// download eventually exhausts its retransmission budget ("link dead")
+// after the session has built up a buffer the wait rule would drain.
+func TestFailedStepLeavesState(t *testing.T) {
+	cat, eval := netemSetup(t)
+	cfg, err := DefaultConfig(SchemeOurs, power.Pixel3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStepper(cat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := netem.Params{CapacityBps: netem.Mbps(40), RTTSec: 0.04, QueueBytes: 256 << 10}
+	dead := link
+	dead.CrossBps = dead.CapacityBps
+	pn, err := netem.NewSessionNet(netem.SessionConfig{
+		Profile: &netem.Profile{Name: "dies-at-10s", Phases: []netem.Phase{
+			{StartSec: 0, Params: link},
+			{StartSec: 10, Params: dead},
+		}},
+		Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := st.NewStateNetem(eval[0], pn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type snapshot struct {
+		wall, buffer, estimate float64
+		segment, segments      int
+	}
+	snap := func() snapshot {
+		return snapshot{state.WallSec(), state.BufferSec(), state.EstimateBps(), state.Segment(), state.Segments()}
+	}
+	for step := 0; ; step++ {
+		if step == st.Segments() {
+			t.Fatal("every step succeeded; the link never died")
+		}
+		before := snap()
+		if _, err := st.Step(state); err != nil {
+			if after := snap(); after != before {
+				t.Fatalf("step %d failed (%v) but moved the state\nbefore: %+v\nafter:  %+v", step, err, before, after)
+			}
+			t.Logf("step %d failed as intended: %v", step, err)
+			return
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"ptile360/internal/abr"
 	"ptile360/internal/geom"
+	"ptile360/internal/headtrace"
 	"ptile360/internal/power"
 	"ptile360/internal/ptile"
 	"ptile360/internal/video"
@@ -478,12 +479,12 @@ func (s *session) horizonPlans(k int, predCenter geom.Point, speedEst float64, f
 // uncovered fraction of the actually-viewed FoV block (a slightly-off
 // viewport prediction degrades the edge of the view, not the whole frame).
 // hit reports full coverage either way.
-func (s *session) perceivedQuality(k int, plan *segmentPlan, chosen abr.OptionMeta) (q0 float64, hit bool, err error) {
-	actual, err := s.user.ViewingCenter(k, s.cfg.SegmentSec)
+func (s *session) perceivedQuality(user *headtrace.Trace, k int, plan *segmentPlan, chosen abr.OptionMeta) (q0 float64, hit bool, err error) {
+	actual, err := user.ViewingCenter(k, s.cfg.SegmentSec)
 	if err != nil {
 		return 0, false, err
 	}
-	actualSpeed, err := s.user.SegmentPeakSpeed(k, s.cfg.SegmentSec)
+	actualSpeed, err := user.SegmentPeakSpeed(k, s.cfg.SegmentSec)
 	if err != nil {
 		actualSpeed = 0
 	}

@@ -256,19 +256,15 @@ type Result struct {
 
 // session is the shared per-worker workspace behind both Run and the
 // resumable Stepper: the (catalogue, config) runtime plus the recycled
-// planning scratch, with the per-session fields swapped in around each
-// step (see step.go).
+// planning scratch. It holds no per-session state; compute and apply take
+// the session's State (see step.go).
 type session struct {
 	cfg        Config
 	cat        *Catalog
-	user       *headtrace.Trace
-	net        *lte.Trace
-	pnet       *netem.SessionNet
 	pm         power.Model
 	mpc        *abr.EnergyMPC
 	qoeMPC     *abr.QoEMPC
 	rate       *abr.RateBased
-	bw         predict.Estimator
 	tab        *planTables
 	lut        *geom.FoVLUT
 	vp         *predict.ViewportPredictor
@@ -280,53 +276,14 @@ type session struct {
 	// ptileProc[fi] is P_d(f) + P_r(f) of the Ptile pipeline at
 	// cfg.FrameRates[fi]: it depends only on the phone and f.
 	ptileProc []float64
-	// rec, when set, receives the step's delta record for follower replay
-	// (see batch.go); nil on the scalar path.
-	rec        *stepDelta
-	xs, ys     []float64
-	fm         float64
-	tWall      float64
-	buffer     float64
-	prevQ0     float64
-	hasPrevQ0  bool
-	prevChoice abr.Option
-	hasPrev    bool
+	fm        float64
 }
 
 // Run streams the whole video for one evaluation user and returns the
 // session accounting. It is the blocking-loop form of the resumable
 // Stepper/State API: one stepper, one state, stepped to completion.
 func Run(cat *Catalog, user *headtrace.Trace, net *lte.Trace, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cat == nil || len(cat.Content) == 0 {
-		return nil, fmt.Errorf("sim: empty catalogue")
-	}
-	if user == nil || len(user.Samples) == 0 {
-		return nil, fmt.Errorf("sim: empty user trace")
-	}
-	if err := net.Validate(); err != nil {
-		return nil, err
-	}
-	st, err := NewStepper(cat, cfg)
-	if err != nil {
-		return nil, err
-	}
-	state, err := st.NewState(user, net)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		info, err := st.Step(state)
-		if err != nil {
-			return nil, err
-		}
-		if info.Done {
-			break
-		}
-	}
-	return st.Finish(state)
+	return run(cat, cfg, func(st *Stepper) (*State, error) { return st.NewState(user, net) })
 }
 
 // RunNetem is Run over the packet-level emulated network path: downloads
@@ -334,20 +291,16 @@ func Run(cat *Catalog, user *headtrace.Trace, net *lte.Trace, cfg Config) (*Resu
 // trace, and delay-aware estimators receive packet timing. pn must be
 // fresh (its link clock starts at the session origin).
 func RunNetem(cat *Catalog, user *headtrace.Trace, pn *netem.SessionNet, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cat == nil || len(cat.Content) == 0 {
-		return nil, fmt.Errorf("sim: empty catalogue")
-	}
-	if user == nil || len(user.Samples) == 0 {
-		return nil, fmt.Errorf("sim: empty user trace")
-	}
+	return run(cat, cfg, func(st *Stepper) (*State, error) { return st.NewStateNetem(user, pn) })
+}
+
+// run steps one session, bound by newState, to completion.
+func run(cat *Catalog, cfg Config, newState func(*Stepper) (*State, error)) (*Result, error) {
 	st, err := NewStepper(cat, cfg)
 	if err != nil {
 		return nil, err
 	}
-	state, err := st.NewStateNetem(user, pn)
+	state, err := newState(st)
 	if err != nil {
 		return nil, err
 	}
@@ -364,19 +317,20 @@ func RunNetem(cat *Catalog, user *headtrace.Trace, pn *netem.SessionNet, cfg Con
 }
 
 // predictViewport estimates the viewing center for segment k's playback
-// midpoint from the head-movement history available at request time.
-func (s *session) predictViewport(k int) geom.Point {
+// midpoint from the head-movement history available at request time, when
+// the buffer holds buffer seconds.
+func (s *session) predictViewport(state *State, k int, buffer float64) geom.Point {
 	// Playback position: seconds of video already watched.
-	played := float64(k)*s.cfg.SegmentSec - s.buffer
+	played := float64(k)*s.cfg.SegmentSec - buffer
 	if played < 0 {
 		played = 0
 	}
 	idx := int(played * headtrace.SampleRate)
 	if idx < 2 {
-		return geom.PointOf(s.user.Samples[0].O)
+		return geom.PointOf(state.user.Samples[0].O)
 	}
-	if idx > len(s.xs) {
-		idx = len(s.xs)
+	if idx > len(state.xs) {
+		idx = len(state.xs)
 	}
 	horizon := (float64(k)+0.5)*s.cfg.SegmentSec - played
 	if horizon < 0 {
@@ -389,11 +343,11 @@ func (s *session) predictViewport(k int) geom.Point {
 		horizon = 1
 	}
 	if s.vp == nil {
-		return geom.PointOf(s.user.Samples[idx-1].O)
+		return geom.PointOf(state.user.Samples[idx-1].O)
 	}
-	p, err := s.vp.Predict(s.xs[:idx], s.ys[:idx], horizon)
+	p, err := s.vp.Predict(state.xs[:idx], state.ys[:idx], horizon)
 	if err != nil {
-		return geom.PointOf(s.user.Samples[idx-1].O)
+		return geom.PointOf(state.user.Samples[idx-1].O)
 	}
 	return p
 }
@@ -401,11 +355,11 @@ func (s *session) predictViewport(k int) geom.Point {
 // recentSwitchingSpeed estimates S_fov from the most recently played
 // segment, using the within-segment peak (see SegmentPeakSpeed): the Eq. 4
 // blurred-vision tolerance applies when the segment contains a fast switch.
-func (s *session) recentSwitchingSpeed(k int) float64 {
+func (s *session) recentSwitchingSpeed(user *headtrace.Trace, k int) float64 {
 	if k == 0 {
 		return 0
 	}
-	sp, err := s.user.SegmentPeakSpeed(k-1, s.cfg.SegmentSec)
+	sp, err := user.SegmentPeakSpeed(k-1, s.cfg.SegmentSec)
 	if err != nil {
 		return 0
 	}
@@ -423,23 +377,24 @@ func bestQuality(options []abr.OptionMeta) float64 {
 	return best
 }
 
-// applyHysteresis returns the previous segment's (v, f) version when it is
-// offered, downloads safely, still satisfies the ε QoE floor against the
-// best currently downloadable version (so it cannot ratchet quality down),
-// and costs at most a few percent more energy than the DP's fresh choice.
-func (s *session) applyHysteresis(options []abr.OptionMeta, chosen abr.OptionMeta, rateEst float64) abr.OptionMeta {
+// applyHysteresis returns the previous segment's (v, f) version prev when it
+// is offered, downloads safely within buffer seconds, still satisfies the ε
+// QoE floor against the best currently downloadable version (so it cannot
+// ratchet quality down), and costs at most a few percent more energy than
+// the DP's fresh choice.
+func (s *session) applyHysteresis(options []abr.OptionMeta, chosen abr.OptionMeta, rateEst, buffer float64, prev abr.Option) abr.OptionMeta {
 	const margin = 1.03
 	var qMax float64
 	for _, o := range options {
-		if o.SizeBits/rateEst <= s.buffer && o.PerceivedQuality > qMax {
+		if o.SizeBits/rateEst <= buffer && o.PerceivedQuality > qMax {
 			qMax = o.PerceivedQuality
 		}
 	}
 	for _, o := range options {
-		if o.Option != s.prevChoice {
+		if o.Option != prev {
 			continue
 		}
-		if o.SizeBits/rateEst > s.buffer {
+		if o.SizeBits/rateEst > buffer {
 			return chosen
 		}
 		if o.PerceivedQuality < (1-s.cfg.Epsilon)*qMax {

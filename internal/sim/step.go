@@ -25,13 +25,18 @@ import (
 //     (kilobytes of DP and plan buffers) and exists once per worker, not
 //     once per session.
 //   - State is the compact persistent state of one viewer: clocks, buffer,
-//     bandwidth-estimator window, previous-choice memory, and the running
-//     accounting sums. It is a few hundred bytes, so a million concurrent
-//     sessions fit in one process.
+//     download link, bandwidth-estimator window, previous-choice memory, and
+//     the running accounting sums. It is a few hundred bytes, so a million
+//     concurrent sessions fit in one process.
 //
-// Run is itself implemented as NewStepper + NewState + a Step loop, so the
-// blocking path and the event-driven path execute the same code; the
-// fleet package's differential tests pin the two bit-identical.
+// One step is two functions. compute reads a State and writes only a
+// stepDelta: the wait rule, the viewport prediction, the plan, the
+// controller decision, the download, and the segment's Eq. 1 energy and
+// Eq. 2 QoE. apply writes a delta into a State and is the only code that
+// mutates a bound State. Step is compute followed by apply; StepBatch
+// (batch.go) computes once per group of identical states and applies the
+// group's delta to every member. Run is NewStepper + NewState + a Step loop,
+// so the blocking path and the event-driven path execute the same code.
 
 // Stepper advances resumable sessions of one (catalogue, config) pair. It
 // owns mutable planning scratch, so it must not be shared by concurrent
@@ -57,15 +62,11 @@ type xySeries struct{ xs, ys []float64 }
 // (catalogue, config); any stepper built from the same pair may advance it.
 type State struct {
 	user *headtrace.Trace
-	net  *lte.Trace
-	// pnet, when set (InitStateNetem), replaces net with the packet-level
-	// emulated path: downloads resolve through the droptail-queue link and
-	// the estimator additionally receives per-packet timing when it
-	// implements predict.PacketObserver. A SessionNet carries mutable
-	// cross-download queue state, so netem-backed sessions are excluded
-	// from StepBatch fingerprint grouping (each session's link history is
-	// unique).
-	pnet *netem.SessionNet
+	// link is the download path: a bandwidth trace (InitState) or a
+	// packet-level emulated path (NewStateNetem). A packet-level link
+	// carries mutable cross-download queue state, so its sessions are
+	// excluded from StepBatch grouping (each link's history is unique).
+	link link
 	bw   predict.Estimator
 	// bwStore is the in-struct home of the default harmonic estimator, so a
 	// bulk-allocated State (fleet slabs) costs no separate estimator
@@ -96,6 +97,31 @@ type State struct {
 	acc           qoe.Accumulator
 	perSegment    []SegmentTrace
 }
+
+// link is a session's download path. *netem.SessionNet implements it;
+// traceLink adapts a bandwidth trace.
+type link interface {
+	// Download returns the duration of a sizeBits transfer started at
+	// startSec.
+	Download(sizeBits, startSec float64) (float64, error)
+	// RateAt returns the bandwidth available at time t.
+	RateAt(t float64) float64
+	// Packets returns the delivered packets of the most recent Download in
+	// arrival order; nil on a segment-level link.
+	Packets() []netem.PacketSample
+}
+
+// traceLink is a bandwidth trace as a link. The trace was validated when it
+// was bound (InitState), so downloads skip the per-call scan.
+type traceLink lte.Trace
+
+func (l *traceLink) Download(sizeBits, startSec float64) (float64, error) {
+	return (*lte.Trace)(l).DownloadTimeTrusted(sizeBits, startSec)
+}
+
+func (l *traceLink) RateAt(t float64) float64 { return (*lte.Trace)(l).At(t) }
+
+func (l *traceLink) Packets() []netem.PacketSample { return nil }
 
 // Segment returns the index of the next segment Step would fetch.
 func (st *State) Segment() int { return st.nextSeg }
@@ -263,33 +289,13 @@ func (st *Stepper) NewState(user *headtrace.Trace, net *lte.Trace) (*State, erro
 // that fits its inline storage, initialization performs no heap allocation
 // beyond the once-per-trace series cache.
 func (st *Stepper) InitState(state *State, user *headtrace.Trace, net *lte.Trace) error {
-	if user == nil || len(user.Samples) == 0 {
-		return fmt.Errorf("sim: empty user trace")
-	}
 	if _, ok := st.netSeen[net]; !ok {
 		if err := net.Validate(); err != nil {
 			return err
 		}
 		st.netSeen[net] = struct{}{}
 	}
-	*state = State{user: user, net: net}
-	if st.estKind == predict.EstimatorHarmonic {
-		if err := state.bwStore.Init(st.s.cfg.BandwidthWindow); err != nil {
-			return err
-		}
-		state.bw = &state.bwStore
-	} else {
-		bw, err := predict.NewEstimator(st.estKind, st.s.cfg.BandwidthWindow)
-		if err != nil {
-			return err
-		}
-		state.bw = bw
-	}
-	xy := st.xySeriesFor(user)
-	state.xs, state.ys = xy.xs, xy.ys
-	// Seed the bandwidth estimator with an initial probe (the paper's
-	// startup phase downloads segment metadata).
-	return state.bw.Observe(net.At(0))
+	return st.bind(state, user, (*traceLink)(net))
 }
 
 // NewStateNetem is NewState over the packet-level network path instead of a
@@ -298,23 +304,24 @@ func (st *Stepper) InitState(state *State, user *headtrace.Trace, net *lte.Trace
 // delivered packet's timing before the segment-level Observe. pn carries
 // the session's link state and must not be shared between states.
 func (st *Stepper) NewStateNetem(user *headtrace.Trace, pn *netem.SessionNet) (*State, error) {
+	if pn == nil {
+		return nil, fmt.Errorf("sim: nil netem session path")
+	}
 	state := new(State)
-	if err := st.InitStateNetem(state, user, pn); err != nil {
+	if err := st.bind(state, user, pn); err != nil {
 		return nil, err
 	}
 	return state, nil
 }
 
-// InitStateNetem initializes a caller-allocated State in place over the
-// packet-level path — the bulk form of NewStateNetem.
-func (st *Stepper) InitStateNetem(state *State, user *headtrace.Trace, pn *netem.SessionNet) error {
+// bind initializes state for a viewer downloading over l, seeding the
+// bandwidth estimator with the link's rate at t = 0 (the paper's startup
+// phase downloads segment metadata).
+func (st *Stepper) bind(state *State, user *headtrace.Trace, l link) error {
 	if user == nil || len(user.Samples) == 0 {
 		return fmt.Errorf("sim: empty user trace")
 	}
-	if pn == nil {
-		return fmt.Errorf("sim: nil netem session path")
-	}
-	*state = State{user: user, pnet: pn}
+	*state = State{user: user, link: l}
 	if st.estKind == predict.EstimatorHarmonic {
 		if err := state.bwStore.Init(st.s.cfg.BandwidthWindow); err != nil {
 			return err
@@ -329,66 +336,67 @@ func (st *Stepper) InitStateNetem(state *State, user *headtrace.Trace, pn *netem
 	}
 	xy := st.xySeriesFor(user)
 	state.xs, state.ys = xy.xs, xy.ys
-	// Seed with the link's advertised rate at t=0, mirroring InitState's
-	// net.At(0) probe.
-	return state.bw.Observe(pn.RateAt(0))
+	return state.bw.Observe(l.RateAt(0))
 }
 
-// attach points the shared session workspace at one session's state.
-func (s *session) attach(state *State) {
-	s.user, s.net, s.pnet, s.bw = state.user, state.net, state.pnet, state.bw
-	s.xs, s.ys = state.xs, state.ys
-	s.tWall, s.buffer = state.tWall, state.buffer
-	s.prevQ0, s.hasPrevQ0 = state.prevQ0, state.hasPrevQ0
-	s.prevChoice, s.hasPrev = state.prevChoice, state.hasPrev
-}
-
-// detach writes the advanced clocks back and drops the per-session aliases.
-func (s *session) detach(state *State) {
-	state.tWall, state.buffer = s.tWall, s.buffer
-	state.prevQ0, state.hasPrevQ0 = s.prevQ0, s.hasPrevQ0
-	state.prevChoice, state.hasPrev = s.prevChoice, s.hasPrev
-	s.user, s.net, s.pnet, s.bw = nil, nil, nil, nil
-	s.xs, s.ys = nil, nil
+// stepDelta is one computed step: everything apply writes into a State.
+type stepDelta struct {
+	info StepInfo
+	// bufferAtRequest is the buffer level after the wait rule, when the
+	// segment was requested.
+	bufferAtRequest float64
+	chosen          abr.OptionMeta
+	emergency       bool
+	measuredRate    float64
+	energy          power.SegmentEnergy
+	q0              float64
+	hit             bool
+	fromPtile       bool
+	bd              qoe.Breakdown
 }
 
 // Step advances the session by one segment: the wait rule, the controller
 // decision, the download, and the energy/QoE accounting — one iteration of
-// Run's loop, bit for bit.
+// Run's loop, bit for bit. A Step that returns an error leaves the
+// session's clocks, buffer, segment position, accounting and bandwidth
+// estimate as they were before the call; only a packet-level link keeps the
+// queue state its failed download left behind.
 func (st *Stepper) Step(state *State) (StepInfo, error) {
-	if state.nextSeg >= len(st.s.cat.Content) {
-		return StepInfo{}, fmt.Errorf("sim: session already streamed all %d segments", len(st.s.cat.Content))
+	var d stepDelta
+	if err := st.s.compute(state, &d); err != nil {
+		return StepInfo{}, err
 	}
-	s := &st.s
-	s.attach(state)
-	info, err := s.step(state)
-	s.detach(state)
-	return info, err
+	return st.s.apply(state, &d)
 }
 
-// step is Run's loop body for segment k = state.nextSeg.
-func (s *session) step(state *State) (StepInfo, error) {
+// compute evaluates segment state.nextSeg into d. It reads state and writes
+// only d; the download advances the link's own state, never the session's.
+func (s *session) compute(state *State, d *stepDelta) error {
 	k := state.nextSeg
-	info := StepInfo{Segment: k}
+	if k >= len(s.cat.Content) {
+		return fmt.Errorf("sim: session already streamed all %d segments", len(s.cat.Content))
+	}
 
 	// Wait rule: Δt = max(B − β, 0) before requesting segment k.
-	if dt := s.buffer - s.cfg.BufferCapSec; dt > 0 {
-		s.tWall += dt
-		s.buffer -= dt
-		info.WaitSec = dt
+	tWall, buffer := state.tWall, state.buffer
+	var wait float64
+	if dt := buffer - s.cfg.BufferCapSec; dt > 0 {
+		tWall += dt
+		buffer -= dt
+		wait = dt
 	}
 
-	rateEst, err := s.bw.Estimate()
+	rateEst, err := state.bw.Estimate()
 	if err != nil {
-		return info, err
+		return err
 	}
 
-	predCenter := s.predictViewport(k)
-	speedEst := s.recentSwitchingSpeed(k)
+	predCenter := s.predictViewport(state, k, buffer)
+	speedEst := s.recentSwitchingSpeed(state.user, k)
 
 	seg, err := s.segmentPlan(k, 0, predCenter, speedEst)
 	if err != nil {
-		return info, err
+		return err
 	}
 
 	// Only Ours runs the energy-minimizing MPC (Section IV-C). The Ptile
@@ -400,28 +408,25 @@ func (s *session) step(state *State) (StepInfo, error) {
 	case SchemeOurs:
 		horizon, err := s.horizonPlans(k, predCenter, speedEst, seg)
 		if err != nil {
-			return info, err
+			return err
 		}
 		if s.cfg.UseQoEMPC {
-			prevQ := s.prevQ0
-			if !s.hasPrevQ0 {
+			prevQ := state.prevQ0
+			if !state.hasPrevQ0 {
 				prevQ = bestQuality(seg.options)
 			}
-			decision, err = s.qoeMPC.Decide(s.buffer, rateEst, prevQ, horizon)
+			decision, err = s.qoeMPC.Decide(buffer, rateEst, prevQ, horizon)
 		} else {
-			decision, err = s.mpc.Decide(s.buffer, rateEst, horizon)
+			decision, err = s.mpc.Decide(buffer, rateEst, horizon)
 		}
 		if err != nil {
-			return info, err
+			return err
 		}
 	default:
-		decision, err = s.rate.Decide(s.buffer, rateEst, seg.options)
+		decision, err = s.rate.Decide(buffer, rateEst, seg.options)
 		if err != nil {
-			return info, err
+			return err
 		}
-	}
-	if decision.Emergency {
-		state.emergencies++
 	}
 	chosen := decision.Chosen
 	// Version hysteresis (Ours only): Eq. 2 charges |ΔQ| between
@@ -429,47 +434,21 @@ func (s *session) step(state *State) (StepInfo, error) {
 	// last segment's version is still feasible and within a small energy
 	// margin of the fresh optimum, keep it to avoid quality flapping.
 	if s.cfg.VersionHysteresis && s.cfg.Scheme == SchemeOurs && !s.cfg.UseQoEMPC &&
-		s.hasPrev && !decision.Emergency {
-		chosen = s.applyHysteresis(seg.options, chosen, rateEst)
+		state.hasPrev && !decision.Emergency {
+		chosen = s.applyHysteresis(seg.options, chosen, rateEst, buffer, state.prevChoice)
 	}
-	s.prevChoice = chosen.Option
-	s.hasPrev = true
 
-	// Download against the bandwidth model. The packet-level path (netem)
-	// resolves the transfer through the emulated droptail link and feeds
-	// packet timing to delay-aware estimators; the segment-level path
-	// integrates the trace, validated when the state was bound (InitState).
-	bufferAtRequest := s.buffer
-	var dl float64
-	if s.pnet != nil {
-		dl, err = s.pnet.Download(chosen.SizeBits, s.tWall)
-		if err != nil {
-			return info, err
-		}
-		if po, ok := s.bw.(predict.PacketObserver); ok {
-			for _, ps := range s.pnet.Packets() {
-				po.ObservePacket(ps.SendSec, ps.RecvSec, ps.Bytes)
-			}
-		}
-	} else {
-		dl, err = s.net.DownloadTimeTrusted(chosen.SizeBits, s.tWall)
-		if err != nil {
-			return info, err
-		}
+	// Download over the session's link: the trace integrated at segment
+	// granularity, or the emulated droptail path packet by packet.
+	dl, err := state.link.Download(chosen.SizeBits, tWall)
+	if err != nil {
+		return err
 	}
-	s.tWall += dl
+	tWall += dl
 	measuredRate := chosen.SizeBits / dl
 	if dl <= 0 {
-		if s.pnet != nil {
-			measuredRate = s.pnet.RateAt(s.tWall)
-		} else {
-			measuredRate = s.net.At(s.tWall)
-		}
+		measuredRate = state.link.RateAt(tWall)
 	}
-	if err := s.bw.Observe(measuredRate); err != nil {
-		return info, err
-	}
-	s.buffer = math.Max(s.buffer-dl, 0) + s.cfg.SegmentSec
 
 	// Energy accounting (Eq. 1). Fallback segments decode with the
 	// conventional pipeline.
@@ -479,29 +458,23 @@ func (s *session) step(state *State) (StepInfo, error) {
 	}
 	e, err := s.pm.Segment(decSch, chosen.SizeBits, measuredRate, chosen.FrameRate, s.cfg.SegmentSec)
 	if err != nil {
-		return info, err
+		return err
 	}
-	state.energy.Tx += e.Tx
-	state.energy.Decode += e.Decode
-	state.energy.Render += e.Render
 
 	// QoE accounting: the user perceives the chosen quality only if the
 	// downloaded high-quality region covers what they actually watch;
 	// otherwise they see the low-quality background.
-	q0, hit, err := s.perceivedQuality(k, seg, chosen)
+	q0, hit, err := s.perceivedQuality(state.user, k, seg, chosen)
 	if err != nil {
-		return info, err
-	}
-	if hit {
-		state.viewportHits++
+		return err
 	}
 	prev := q0
-	if s.hasPrevQ0 {
-		prev = s.prevQ0
+	if state.hasPrevQ0 {
+		prev = state.prevQ0
 	}
 	// The startup download (k = 0, empty buffer) is excluded from
 	// rebuffering, as is standard in ABR evaluation.
-	qoeBuffer := bufferAtRequest
+	qoeBuffer := buffer
 	if k == 0 {
 		qoeBuffer = dl + 1
 	}
@@ -511,64 +484,88 @@ func (s *session) step(state *State) (StepInfo, error) {
 		BufferSec: qoeBuffer,
 	}, s.cfg.Weights)
 	if err != nil {
-		return info, err
+		return err
 	}
-	state.acc.Add(bd)
-	s.prevQ0 = q0
-	s.hasPrevQ0 = true
 
-	state.bits += chosen.SizeBits
-	state.qualitySum += float64(chosen.Quality)
-	state.frameRateSum += chosen.FrameRate
-	fromPtile := !seg.fallback && (s.cfg.Scheme == SchemePtile || s.cfg.Scheme == SchemeOurs)
-	if fromPtile {
+	*d = stepDelta{
+		info: StepInfo{
+			Segment:     k,
+			WaitSec:     wait,
+			DownloadSec: dl,
+			StallSec:    bd.StallSec,
+			WallSec:     tWall,
+			BufferSec:   math.Max(buffer-dl, 0) + s.cfg.SegmentSec,
+			Done:        k+1 >= len(s.cat.Content),
+		},
+		bufferAtRequest: buffer,
+		chosen:          chosen,
+		emergency:       decision.Emergency,
+		measuredRate:    measuredRate,
+		energy:          e,
+		q0:              q0,
+		hit:             hit,
+		fromPtile:       !seg.fallback && (s.cfg.Scheme == SchemePtile || s.cfg.Scheme == SchemeOurs),
+		bd:              bd,
+	}
+	return nil
+}
+
+// apply writes a computed step into state; it is the only code that mutates
+// a bound State. Step applies its own compute's delta, and a StepBatch
+// follower applies its leader's, which is the delta its own compute would
+// have produced.
+func (s *session) apply(state *State, d *stepDelta) (StepInfo, error) {
+	// The estimator goes first: it is the one write that can fail, and it
+	// fails before anything else has changed. A packet-level download's
+	// packet timing reaches delay-aware estimators ahead of the
+	// segment-level sample.
+	if po, ok := state.bw.(predict.PacketObserver); ok {
+		for _, ps := range state.link.Packets() {
+			po.ObservePacket(ps.SendSec, ps.RecvSec, ps.Bytes)
+		}
+	}
+	if err := state.bw.Observe(d.measuredRate); err != nil {
+		return StepInfo{}, err
+	}
+	state.tWall, state.buffer = d.info.WallSec, d.info.BufferSec
+	state.prevChoice, state.hasPrev = d.chosen.Option, true
+	state.prevQ0, state.hasPrevQ0 = d.q0, true
+
+	if d.emergency {
+		state.emergencies++
+	}
+	state.energy.Tx += d.energy.Tx
+	state.energy.Decode += d.energy.Decode
+	state.energy.Render += d.energy.Render
+	if d.hit {
+		state.viewportHits++
+	}
+	state.acc.Add(d.bd)
+	state.bits += d.chosen.SizeBits
+	state.qualitySum += float64(d.chosen.Quality)
+	state.frameRateSum += d.chosen.FrameRate
+	if d.fromPtile {
 		state.ptileSegments++
 	}
 	if s.cfg.RecordSegments {
 		state.perSegment = append(state.perSegment, SegmentTrace{
-			Segment:       k,
-			Quality:       chosen.Quality,
-			FrameRate:     chosen.FrameRate,
-			SizeBits:      chosen.SizeBits,
-			ThroughputBps: measuredRate,
-			BufferSec:     bufferAtRequest,
-			Q0:            q0,
-			Q:             bd.Q,
-			StallSec:      bd.StallSec,
-			EnergyMJ:      e.Total(),
-			FromPtile:     fromPtile,
-			Emergency:     decision.Emergency,
+			Segment:       d.info.Segment,
+			Quality:       d.chosen.Quality,
+			FrameRate:     d.chosen.FrameRate,
+			SizeBits:      d.chosen.SizeBits,
+			ThroughputBps: d.measuredRate,
+			BufferSec:     d.bufferAtRequest,
+			Q0:            d.q0,
+			Q:             d.bd.Q,
+			StallSec:      d.bd.StallSec,
+			EnergyMJ:      d.energy.Total(),
+			FromPtile:     d.fromPtile,
+			Emergency:     d.emergency,
 		})
 	}
 	state.segments++
-	state.nextSeg = k + 1
-
-	info.DownloadSec = dl
-	info.StallSec = bd.StallSec
-	info.WallSec = s.tWall
-	info.BufferSec = s.buffer
-	info.Done = state.nextSeg >= len(s.cat.Content)
-
-	// Batch leaders capture the step's computed values so decision-identical
-	// followers replay the same mutations without re-planning (batch.go).
-	if s.rec != nil {
-		*s.rec = stepDelta{
-			info:         info,
-			chosen:       chosen,
-			emergency:    decision.Emergency,
-			downloadSec:  dl,
-			measuredRate: measuredRate,
-			energy:       e,
-			q0:           q0,
-			hit:          hit,
-			fromPtile:    fromPtile,
-			bd:           bd,
-		}
-		if s.cfg.RecordSegments {
-			s.rec.trace = state.perSegment[len(state.perSegment)-1]
-		}
-	}
-	return info, nil
+	state.nextSeg = d.info.Segment + 1
+	return d.info, nil
 }
 
 // Finish settles the session accounting into a Result. It may be called
