@@ -20,40 +20,42 @@ import (
 	"ptile360/internal/obs"
 	"ptile360/internal/power"
 	"ptile360/internal/predict"
-	"ptile360/internal/ptile"
+	"ptile360/internal/sim"
 	"ptile360/internal/video"
-	"ptile360/internal/vmaf"
 )
 
 // ClientConfig tunes the streaming client.
 type ClientConfig struct {
 	// BaseURL is the server address, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// Phone selects the power model for the MPC controller.
+	// Phone selects the Table I power model of the energy accounting.
 	Phone power.Phone
-	// Shape optionally paces downloads to an LTE trace. Nil means
-	// unshaped (full local throughput).
+	// Shape optionally charges each download the transfer time of an LTE
+	// trace (the trace integrated from the request's start). Nil means
+	// unshaped: an attempt is charged its measured wall time.
 	Shape *lte.Trace
 	// Net routes downloads through the in-process packet-level network
 	// emulator instead of the segment-level Shape trace: each segment body
 	// is read from the server at local speed, then charged the emulated
-	// transfer time (packetization, queueing, loss, retransmission) and the
-	// per-packet timing is fed to a PacketObserver estimator. Mutually
-	// exclusive with Shape.
+	// transfer time (packetization, queueing, loss, retransmission) of the
+	// version's modeled size, and the per-packet timing is fed to a
+	// PacketObserver estimator. Mutually exclusive with Shape.
 	Net *netem.SessionNet
 	// Estimator selects the bandwidth-estimator family. The zero value
 	// means the paper's harmonic mean over a 5-sample window. The
 	// delay-gradient kind additionally consumes packet timing when Net is
 	// set.
 	Estimator predict.EstimatorKind
-	// TimeCompression divides the shaping sleep times: 10 means the session
-	// runs 10× faster than real time while preserving per-segment
-	// throughput accounting. Zero means 1.
+	// TimeCompression divides the sleeps that pace a Shape or Net download
+	// to its charged transfer time: 10 means the session runs 10× faster
+	// than real time while preserving per-segment throughput accounting.
+	// Zero means 1.
 	TimeCompression float64
 	// MaxSegments caps the number of segments streamed (0 = whole video).
 	MaxSegments int
-	// UseMPC selects the energy-minimizing controller; false streams with
-	// the rate-based baseline.
+	// UseMPC selects the paper's energy-minimizing controller over the
+	// manifest's frame rates; false streams the Ptile baseline at the
+	// source frame rate.
 	UseMPC bool
 
 	// RequestTimeout bounds each HTTP request (one manifest fetch or one
@@ -72,10 +74,6 @@ type ClientConfig struct {
 	// without the resilience layer, because retries and degradation only
 	// engage on failure.
 	Transport http.RoundTripper
-	// NoDegrade disables the degradation ladder: after the retry budget of
-	// the chosen rung is exhausted the session fails instead of stepping
-	// down to cheaper rungs and, ultimately, abandoning the segment.
-	NoDegrade bool
 	// ClientID, when set, is sent as the X-Client-Id header so the
 	// server's per-client rate limiter can key on the session rather than
 	// the shared NAT address. It also labels telemetry records.
@@ -147,7 +145,8 @@ type SegmentRecord struct {
 	FromPtile bool
 	// EnergyMJ is the Eq. 1 energy estimate for the segment.
 	EnergyMJ float64
-	// PerceivedQuality is the Q(v, f) of the served version.
+	// PerceivedQuality is the delivered Q0: the served version's Q(v, f)
+	// at the viewer's actual switching speed.
 	PerceivedQuality float64
 	// BufferSec is the buffer level when the download started.
 	BufferSec float64
@@ -203,22 +202,59 @@ type SessionReport struct {
 	// divide by len(Segments) for the session mean the paper's ≤5 %
 	// constraint is stated over.
 	TotalQoELoss float64
+
+	// traces are the rows the session's steps recorded.
+	traces []sim.SegmentTrace
 }
 
-// Client streams a video from a Server, driving the paper's controller over
-// real HTTP. It survives flaky transports: per-request timeouts, bounded
-// retries with exponential backoff and jitter, and a degradation ladder
-// that steps down to cheaper rungs — abandoning a segment only when every
-// rung has failed — so an unreliable network degrades the session instead
-// of killing it.
+// SegmentTraces returns the simulator rows the session's steps recorded, one
+// per segment: the same schema, and the same numbers, as a simulated
+// session's Result.PerSegment.
+func (r *SessionReport) SegmentTraces() []sim.SegmentTrace { return r.traces }
+
+// add folds one segment's record into the report.
+func (r *SessionReport) add(rec SegmentRecord) {
+	r.Segments = append(r.Segments, rec)
+	r.TotalBytes += rec.Bytes
+	r.TotalEnergyMJ += rec.EnergyMJ
+	if rec.FromPtile {
+		r.PtileSegments++
+	}
+	r.TotalRetries += rec.Retries
+	if rec.DegradeSteps > 0 {
+		r.DegradedSegments++
+	}
+	if rec.Abandoned {
+		r.AbandonedSegments++
+	}
+	if rec.StallSec > 0 {
+		r.Stalls++
+		r.TotalStallSec += rec.StallSec
+	}
+	r.TotalQoELoss += rec.qoeLoss()
+}
+
+// qoeLoss is the segment's QoE loss against the best offered version: 1 for
+// an abandoned segment.
+func (rec SegmentRecord) qoeLoss() float64 {
+	switch {
+	case rec.Abandoned:
+		return 1
+	case rec.BestPerceivedQuality > 0:
+		return (rec.BestPerceivedQuality - rec.PerceivedQuality) / rec.BestPerceivedQuality
+	}
+	return 0
+}
+
+// Client streams a video from a Server, running the simulator's session
+// step (sim.Stepper) over real HTTP. It survives flaky transports:
+// per-request timeouts, bounded retries with exponential backoff and
+// jitter, and a degradation ladder that steps down to cheaper rungs —
+// abandoning a segment only when every rung has failed — so an unreliable
+// network degrades the session instead of killing it.
 type Client struct {
 	cfg     ClientConfig
 	http    *http.Client
-	pm      power.Model
-	mpc     *abr.EnergyMPC
-	rate    *abr.RateBased
-	enc     video.EncoderConfig
-	grid    geom.Grid
 	timeout time.Duration
 	retry   RetryPolicy
 	obs     *clientObs // nil when cfg.Metrics is unset
@@ -232,20 +268,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pm, err := power.TableI(cfg.Phone)
-	if err != nil {
-		return nil, err
-	}
-	mpc, err := abr.NewEnergyMPC(abr.DefaultConfig(pm.Tx))
-	if err != nil {
-		return nil, err
-	}
-	rb, err := abr.NewRateBased(0.9)
-	if err != nil {
-		return nil, err
-	}
-	grid, err := geom.NewGrid(4, 8)
-	if err != nil {
+	if _, err := power.TableI(cfg.Phone); err != nil {
 		return nil, err
 	}
 	retry := cfg.Retry
@@ -271,11 +294,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	return &Client{
 		cfg:     cfg,
 		http:    hc,
-		pm:      pm,
-		mpc:     mpc,
-		rate:    rb,
-		enc:     video.DefaultEncoderConfig(),
-		grid:    grid,
 		timeout: timeout,
 		retry:   retry,
 		obs:     co,
@@ -398,6 +416,11 @@ func (c *Client) Stream(videoID int, viewer *headtrace.Trace) (*SessionReport, e
 
 // StreamContext plays the video under a session context: cancelling it
 // aborts the session promptly, including mid-backoff and mid-download.
+//
+// The session is the simulator's: a sim.Stepper over the catalogue rebuilt
+// from the manifest, stepped once per segment with the HTTP fetch behind
+// the step's link. Prediction, planning, the controller, and the Eq. 1
+// energy and Eq. 2 QoE accounting are sim.Step's own.
 func (c *Client) StreamContext(ctx context.Context, videoID int, viewer *headtrace.Trace) (*SessionReport, error) {
 	if viewer == nil || len(viewer.Samples) == 0 {
 		return nil, fmt.Errorf("httpstream: empty viewer trace")
@@ -406,23 +429,20 @@ func (c *Client) StreamContext(ctx context.Context, videoID int, viewer *headtra
 	if err != nil {
 		return nil, err
 	}
+	st, err := c.stepper(man)
+	if err != nil {
+		return nil, err
+	}
+	link := &httpLink{c: c, video: videoID, cv: man.CatalogVersion}
+	state, err := st.NewStateLink(viewer, link)
+	if err != nil {
+		return nil, err
+	}
 	n := len(man.Segments)
 	if c.cfg.MaxSegments > 0 && c.cfg.MaxSegments < n {
 		n = c.cfg.MaxSegments
 	}
-
-	kind := c.cfg.Estimator
-	if kind == 0 {
-		kind = predict.EstimatorHarmonic
-	}
-	bw, err := predict.NewEstimator(kind, 5)
-	if err != nil {
-		return nil, err
-	}
-	xs, ys := viewer.XYSeries()
 	report := &SessionReport{VideoID: videoID}
-	buffer := 0.0
-	virtual := 0.0 // virtual wall-clock (seconds) for trace shaping
 
 	// Open the session's flight-recorder ring (nil when unsampled or the
 	// recorder is absent — every Record below is then one branch).
@@ -441,213 +461,59 @@ func (c *Client) StreamContext(ctx context.Context, videoID int, viewer *headtra
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("httpstream: session cancelled at segment %d: %w", seg, err)
 		}
-		var span *obs.Span
-		segCtx := ctx
+		link.ctx, link.span = ctx, nil
 		if c.obs != nil {
-			span = c.obs.tracer.Start(fmt.Sprintf("%s/seg%d", c.cfg.ClientID, seg))
+			link.span = c.obs.tracer.Start(fmt.Sprintf("%s/seg%d", c.cfg.ClientID, seg))
 			// Mint a fresh trace per segment and re-parent the context so
 			// every download attempt carries it across the wire.
-			span.WithTrace(obs.TraceContext{})
-			segCtx = obs.WithTraceContext(ctx, span.TraceContext())
+			link.span.WithTrace(obs.TraceContext{})
+			link.ctx = obs.WithTraceContext(ctx, link.span.TraceContext())
 		}
-		// Viewport prediction from played history.
-		played := float64(seg)*man.SegmentSec - buffer
-		if played < 0 {
-			played = 0
-		}
-		idx := int(played * headtrace.SampleRate)
-		var center geom.Point
-		if idx < 2 {
-			center = geom.PointOf(viewer.Samples[0].O)
-		} else {
-			if idx > len(xs) {
-				idx = len(xs)
-			}
-			horizon := (float64(seg)+0.5)*man.SegmentSec - played
-			if horizon > 1 {
-				horizon = 1
-			}
-			p, err := predict.Viewport(xs[:idx], ys[:idx], horizon, predict.DefaultViewportConfig())
-			if err != nil {
-				p = geom.PointOf(viewer.Samples[idx-1].O)
-			}
-			center = p
-		}
-
-		if span != nil {
-			span.Stage("predict")
-		}
-
-		// Pick the serving Ptile from the manifest.
-		ptIdx, ptRect := c.pickPtile(man, seg, center)
-
-		// Decide the version.
-		rateEst := 5e6
-		if bw.Ready() {
-			if est, err := bw.Estimate(); err == nil {
-				rateEst = est
-			}
-		}
-		speedEst := 0.0
-		if seg > 0 {
-			if sp, err := viewer.SegmentPeakSpeed(seg-1, man.SegmentSec); err == nil {
-				speedEst = sp
-			}
-		}
-		options, err := c.options(man, seg, ptIdx >= 0, ptRect, speedEst)
-		if err != nil {
+		if _, err := st.Step(state); err != nil {
 			return nil, err
 		}
-		var decision abr.Decision
-		if c.cfg.UseMPC {
-			decision, err = c.mpc.Decide(buffer, rateEst, []abr.SegmentMeta{{Options: options}})
-		} else {
-			decision, err = c.rate.Decide(buffer, rateEst, options)
-		}
-		if err != nil {
-			return nil, err
-		}
-		bestQ := 0.0
-		for _, o := range options {
-			if o.PerceivedQuality > bestQ {
-				bestQ = o.PerceivedQuality
-			}
-		}
-		if span != nil {
-			span.Stage("decide")
-		}
-
-		// Download over HTTP with retries and the degradation ladder,
-		// pacing reads against the shaping trace.
-		out, err := c.downloadResilient(segCtx, videoID, seg, man.CatalogVersion, degradeLadder(options, decision.Chosen), ptIdx, center, &virtual)
-		if span != nil {
-			span.Stage("download")
-		}
-		if err != nil {
-			return nil, err
-		}
-		bufferBefore := buffer
-
-		if out.abandoned {
-			// Every rung failed: playback skips the segment. The deadline
-			// miss freezes the display for the segment duration on top of
-			// whatever buffer the failed attempts burned.
-			stall := out.wasted - bufferBefore
-			if stall < 0 {
-				stall = 0
-			}
-			stall += man.SegmentSec
-			if buffer -= out.wasted; buffer < 0 {
-				buffer = 0
-			}
-			rec := SegmentRecord{
-				Segment:              seg,
-				Abandoned:            true,
-				Retries:              out.retries,
-				BufferSec:            bufferBefore,
-				StallSec:             stall,
-				BestPerceivedQuality: bestQ,
-				ViewCenter:           center,
-			}
-			report.Segments = append(report.Segments, rec)
-			report.TotalRetries += out.retries
-			report.AbandonedSegments++
-			report.Stalls++
-			report.TotalStallSec += stall
-			report.TotalQoELoss += 1
-			if fs != nil {
-				now := float64(seg) * man.SegmentSec
-				fs.Record(obs.FlightEvent{TimeSec: now, Kind: obs.FlightStall, Seg: int32(seg), V1: stall})
-				fs.Record(obs.FlightEvent{TimeSec: now, Kind: obs.FlightAbandon, Seg: int32(seg), V2: stall, V3: 1})
-			}
-			c.emitTelemetry(videoID, man.SegmentSec, rec, span)
-			continue
-		}
-
-		chosen := out.used
-		throughput := float64(out.bytes*8) / out.elapsed
-		if c.cfg.Net != nil {
-			// Feed the successful attempt's wire timing to the estimator
-			// before the segment-level sample, mirroring arrival order.
-			if po, ok := bw.(predict.PacketObserver); ok {
-				for _, ps := range c.cfg.Net.Packets() {
-					po.ObservePacket(ps.SendSec, ps.RecvSec, ps.Bytes)
-				}
-			}
-		}
-		if err := bw.Observe(throughput); err != nil {
-			return nil, err
-		}
-		spent := out.elapsed + out.wasted
-		stall := spent - bufferBefore
-		if stall < 0 {
-			stall = 0
-		}
-		if buffer -= spent; buffer < 0 {
-			buffer = 0
-		}
-		buffer += man.SegmentSec
-		if buffer > 3+man.SegmentSec {
-			buffer = 3 + man.SegmentSec
-		}
-
-		e, err := c.pm.Segment(power.PtileScheme, float64(out.bytes*8), throughput, chosen.FrameRate, man.SegmentSec)
-		if err != nil {
-			return nil, err
-		}
-		rec := SegmentRecord{
-			Segment:              seg,
-			Quality:              chosen.Quality,
-			FrameRate:            chosen.FrameRate,
-			Bytes:                out.bytes,
-			ThroughputBps:        throughput,
-			FromPtile:            ptIdx >= 0,
-			EnergyMJ:             e.Total(),
-			TxEnergyMJ:           e.Tx,
-			DecodeEnergyMJ:       e.Decode,
-			PerceivedQuality:     chosen.PerceivedQuality,
-			BestPerceivedQuality: bestQ,
-			BufferSec:            bufferBefore,
-			Emergency:            decision.Emergency,
-			Retries:              out.retries,
-			DegradeSteps:         out.degradeSteps,
-			StallSec:             stall,
-			ViewCenter:           center,
-		}
-		report.Segments = append(report.Segments, rec)
-		report.TotalBytes += out.bytes
-		report.TotalEnergyMJ += rec.EnergyMJ
-		if rec.FromPtile {
-			report.PtileSegments++
-		}
-		report.TotalRetries += out.retries
-		if out.degradeSteps > 0 {
-			report.DegradedSegments++
-		}
-		if stall > 0 {
-			report.Stalls++
-			report.TotalStallSec += stall
-		}
-		if bestQ > 0 {
-			report.TotalQoELoss += (bestQ - rec.PerceivedQuality) / bestQ
-		}
+		rows := state.PerSegment()
+		rec := link.record(rows[len(rows)-1])
+		report.add(rec)
 		if fs != nil {
 			now := float64(seg) * man.SegmentSec
-			if stall > 0 {
-				fs.Record(obs.FlightEvent{TimeSec: now, Kind: obs.FlightStall, Seg: int32(seg), V1: stall})
+			if rec.StallSec > 0 {
+				fs.Record(obs.FlightEvent{TimeSec: now, Kind: obs.FlightStall, Seg: int32(seg), V1: rec.StallSec})
 			}
-			loss := 0.0
-			if bestQ > 0 {
-				loss = (bestQ - rec.PerceivedQuality) / bestQ
+			if rec.Abandoned {
+				fs.Record(obs.FlightEvent{TimeSec: now, Kind: obs.FlightAbandon, Seg: int32(seg), V2: rec.StallSec, V3: 1})
+			} else {
+				fs.Record(obs.FlightEvent{TimeSec: now, Kind: obs.FlightDownload, Seg: int32(seg), V1: float64(rec.Bytes), V2: rec.StallSec, V3: rec.qoeLoss()})
 			}
-			fs.Record(obs.FlightEvent{TimeSec: now, Kind: obs.FlightDownload, Seg: int32(seg), V1: float64(rec.Bytes), V2: stall, V3: loss})
 		}
-		c.emitTelemetry(videoID, man.SegmentSec, rec, span)
+		c.emitTelemetry(videoID, man.SegmentSec, rec, link.span)
 	}
 	if fs != nil {
 		fs.Record(obs.FlightEvent{TimeSec: float64(n) * man.SegmentSec, Kind: obs.FlightLeave, Seg: int32(n)})
 	}
+	report.traces = state.PerSegment()
 	return report, nil
+}
+
+// stepper builds the session core for a manifest: the paper's
+// configuration (the 4×8 grid and 100° FoV the server also assumes) over
+// the catalogue rebuilt from the manifest.
+func (c *Client) stepper(man *Manifest) (*sim.Stepper, error) {
+	scheme := sim.SchemePtile
+	if c.cfg.UseMPC {
+		scheme = sim.SchemeOurs
+	}
+	cfg, err := sim.DefaultConfig(scheme, c.cfg.Phone)
+	if err != nil {
+		return nil, err
+	}
+	if c.cfg.UseMPC {
+		cfg.FrameRates = man.FrameRates
+	}
+	cfg.SegmentSec = man.SegmentSec
+	cfg.Estimator = c.cfg.Estimator
+	cfg.RecordSegments = true
+	return sim.NewStepper(man.catalog(), cfg)
 }
 
 // emitTelemetry converts one segment's accounting into a telemetry record,
@@ -667,72 +533,158 @@ func (c *Client) emitTelemetry(videoID int, segmentSec float64, rec SegmentRecor
 	}
 }
 
-// pickPtile returns the index and rect of the manifest Ptile serving the
-// predicted center, or (-1, zero).
-func (c *Client) pickPtile(man *Manifest, seg int, center geom.Point) (int, geom.Rect) {
-	best := -1
-	var bestRect geom.Rect
-	bestArea := 1e18
-	for i, rj := range man.Segments[seg].Ptiles {
-		r := rj.toRect()
-		pt := ptile.Ptile{Rect: r}
-		if pt.Covers(c.grid, center, 100) && r.Area() < bestArea {
-			best, bestRect, bestArea = i, r, r.Area()
-		}
-	}
-	if best >= 0 {
-		return best, bestRect
-	}
-	for i, rj := range man.Segments[seg].Ptiles {
-		r := rj.toRect()
-		if r.Contains(center) && r.Area() < bestArea {
-			best, bestRect, bestArea = i, r, r.Area()
-		}
-	}
-	return best, bestRect
+// unshapedPriorBps is the bandwidth an unshaped session reports before its
+// first download: it has no model to ask.
+const unshapedPriorBps = 5e6
+
+// httpLink is the session step's download path over HTTP (sim.Link): the
+// retry, backoff and degradation-ladder loop, with every attempt charged
+// the session time of the client's bandwidth model.
+type httpLink struct {
+	c     *Client
+	video int
+	cv    int64
+	// ctx and span belong to the segment being stepped; the session loop
+	// sets them before each step.
+	ctx  context.Context
+	span *obs.Span
+
+	// What the last Download saw beyond the fetch outcome: the bytes of
+	// the delivered body, the ladder rungs dropped, the best offered
+	// quality, and the predicted center the plan was built for.
+	bytes        int64
+	degradeSteps int
+	bestQ        float64
+	center       geom.Point
 }
 
-// options computes the version ladder for one segment from manifest
-// metadata, mirroring the server's size model.
-func (c *Client) options(man *Manifest, seg int, havePtile bool, ptRect geom.Rect, speed float64) ([]abr.OptionMeta, error) {
-	sc := video.SegmentContent{SI: man.Segments[seg].SI, TI: man.Segments[seg].TI, Jitter: 1}
-	frameRates := man.FrameRates
-	if !havePtile {
-		frameRates = []float64{man.SourceFPS}
+// RateAt reports the bandwidth model's rate at time t.
+func (l *httpLink) RateAt(t float64) float64 {
+	switch {
+	case l.c.cfg.Net != nil:
+		return l.c.cfg.Net.RateAt(t)
+	case l.c.cfg.Shape != nil:
+		return l.c.cfg.Shape.At(t)
 	}
-	var out []abr.OptionMeta
-	for v := video.MinQuality; v <= video.MaxQuality; v++ {
-		for _, f := range frameRates {
-			var bits float64
-			var err error
-			if havePtile {
-				bits, err = c.enc.TileBits(video.TileSpec{Rect: ptRect, Quality: v, FrameRate: f, Kind: video.KindPtile}, man.SegmentSec, sc)
-			} else {
-				bits, err = c.enc.RegionBits(0.28125, v, f, video.KindGrid, man.SegmentSec, sc)
+	return unshapedPriorBps
+}
+
+// Packets returns the emulated packets of the delivering attempt.
+func (l *httpLink) Packets() []netem.PacketSample {
+	if l.c.cfg.Net == nil {
+		return nil
+	}
+	return l.c.cfg.Net.Packets()
+}
+
+// Download fetches the segment over HTTP, timing the stage between the
+// step's decision and its accounting.
+func (l *httpLink) Download(f *sim.Fetch) error {
+	if l.span != nil {
+		l.span.Stage("decide")
+	}
+	err := l.fetch(f)
+	if l.span != nil {
+		l.span.Stage("download")
+	}
+	return err
+}
+
+// fetch walks the degradation ladder: each rung gets the retry budget, and
+// when every rung is exhausted the segment is abandoned rather than failing
+// the session. Only context cancellation, permanent (4xx) errors and a
+// failed bandwidth model propagate.
+func (l *httpLink) fetch(f *sim.Fetch) error {
+	l.bytes, l.degradeSteps, l.bestQ, l.center = 0, 0, 0, f.Center
+	for _, o := range f.Options {
+		l.bestQ = max(l.bestQ, o.PerceivedQuality)
+	}
+	var lastErr error
+	for rung, opt := range degradeLadder(f.Options, f.Chosen) {
+		for attempt := 0; attempt < l.c.retry.MaxAttempts; attempt++ {
+			if attempt > 0 {
+				if err := l.c.backoffWait(l.ctx, attempt, lastErr); err != nil {
+					return fmt.Errorf("httpstream: segment %d: %w", f.Segment, err)
+				}
 			}
+			nBytes, wall, err := l.get(f, opt)
+			bits := opt.SizeBits
 			if err != nil {
-				return nil, err
+				bits = float64(nBytes * 8)
 			}
-			b, err := c.enc.QoEBitrateMbps(v)
-			if err != nil {
-				return nil, err
+			sec, merr := l.charge(bits, f.StartSec+f.WastedSec, wall)
+			if merr != nil {
+				return fmt.Errorf("httpstream: segment %d: %w", f.Segment, merr)
 			}
-			// α = κ·S_fov/TI with the same κ = 6 calibration as the
-			// simulator (sim.Config.AlphaScale).
-			q, err := vmaf.TableII().PerceivedQuality(sc.SI, sc.TI, b, 6*speed, f, man.SourceFPS)
-			if err != nil {
-				return nil, err
+			if err == nil {
+				f.Used, f.DownloadSec = opt, sec
+				l.bytes, l.degradeSteps = nBytes, rung
+				return nil
 			}
-			dec := c.pm.Decode[power.PtileScheme]
-			out = append(out, abr.OptionMeta{
-				Option:           abr.Option{Quality: v, FrameRate: f},
-				SizeBits:         bits,
-				PerceivedQuality: q,
-				ProcPowerMW:      dec.At(f) + c.pm.Render.At(f),
-			})
+			f.Retries++
+			f.WastedSec += sec
+			lastErr = err
+			if l.ctx.Err() != nil {
+				return fmt.Errorf("httpstream: segment %d: %w", f.Segment, l.ctx.Err())
+			}
+			if !retryable(err) {
+				return err
+			}
 		}
 	}
-	return out, nil
+	f.Abandoned = true
+	return nil
+}
+
+// charge returns the session seconds an attempt that moved bits, starting
+// at startSec, costs: the emulated transfer time under Net, the trace
+// integral under Shape, and the measured wall time unshaped or when
+// nothing arrived. A modeled transfer is also slept, divided by
+// TimeCompression, so the session runs at link speed.
+func (l *httpLink) charge(bits, startSec, wallSec float64) (float64, error) {
+	var sec float64
+	var err error
+	switch {
+	case bits > 0 && l.c.cfg.Net != nil:
+		sec, err = l.c.cfg.Net.Download(bits, startSec)
+	case bits > 0 && l.c.cfg.Shape != nil:
+		sec, err = l.c.cfg.Shape.DownloadTime(bits, startSec)
+	default:
+		return wallSec, nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	compression := l.c.cfg.TimeCompression
+	if compression == 0 {
+		compression = 1
+	}
+	return sec, sleepCtx(l.ctx, time.Duration(sec/compression*float64(time.Second)))
+}
+
+// record builds the segment's client record from the step's trace row and
+// what the link saw.
+func (l *httpLink) record(row sim.SegmentTrace) SegmentRecord {
+	return SegmentRecord{
+		Segment:              row.Segment,
+		Quality:              row.Quality,
+		FrameRate:            row.FrameRate,
+		Bytes:                l.bytes,
+		ThroughputBps:        row.ThroughputBps,
+		FromPtile:            row.FromPtile,
+		EnergyMJ:             row.EnergyMJ,
+		PerceivedQuality:     row.Q0,
+		BufferSec:            row.BufferSec,
+		Emergency:            row.Emergency,
+		Retries:              row.Retries,
+		DegradeSteps:         l.degradeSteps,
+		Abandoned:            row.Abandoned,
+		StallSec:             row.StallSec,
+		BestPerceivedQuality: l.bestQ,
+		TxEnergyMJ:           row.TxEnergyMJ,
+		DecodeEnergyMJ:       row.DecodeEnergyMJ,
+		ViewCenter:           l.center,
+	}
 }
 
 // degradeLadder orders the fallback rungs for a segment: the controller's
@@ -757,90 +709,40 @@ func degradeLadder(options []abr.OptionMeta, chosen abr.OptionMeta) []abr.Option
 	return rungs
 }
 
-// downloadOutcome is the result of the retry/degradation loop for one
-// segment.
-type downloadOutcome struct {
-	bytes        int64
-	elapsed      float64 // successful attempt's (virtual) download time
-	wasted       float64 // time burned on failed attempts
-	used         abr.OptionMeta
-	retries      int
-	degradeSteps int
-	abandoned    bool
-}
-
-// downloadResilient walks the degradation ladder: each rung gets the retry
-// budget, and when every rung is exhausted the segment is abandoned rather
-// than failing the session. Only context cancellation and permanent (4xx)
-// errors propagate.
-func (c *Client) downloadResilient(ctx context.Context, videoID, seg int, cv int64, ladder []abr.OptionMeta, ptIdx int, center geom.Point, virtual *float64) (downloadOutcome, error) {
-	var out downloadOutcome
-	var lastErr error
-	for rung, opt := range ladder {
-		for attempt := 0; attempt < c.retry.MaxAttempts; attempt++ {
-			if attempt > 0 {
-				if err := c.backoffWait(ctx, attempt, lastErr); err != nil {
-					return out, fmt.Errorf("httpstream: segment %d: %w", seg, err)
-				}
-			}
-			nBytes, elapsed, err := c.downloadOnce(ctx, videoID, seg, cv, opt, ptIdx, center, virtual)
-			if err == nil {
-				out.bytes, out.elapsed, out.used, out.degradeSteps = nBytes, elapsed, opt, rung
-				return out, nil
-			}
-			out.retries++
-			out.wasted += elapsed
-			lastErr = err
-			if ctx.Err() != nil {
-				return out, fmt.Errorf("httpstream: segment %d: %w", seg, ctx.Err())
-			}
-			if !retryable(err) {
-				return out, err
-			}
-		}
-		if c.cfg.NoDegrade {
-			return out, fmt.Errorf("httpstream: segment %d failed after %d attempts: %w", seg, out.retries, lastErr)
-		}
-	}
-	out.abandoned = true
-	return out, nil
-}
-
 // readBufPool recycles the 64 KiB buffers segment bodies are read through;
 // the bytes are only counted, so any buffer will do.
 var readBufPool = sync.Pool{New: func() any { return new([64 << 10]byte) }}
 
-// downloadOnce GETs one segment version and paces reads against the shaping
-// trace, returning the byte count and the (virtual) elapsed seconds. On
-// failure the partial byte count and elapsed time are still returned so the
-// caller can account the waste.
-func (c *Client) downloadOnce(ctx context.Context, videoID, seg int, cv int64, chosen abr.OptionMeta, ptIdx int, center geom.Point, virtual *float64) (int64, float64, error) {
+// get GETs one segment version and reads its body, returning the byte count
+// and the wall seconds the body took to arrive. On failure the partial byte
+// count and time are still returned so the attempt can be charged.
+func (l *httpLink) get(f *sim.Fetch, opt abr.OptionMeta) (int64, float64, error) {
 	u := fmt.Sprintf("%s/segment?video=%d&seg=%d&q=%d&f=%s",
-		c.cfg.BaseURL, videoID, seg, int(chosen.Quality),
-		strconv.FormatFloat(chosen.FrameRate, 'f', -1, 64))
-	if cv > 0 {
+		l.c.cfg.BaseURL, l.video, f.Segment, int(opt.Quality),
+		strconv.FormatFloat(opt.FrameRate, 'f', -1, 64))
+	if l.cv > 0 {
 		// Pin the session to the catalogue generation its manifest was cut
 		// from: hot swaps must not change the Ptile geometry under a
 		// session mid-stream.
-		u += fmt.Sprintf("&cv=%d", cv)
+		u += fmt.Sprintf("&cv=%d", l.cv)
 	}
-	if ptIdx >= 0 {
-		u += fmt.Sprintf("&ptile=%d", ptIdx)
+	if f.Ptile >= 0 {
+		u += fmt.Sprintf("&ptile=%d", f.Ptile)
 	} else {
-		u += fmt.Sprintf("&cx=%g&cy=%g", center.X, center.Y)
+		u += fmt.Sprintf("&cx=%g&cy=%g", f.Center.X, f.Center.Y)
 	}
-	resp, err := c.get(ctx, u)
+	resp, err := l.c.get(l.ctx, u)
 	if err != nil {
-		return 0, 0, fmt.Errorf("httpstream: segment %d: %w", seg, err)
+		return 0, 0, fmt.Errorf("httpstream: segment %d: %w", f.Segment, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return 0, 0, fmt.Errorf("httpstream: segment %d: %w", seg, newStatusError(resp))
+		return 0, 0, fmt.Errorf("httpstream: segment %d: %w", f.Segment, newStatusError(resp))
 	}
 	hdr, err := ParseSegmentHeader(resp.Header)
 	if err != nil {
-		return 0, 0, fmt.Errorf("httpstream: segment %d: %w", seg, err)
+		return 0, 0, fmt.Errorf("httpstream: segment %d: %w", f.Segment, err)
 	}
 
 	start := time.Now()
@@ -851,18 +753,6 @@ func (c *Client) downloadOnce(ctx context.Context, videoID, seg int, cv int64, c
 	for {
 		n, err := resp.Body.Read(buf[:])
 		nBytes += int64(n)
-		if c.cfg.Shape != nil && n > 0 {
-			// Pace against the trace: reading n bytes at rate R takes
-			// n·8/R seconds of virtual time.
-			rate := c.cfg.Shape.At(*virtual)
-			dt := float64(n*8) / rate
-			*virtual += dt
-			compression := c.cfg.TimeCompression
-			if compression == 0 {
-				compression = 1
-			}
-			time.Sleep(time.Duration(dt / compression * float64(time.Second)))
-		}
 		if nBytes > maxSegmentBytes {
 			readErr = fmt.Errorf("body exceeds cap %d", int64(maxSegmentBytes))
 			break
@@ -878,32 +768,9 @@ func (c *Client) downloadOnce(ctx context.Context, videoID, seg int, cv int64, c
 			break
 		}
 	}
-	elapsed := time.Since(start).Seconds()
-	switch {
-	case c.cfg.Net != nil && nBytes > 0:
-		// The body was read at local speed; charge the emulated wire time
-		// instead, and advance the session's virtual clock so back-to-back
-		// segments see the link schedule at the right offsets.
-		dur, derr := c.cfg.Net.Download(float64(nBytes*8), *virtual)
-		if derr != nil {
-			return nBytes, elapsed, fmt.Errorf("httpstream: segment %d: %w", seg, derr)
-		}
-		*virtual += dur
-		compression := c.cfg.TimeCompression
-		if compression == 0 {
-			compression = 1
-		}
-		time.Sleep(time.Duration(dur / compression * float64(time.Second)))
-		elapsed = dur
-	case c.cfg.Shape != nil:
-		// Under shaping, the virtual elapsed time is authoritative.
-		elapsed = float64(nBytes*8) / c.cfg.Shape.At(*virtual)
-	}
-	if elapsed <= 0 {
-		elapsed = 1e-6
-	}
+	wall := time.Since(start).Seconds()
 	if readErr != nil {
-		return nBytes, elapsed, fmt.Errorf("httpstream: segment %d read: %w", seg, readErr)
+		return nBytes, wall, fmt.Errorf("httpstream: segment %d read: %w", f.Segment, readErr)
 	}
-	return nBytes, elapsed, nil
+	return nBytes, wall, nil
 }

@@ -88,6 +88,9 @@ func (m *Manifest) Validate() error {
 		if !finite(seg.TI) || seg.TI < 0 || seg.TI > 1e9 {
 			return fmt.Errorf("httpstream: manifest: segment %d TI %g outside [0, 1e9]", i, seg.TI)
 		}
+		if !finite(seg.Jitter) || seg.Jitter <= 0 || seg.Jitter > 1e3 {
+			return fmt.Errorf("httpstream: manifest: segment %d jitter %g outside (0, 1e3]", i, seg.Jitter)
+		}
 		if len(seg.Ptiles) > maxPtilesPerSegment {
 			return fmt.Errorf("httpstream: manifest: segment %d has %d ptiles, cap %d", i, len(seg.Ptiles), maxPtilesPerSegment)
 		}

@@ -17,8 +17,8 @@ func FuzzManifestJSON(f *testing.F) {
 		VideoID:    2,
 		SegmentSec: 1,
 		Segments: []SegmentMetaJSON{
-			{SI: 40, TI: 20, Ptiles: []RectJSON{{X0: 10, Y0: 30, W: 120, H: 90}}},
-			{SI: 55, TI: 25},
+			{SI: 40, TI: 20, Jitter: 1, Ptiles: []RectJSON{{X0: 10, Y0: 30, W: 120, H: 90}}},
+			{SI: 55, TI: 25, Jitter: 1},
 		},
 		Qualities:  5,
 		FrameRates: []float64{30, 27, 24, 21},

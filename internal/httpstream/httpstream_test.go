@@ -3,6 +3,7 @@ package httpstream
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -102,6 +103,54 @@ func TestManifestEndpoint(t *testing.T) {
 	}
 	if len(m.FrameRates) != 4 || m.SourceFPS != 30 {
 		t.Fatalf("frame rates wrong: %v @ %g", m.FrameRates, m.SourceFPS)
+	}
+}
+
+// TestManifestCatalogMatchesServer pins what the client prices from: the
+// catalogue rebuilt from the manifest carries the server's content
+// metadata and Ptile rects, in order, on Float64bits.
+func TestManifestCatalogMatchesServer(t *testing.T) {
+	h := newHarness(t)
+	client, err := NewClient(ClientConfig{BaseURL: h.server.URL, Phone: power.Pixel3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := client.FetchManifest(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := man.catalog()
+	if got.Video.ID != 2 || got.SegmentSec != h.cat.SegmentSec {
+		t.Fatalf("catalogue video %d, %g s; want 2, %g s", got.Video.ID, got.SegmentSec, h.cat.SegmentSec)
+	}
+	if len(got.Content) != len(h.cat.Content) || len(got.Ptiles) != len(h.cat.Ptiles) {
+		t.Fatalf("catalogue has %d segments, %d Ptile lists; server %d, %d",
+			len(got.Content), len(got.Ptiles), len(h.cat.Content), len(h.cat.Ptiles))
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for k, want := range h.cat.Content {
+		c := got.Content[k]
+		if !same(c.SI, want.SI) || !same(c.TI, want.TI) || !same(c.Jitter, want.Jitter) {
+			t.Fatalf("segment %d content %+v, server %+v", k, c, want)
+		}
+		if len(got.Ptiles[k]) != len(h.cat.Ptiles[k]) {
+			t.Fatalf("segment %d has %d Ptiles, server %d", k, len(got.Ptiles[k]), len(h.cat.Ptiles[k]))
+		}
+		for i, pt := range h.cat.Ptiles[k] {
+			r, w := got.Ptiles[k][i].Rect, pt.Rect
+			if !same(r.X0, w.X0) || !same(r.Y0, w.Y0) || !same(r.W, w.W) || !same(r.H, w.H) {
+				t.Fatalf("segment %d Ptile %d rect %+v, server %+v", k, i, r, w)
+			}
+		}
+	}
+	// Validate bounds jitter to (0, 1e3], as it bounds SI and TI.
+	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1), 1e3 + 1} {
+		m := *man
+		m.Segments = append([]SegmentMetaJSON(nil), man.Segments...)
+		m.Segments[1].Jitter = bad
+		if m.Validate() == nil {
+			t.Fatalf("manifest with jitter %g validated", bad)
+		}
 	}
 }
 

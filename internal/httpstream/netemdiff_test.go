@@ -3,14 +3,18 @@ package httpstream
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"math"
 	"net"
 	"net/http"
+	"reflect"
 	"testing"
 
+	"ptile360/internal/lte"
 	"ptile360/internal/netem"
 	"ptile360/internal/power"
+	"ptile360/internal/sim"
 )
 
 // streamOverTransport runs one full client session against the shared
@@ -114,4 +118,147 @@ func fetchBody(t *testing.T, c *http.Client, url string) []byte {
 		t.Fatal(err)
 	}
 	return body
+}
+
+// sessionNet is a fresh emulated path on the named profile.
+func sessionNet(t *testing.T, profile string, seed int64) *netem.SessionNet {
+	t.Helper()
+	prof, err := netem.Named(profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pn, err := netem.NewSessionNet(netem.SessionConfig{Profile: prof, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pn
+}
+
+// simConfig is the configuration the client runs for useMPC against the
+// harness server, with per-segment recording on.
+func simConfig(t *testing.T, useMPC bool) sim.Config {
+	t.Helper()
+	scheme := sim.SchemePtile
+	if useMPC {
+		scheme = sim.SchemeOurs
+	}
+	cfg, err := sim.DefaultConfig(scheme, power.Pixel3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.RecordSegments = true
+	return cfg
+}
+
+// requireSameSession fails unless the client's session is the simulated
+// one: the recorded rows DeepEqual, and every record's energy, perceived
+// quality, stall, buffer and throughput equal its row on Float64bits.
+func requireSameSession(t *testing.T, report *SessionReport, res *sim.Result) {
+	t.Helper()
+	rows := report.SegmentTraces()
+	if len(rows) != len(res.PerSegment) || len(report.Segments) != len(rows) {
+		t.Fatalf("client %d records / %d rows, simulator %d rows", len(report.Segments), len(rows), len(res.PerSegment))
+	}
+	if !reflect.DeepEqual(rows, res.PerSegment) {
+		for i := range rows {
+			if rows[i] != res.PerSegment[i] {
+				t.Fatalf("segment %d diverges:\nclient    %+v\nsimulator %+v", i, rows[i], res.PerSegment[i])
+			}
+		}
+		t.Fatal("client rows differ from the simulator's")
+	}
+	for i, rec := range report.Segments {
+		row := rows[i]
+		for _, f := range []struct {
+			what      string
+			rec, want float64
+		}{
+			{"energy", rec.EnergyMJ, row.EnergyMJ},
+			{"perceived quality", rec.PerceivedQuality, row.Q0},
+			{"stall", rec.StallSec, row.StallSec},
+			{"buffer", rec.BufferSec, row.BufferSec},
+			{"throughput", rec.ThroughputBps, row.ThroughputBps},
+		} {
+			if math.Float64bits(f.rec) != math.Float64bits(f.want) {
+				t.Fatalf("segment %d record %s %v, row %v", i, f.what, f.rec, f.want)
+			}
+		}
+	}
+}
+
+// TestClientMatchesRunNetem is the one-session-core guarantee: the HTTP
+// client over an emulated path is sim.RunNetem on the same path, to the
+// bit, for the MPC and the Ptile baseline on every eval viewer, over the
+// whole video.
+func TestClientMatchesRunNetem(t *testing.T) {
+	h := newHarness(t)
+	rt := idealTransport(t, h)
+	for _, useMPC := range []bool{true, false} {
+		for _, profile := range []string{"stable", "bufferbloat", "crossflow"} {
+			for v := 0; v < 3; v++ {
+				t.Run(fmt.Sprintf("mpc=%v/%s/viewer%d", useMPC, profile, v), func(t *testing.T) {
+					client, err := NewClient(ClientConfig{
+						BaseURL:         "http://netem",
+						Phone:           power.Pixel3,
+						Net:             sessionNet(t, profile, 7),
+						TimeCompression: 1e12,
+						UseMPC:          useMPC,
+						Transport:       rt,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					report, err := client.Stream(2, h.eval[v])
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := sim.RunNetem(h.cat, h.eval[v], sessionNet(t, profile, 7), simConfig(t, useMPC))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(report.Segments) != len(h.cat.Content) {
+						t.Fatalf("streamed %d of %d segments", len(report.Segments), len(h.cat.Content))
+					}
+					requireSameSession(t, report, res)
+				})
+			}
+		}
+	}
+}
+
+// TestClientShapedMatchesRun is the same guarantee against a bandwidth
+// trace: the client shaped to a trace is sim.Run on that trace.
+func TestClientShapedMatchesRun(t *testing.T) {
+	h := newHarness(t)
+	tr1, tr2, err := lte.StandardTraces(400, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, useMPC := range []bool{true, false} {
+		for ti, trace := range []*lte.Trace{tr1, tr2} {
+			for v := 0; v < 3; v++ {
+				t.Run(fmt.Sprintf("mpc=%v/trace%d/viewer%d", useMPC, ti+1, v), func(t *testing.T) {
+					client, err := NewClient(ClientConfig{
+						BaseURL:         h.server.URL,
+						Phone:           power.Pixel3,
+						Shape:           trace,
+						TimeCompression: 1e12,
+						UseMPC:          useMPC,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					report, err := client.Stream(2, h.eval[v])
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := sim.Run(h.cat, h.eval[v], trace, simConfig(t, useMPC))
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameSession(t, report, res)
+				})
+			}
+		}
+	}
 }

@@ -329,27 +329,6 @@ func TestDegradationLadder(t *testing.T) {
 	}
 }
 
-// TestNoDegradeSurfacesErrors verifies the opt-out: with the ladder
-// disabled, persistent failure fails the session.
-func TestNoDegradeSurfacesErrors(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "down", http.StatusServiceUnavailable)
-	}))
-	defer srv.Close()
-	client, err := NewClient(ClientConfig{
-		BaseURL:   srv.URL,
-		Phone:     power.Pixel3,
-		Retry:     fastRetry(),
-		NoDegrade: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.FetchManifest(2); err == nil {
-		t.Fatal("want manifest error")
-	}
-}
-
 // TestChaosStreamingSession is the acceptance gate: under ≥10 % hard request
 // failures plus latency spikes, a full session completes without panic and
 // with honest degradation/stall accounting.

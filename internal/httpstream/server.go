@@ -36,10 +36,13 @@ type RectJSON struct {
 func toRectJSON(r geom.Rect) RectJSON { return RectJSON{X0: r.X0, Y0: r.Y0, W: r.W, H: r.H} }
 func (r RectJSON) toRect() geom.Rect  { return geom.Rect{X0: r.X0, Y0: r.Y0, W: r.W, H: r.H} }
 
-// SegmentMetaJSON is the per-segment manifest entry.
+// SegmentMetaJSON is the per-segment manifest entry: the content metadata
+// the size model prices a segment from, and the segment's Ptile rects in
+// catalogue order (a segment request's ptile parameter indexes them).
 type SegmentMetaJSON struct {
 	SI     float64    `json:"si"`
 	TI     float64    `json:"ti"`
+	Jitter float64    `json:"jitter"`
 	Ptiles []RectJSON `json:"ptiles"`
 }
 
@@ -58,6 +61,26 @@ type Manifest struct {
 	// in-flight session keeps streaming the catalogue it started on across
 	// hot swaps.
 	CatalogVersion int64 `json:"catalog_version,omitempty"`
+}
+
+// catalog rebuilds the served catalogue from the manifest — content and
+// Ptile rects per segment, in the server's order — so a client prices and
+// indexes exactly what the server serves.
+func (m *Manifest) catalog() *sim.Catalog {
+	cat := &sim.Catalog{
+		Video:      video.Profile{ID: m.VideoID},
+		SegmentSec: m.SegmentSec,
+		Content:    make([]video.SegmentContent, len(m.Segments)),
+		Ptiles:     make([][]ptile.Ptile, len(m.Segments)),
+		Ftiles:     make([][]sim.FtileGroup, len(m.Segments)),
+	}
+	for k, seg := range m.Segments {
+		cat.Content[k] = video.SegmentContent{SI: seg.SI, TI: seg.TI, Jitter: seg.Jitter}
+		for _, r := range seg.Ptiles {
+			cat.Ptiles[k] = append(cat.Ptiles[k], ptile.Ptile{Rect: r.toRect()})
+		}
+	}
+	return cat
 }
 
 // maxCatalogHistory bounds how many superseded catalog versions stay
@@ -275,7 +298,7 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 		CatalogVersion: version,
 	}
 	for seg := range cat.Content {
-		sm := SegmentMetaJSON{SI: cat.Content[seg].SI, TI: cat.Content[seg].TI}
+		sm := SegmentMetaJSON{SI: cat.Content[seg].SI, TI: cat.Content[seg].TI, Jitter: cat.Content[seg].Jitter}
 		for _, pt := range cat.Ptiles[seg] {
 			sm.Ptiles = append(sm.Ptiles, toRectJSON(pt.Rect))
 		}

@@ -31,7 +31,7 @@ type TelemetryRecord struct {
 	Bytes int64 `json:"bytes"`
 	// StallSec is the rebuffering time charged to the segment.
 	StallSec float64 `json:"stall_sec"`
-	// QoE is the perceived quality Q(v, f) of the served version.
+	// QoE is the delivered perceived quality Q0 of the served version.
 	QoE float64 `json:"qoe"`
 	// QoEBest is the best perceived quality any offered version had.
 	QoEBest float64 `json:"qoe_best"`
@@ -72,6 +72,7 @@ func telemetryFrom(session string, videoID int, segmentSec float64, rec SegmentR
 		StallSec:       rec.StallSec,
 		QoE:            rec.PerceivedQuality,
 		QoEBest:        rec.BestPerceivedQuality,
+		QoELoss:        rec.qoeLoss(),
 		EnergyMJ:       rec.EnergyMJ,
 		TxEnergyMJ:     rec.TxEnergyMJ,
 		DecodeEnergyMJ: rec.DecodeEnergyMJ,
@@ -85,11 +86,6 @@ func telemetryFrom(session string, videoID int, segmentSec float64, rec SegmentR
 	}
 	if segmentSec > 0 {
 		tr.BitrateMbps = float64(rec.Bytes) * 8 / segmentSec / 1e6
-	}
-	if rec.Abandoned {
-		tr.QoELoss = 1
-	} else if rec.BestPerceivedQuality > 0 {
-		tr.QoELoss = (rec.BestPerceivedQuality - rec.PerceivedQuality) / rec.BestPerceivedQuality
 	}
 	return tr
 }

@@ -36,6 +36,9 @@ type SegmentInput struct {
 	// BufferSec is the buffer level B_k (seconds of video) when the request
 	// was issued.
 	BufferSec float64
+	// WastedSec is the time failed download attempts burned before this
+	// one; it drains the buffer ahead of the download.
+	WastedSec float64
 }
 
 // Breakdown decomposes one segment's QoE.
@@ -45,9 +48,9 @@ type Breakdown struct {
 	// Variation is the quality-variation impairment I_v = |Q0 − PrevQ0|.
 	Variation float64
 	// Rebuffer is the rebuffering impairment
-	// I_r = max(S/R − B, 0)/B · Q0.
+	// I_r = max(W + S/R − B, 0)/B · Q0, where W is the wasted time.
 	Rebuffer float64
-	// StallSec is the stall duration max(S/R − B, 0) in seconds.
+	// StallSec is the stall duration max(W + S/R − B, 0) in seconds.
 	StallSec float64
 	// Q is the weighted total Q0 − ω_v·I_v − ω_r·I_r.
 	Q float64
@@ -67,12 +70,15 @@ func Segment(in SegmentInput, w Weights) (Breakdown, error) {
 	if in.BufferSec < 0 {
 		return Breakdown{}, fmt.Errorf("qoe: negative buffer %g", in.BufferSec)
 	}
+	if in.WastedSec < 0 {
+		return Breakdown{}, fmt.Errorf("qoe: negative wasted time %g", in.WastedSec)
+	}
 	b := Breakdown{Q0: in.Q0}
 	b.Variation = in.Q0 - in.PrevQ0
 	if b.Variation < 0 {
 		b.Variation = -b.Variation
 	}
-	stall := in.SizeBits/in.RateBps - in.BufferSec
+	stall := in.WastedSec + in.SizeBits/in.RateBps - in.BufferSec
 	if stall > 0 {
 		b.StallSec = stall
 		// Guard the division: an empty buffer with any stall is a hard

@@ -72,6 +72,16 @@ func TestSegmentRebuffer(t *testing.T) {
 	if math.Abs(b.Q-0) > 1e-9 {
 		t.Fatalf("Q = %g, want 0", b.Q)
 	}
+	// 1.5 s burned by failed attempts drains the buffer first: 3.5 s stall.
+	b, err = Segment(SegmentInput{
+		Q0: 50, PrevQ0: 50, SizeBits: 8e6, RateBps: 2e6, BufferSec: 2, WastedSec: 1.5,
+	}, DefaultWeights())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(b.StallSec-3.5) > 1e-9 || math.Abs(b.Rebuffer-87.5) > 1e-9 {
+		t.Fatalf("with waste: stall = %g, rebuffer = %g; want 3.5, 87.5", b.StallSec, b.Rebuffer)
+	}
 }
 
 func TestSegmentEmptyBufferStall(t *testing.T) {
@@ -92,6 +102,7 @@ func TestSegmentValidation(t *testing.T) {
 		{Q0: 50, SizeBits: -1, RateBps: 1e6, BufferSec: 1},
 		{Q0: 50, SizeBits: 1e6, RateBps: 0, BufferSec: 1},
 		{Q0: 50, SizeBits: 1e6, RateBps: 1e6, BufferSec: -1},
+		{Q0: 50, SizeBits: 1e6, RateBps: 1e6, BufferSec: 1, WastedSec: -1},
 	}
 	for i, in := range cases {
 		if _, err := Segment(in, w); err == nil {

@@ -21,8 +21,10 @@ type segmentPlan struct {
 	// options are the downloadable versions.
 	options []abr.OptionMeta
 	// chosenPtile is the serving Ptile (Ptile/Ours schemes, nil on
-	// fallback).
+	// fallback), and ptile its index into the catalogue's Ptiles[k] (-1
+	// without one).
 	chosenPtile *ptile.Ptile
+	ptile       int
 	// hqTiles is the high-quality grid-tile set (Ctile and fallback). On the
 	// LUT path it aliases the shared FoVLUT slice — read-only.
 	hqTiles []geom.TileID
@@ -88,11 +90,12 @@ func setOption(o *abr.OptionMeta, v video.Quality, f, sizeBits, q, procMW float6
 // struct rather than growing the array under live pointers.
 func (s *session) planBuf(slot int) *segmentPlan {
 	if slot >= len(s.planBufs) {
-		return &segmentPlan{}
+		return &segmentPlan{ptile: -1}
 	}
 	p := &s.planBufs[slot]
 	p.options = nil
 	p.chosenPtile = nil
+	p.ptile = -1
 	p.hqTiles = nil
 	p.hqSet = geom.TileSet{}
 	p.hasHQSet = false
@@ -386,7 +389,7 @@ func (s *session) ptilePlan(k, slot int, predCenter geom.Point, speedEst float64
 	s.factorBuf = factors
 
 	plan := s.planBuf(slot)
-	plan.chosenPtile = pt
+	plan.chosenPtile, plan.ptile = pt, pi
 	nRates := len(s.cfg.FrameRates)
 	plan.options = s.optionBuf(slot, numQualities*nRates)
 	for v := video.MinQuality; v <= video.MaxQuality; v++ {

@@ -31,14 +31,17 @@ type SegmentTrace struct {
 	Q0, Q float64
 	// StallSec is the rebuffering duration charged to this segment.
 	StallSec float64
-	// EnergyMJ is the segment's Eq. 1 energy.
-	EnergyMJ float64
+	// EnergyMJ is the segment's Eq. 1 energy; TxEnergyMJ and DecodeEnergyMJ
+	// are its transmission and decode terms (render is the remainder).
+	EnergyMJ       float64
+	TxEnergyMJ     float64
+	DecodeEnergyMJ float64
 	// FromPtile reports whether a Ptile served the segment.
 	FromPtile bool
 	// Emergency reports a stall-accepting fallback decision.
 	Emergency bool
 	// Retries counts failed download attempts charged to this segment
-	// (zero in fault-free trace-driven runs).
+	// (zero on the trace and netem links, which never retry).
 	Retries int
 	// Degraded reports the segment was served below the controller's
 	// chosen rung by the resilience ladder.

@@ -277,6 +277,10 @@ type session struct {
 	// cfg.FrameRates[fi]: it depends only on the phone and f.
 	ptileProc []float64
 	fm        float64
+	// fetch is the step's download request and outcome. It lives here, not
+	// on compute's stack, because passing it through the Link interface
+	// would move it to the heap on every step.
+	fetch Fetch
 }
 
 // Run streams the whole video for one evaluation user and returns the

@@ -62,11 +62,11 @@ type xySeries struct{ xs, ys []float64 }
 // (catalogue, config); any stepper built from the same pair may advance it.
 type State struct {
 	user *headtrace.Trace
-	// link is the download path: a bandwidth trace (InitState) or a
-	// packet-level emulated path (NewStateNetem). A packet-level link
-	// carries mutable cross-download queue state, so its sessions are
-	// excluded from StepBatch grouping (each link's history is unique).
-	link link
+	// link is the download path: a bandwidth trace (InitState), a
+	// packet-level emulated path (NewStateNetem) or any other Link
+	// (NewStateLink). Only trace links take part in StepBatch grouping: any
+	// other link may carry state outside the fingerprint.
+	link Link
 	bw   predict.Estimator
 	// bwStore is the in-struct home of the default harmonic estimator, so a
 	// bulk-allocated State (fleet slabs) costs no separate estimator
@@ -98,30 +98,79 @@ type State struct {
 	perSegment    []SegmentTrace
 }
 
-// link is a session's download path. *netem.SessionNet implements it;
-// traceLink adapts a bandwidth trace.
-type link interface {
-	// Download returns the duration of a sizeBits transfer started at
-	// startSec.
-	Download(sizeBits, startSec float64) (float64, error)
-	// RateAt returns the bandwidth available at time t.
+// Link is a session's download path. Step hands it one Fetch per segment:
+// traceLink integrates a bandwidth trace, netLink runs the packet-level
+// emulated path, and the HTTP client fetches over the network with retries
+// and a degradation ladder.
+type Link interface {
+	// Download performs f's request and fills in its outcome. An error
+	// fails the step.
+	Download(f *Fetch) error
+	// RateAt returns the bandwidth available at time t. It seeds the
+	// estimator at t = 0 and stands in for the throughput of a download
+	// that took no time.
 	RateAt(t float64) float64
 	// Packets returns the delivered packets of the most recent Download in
 	// arrival order; nil on a segment-level link.
 	Packets() []netem.PacketSample
 }
 
+// Fetch is one segment download: the request compute hands a Link, and the
+// outcome the link reports back.
+type Fetch struct {
+	// Segment is the segment index, and StartSec the session clock when
+	// the request is issued (after the wait rule).
+	Segment  int
+	StartSec float64
+	// Options are the plan's versions and Chosen the controller's pick.
+	// Options aliases planning scratch and is valid only during Download.
+	Options []abr.OptionMeta
+	Chosen  abr.OptionMeta
+	// Ptile indexes the serving Ptile in the catalogue's Ptiles for the
+	// segment; -1 on the conventional-tile fallback.
+	Ptile int
+	// Center is the predicted viewport center the plan was built for.
+	Center geom.Point
+
+	// Used is the version the link delivered and DownloadSec its download
+	// time.
+	Used        abr.OptionMeta
+	DownloadSec float64
+	// WastedSec is the time burned by failed attempts, and Retries their
+	// count.
+	WastedSec float64
+	Retries   int
+	// Abandoned reports that the link gave up on the segment; Used and
+	// DownloadSec are then ignored.
+	Abandoned bool
+}
+
 // traceLink is a bandwidth trace as a link. The trace was validated when it
 // was bound (InitState), so downloads skip the per-call scan.
 type traceLink lte.Trace
 
-func (l *traceLink) Download(sizeBits, startSec float64) (float64, error) {
-	return (*lte.Trace)(l).DownloadTimeTrusted(sizeBits, startSec)
+func (l *traceLink) Download(f *Fetch) error {
+	dl, err := (*lte.Trace)(l).DownloadTimeTrusted(f.Chosen.SizeBits, f.StartSec)
+	f.Used, f.DownloadSec = f.Chosen, dl
+	return err
 }
 
 func (l *traceLink) RateAt(t float64) float64 { return (*lte.Trace)(l).At(t) }
 
 func (l *traceLink) Packets() []netem.PacketSample { return nil }
+
+// netLink is a packet-level emulated path as a link.
+type netLink netem.SessionNet
+
+func (l *netLink) Download(f *Fetch) error {
+	dl, err := (*netem.SessionNet)(l).Download(f.Chosen.SizeBits, f.StartSec)
+	f.Used, f.DownloadSec = f.Chosen, dl
+	return err
+}
+
+func (l *netLink) RateAt(t float64) float64 { return (*netem.SessionNet)(l).RateAt(t) }
+
+func (l *netLink) Packets() []netem.PacketSample { return (*netem.SessionNet)(l).Packets() }
 
 // Segment returns the index of the next segment Step would fetch.
 func (st *State) Segment() int { return st.nextSeg }
@@ -135,6 +184,10 @@ func (st *State) BufferSec() float64 { return st.buffer }
 
 // Segments returns the number of segments streamed so far.
 func (st *State) Segments() int { return st.segments }
+
+// PerSegment returns the rows recorded so far when Config.RecordSegments is
+// set, one per step; the slice aliases the state's own.
+func (st *State) PerSegment() []SegmentTrace { return st.perSegment }
 
 // EstimateBps returns the session's current bandwidth estimate in bits per
 // second, or 0 before the estimator has warmed up.
@@ -156,7 +209,8 @@ type StepInfo struct {
 	Segment int
 	// WaitSec is the pre-request pacing wait (buffer above β).
 	WaitSec float64
-	// DownloadSec is the download duration against the bandwidth trace.
+	// DownloadSec is the time the fetch took: the delivering download plus
+	// any failed attempts before it.
 	DownloadSec float64
 	// StallSec is the rebuffering charged to this segment.
 	StallSec float64
@@ -307,8 +361,17 @@ func (st *Stepper) NewStateNetem(user *headtrace.Trace, pn *netem.SessionNet) (*
 	if pn == nil {
 		return nil, fmt.Errorf("sim: nil netem session path")
 	}
+	return st.NewStateLink(user, (*netLink)(pn))
+}
+
+// NewStateLink binds a viewer to any download path. Like a netem path, l
+// must not be shared between states.
+func (st *Stepper) NewStateLink(user *headtrace.Trace, l Link) (*State, error) {
+	if l == nil {
+		return nil, fmt.Errorf("sim: nil link")
+	}
 	state := new(State)
-	if err := st.bind(state, user, pn); err != nil {
+	if err := st.bind(state, user, l); err != nil {
 		return nil, err
 	}
 	return state, nil
@@ -317,7 +380,7 @@ func (st *Stepper) NewStateNetem(user *headtrace.Trace, pn *netem.SessionNet) (*
 // bind initializes state for a viewer downloading over l, seeding the
 // bandwidth estimator with the link's rate at t = 0 (the paper's startup
 // phase downloads segment metadata).
-func (st *Stepper) bind(state *State, user *headtrace.Trace, l link) error {
+func (st *Stepper) bind(state *State, user *headtrace.Trace, l Link) error {
 	if user == nil || len(user.Samples) == 0 {
 		return fmt.Errorf("sim: empty user trace")
 	}
@@ -345,14 +408,18 @@ type stepDelta struct {
 	// bufferAtRequest is the buffer level after the wait rule, when the
 	// segment was requested.
 	bufferAtRequest float64
-	chosen          abr.OptionMeta
-	emergency       bool
-	measuredRate    float64
-	energy          power.SegmentEnergy
-	q0              float64
-	hit             bool
-	fromPtile       bool
-	bd              qoe.Breakdown
+	// used is the delivered version; zero when the segment was abandoned.
+	used         abr.OptionMeta
+	emergency    bool
+	measuredRate float64
+	energy       power.SegmentEnergy
+	q0           float64
+	hit          bool
+	fromPtile    bool
+	bd           qoe.Breakdown
+	retries      int
+	degraded     bool
+	abandoned    bool
 }
 
 // Step advances the session by one segment: the wait rule, the controller
@@ -438,15 +505,37 @@ func (s *session) compute(state *State, d *stepDelta) error {
 		chosen = s.applyHysteresis(seg.options, chosen, rateEst, buffer, state.prevChoice)
 	}
 
-	// Download over the session's link: the trace integrated at segment
-	// granularity, or the emulated droptail path packet by packet.
-	dl, err := state.link.Download(chosen.SizeBits, tWall)
-	if err != nil {
+	// Download over the session's link, which reports the version it
+	// delivered, how long that took, and the time failed attempts burned
+	// before it.
+	f := &s.fetch
+	*f = Fetch{
+		Segment: k, StartSec: tWall,
+		Options: seg.options, Chosen: chosen,
+		Ptile: seg.ptile, Center: predCenter,
+	}
+	if err := state.link.Download(f); err != nil {
 		return err
 	}
-	tWall += dl
-	measuredRate := chosen.SizeBits / dl
-	if dl <= 0 {
+	spent := f.WastedSec + f.DownloadSec
+	tWall += spent
+	*d = stepDelta{
+		info:            StepInfo{Segment: k, WaitSec: wait, DownloadSec: spent, WallSec: tWall, Done: k+1 >= len(s.cat.Content)},
+		bufferAtRequest: buffer, emergency: decision.Emergency, retries: f.Retries,
+	}
+	if f.Abandoned {
+		// Playback skips the segment: the failed attempts drain the buffer,
+		// and the missed deadline freezes the display for one segment on
+		// top. Nothing was delivered, so nothing else is charged.
+		d.info.StallSec = math.Max(f.WastedSec-buffer, 0) + s.cfg.SegmentSec
+		d.info.BufferSec = math.Max(buffer-f.WastedSec, 0)
+		d.bd = qoe.Breakdown{StallSec: d.info.StallSec}
+		d.abandoned = true
+		return nil
+	}
+	used := f.Used
+	measuredRate := used.SizeBits / f.DownloadSec
+	if f.DownloadSec <= 0 {
 		measuredRate = state.link.RateAt(tWall)
 	}
 
@@ -456,15 +545,15 @@ func (s *session) compute(state *State, d *stepDelta) error {
 	if seg.fallback {
 		decSch = power.Ctile
 	}
-	e, err := s.pm.Segment(decSch, chosen.SizeBits, measuredRate, chosen.FrameRate, s.cfg.SegmentSec)
+	e, err := s.pm.Segment(decSch, used.SizeBits, measuredRate, used.FrameRate, s.cfg.SegmentSec)
 	if err != nil {
 		return err
 	}
 
-	// QoE accounting: the user perceives the chosen quality only if the
+	// QoE accounting: the user perceives the delivered quality only if the
 	// downloaded high-quality region covers what they actually watch;
 	// otherwise they see the low-quality background.
-	q0, hit, err := s.perceivedQuality(state.user, k, seg, chosen)
+	q0, hit, err := s.perceivedQuality(state.user, k, seg, used)
 	if err != nil {
 		return err
 	}
@@ -476,60 +565,52 @@ func (s *session) compute(state *State, d *stepDelta) error {
 	// rebuffering, as is standard in ABR evaluation.
 	qoeBuffer := buffer
 	if k == 0 {
-		qoeBuffer = dl + 1
+		qoeBuffer = spent + 1
 	}
 	bd, err := qoe.Segment(qoe.SegmentInput{
 		Q0: q0, PrevQ0: prev,
-		SizeBits: chosen.SizeBits, RateBps: measuredRate,
-		BufferSec: qoeBuffer,
+		SizeBits: used.SizeBits, RateBps: measuredRate,
+		BufferSec: qoeBuffer, WastedSec: f.WastedSec,
 	}, s.cfg.Weights)
 	if err != nil {
 		return err
 	}
 
-	*d = stepDelta{
-		info: StepInfo{
-			Segment:     k,
-			WaitSec:     wait,
-			DownloadSec: dl,
-			StallSec:    bd.StallSec,
-			WallSec:     tWall,
-			BufferSec:   math.Max(buffer-dl, 0) + s.cfg.SegmentSec,
-			Done:        k+1 >= len(s.cat.Content),
-		},
-		bufferAtRequest: buffer,
-		chosen:          chosen,
-		emergency:       decision.Emergency,
-		measuredRate:    measuredRate,
-		energy:          e,
-		q0:              q0,
-		hit:             hit,
-		fromPtile:       !seg.fallback && (s.cfg.Scheme == SchemePtile || s.cfg.Scheme == SchemeOurs),
-		bd:              bd,
-	}
+	d.info.StallSec = bd.StallSec
+	d.info.BufferSec = math.Max(buffer-spent, 0) + s.cfg.SegmentSec
+	d.used = used
+	d.measuredRate = measuredRate
+	d.energy = e
+	d.q0, d.hit, d.bd = q0, hit, bd
+	d.fromPtile = !seg.fallback && (s.cfg.Scheme == SchemePtile || s.cfg.Scheme == SchemeOurs)
+	d.degraded = used.Option != chosen.Option
 	return nil
 }
 
 // apply writes a computed step into state; it is the only code that mutates
 // a bound State. Step applies its own compute's delta, and a StepBatch
 // follower applies its leader's, which is the delta its own compute would
-// have produced.
+// have produced. An abandoned segment delivered nothing: it feeds the
+// estimator no sample and leaves the previous-choice memory alone, and its
+// zero version adds nothing to the sums.
 func (s *session) apply(state *State, d *stepDelta) (StepInfo, error) {
-	// The estimator goes first: it is the one write that can fail, and it
-	// fails before anything else has changed. A packet-level download's
-	// packet timing reaches delay-aware estimators ahead of the
-	// segment-level sample.
-	if po, ok := state.bw.(predict.PacketObserver); ok {
-		for _, ps := range state.link.Packets() {
-			po.ObservePacket(ps.SendSec, ps.RecvSec, ps.Bytes)
+	if !d.abandoned {
+		// The estimator goes first: it is the one write that can fail, and
+		// it fails before anything else has changed. A packet-level
+		// download's packet timing reaches delay-aware estimators ahead of
+		// the segment-level sample.
+		if po, ok := state.bw.(predict.PacketObserver); ok {
+			for _, ps := range state.link.Packets() {
+				po.ObservePacket(ps.SendSec, ps.RecvSec, ps.Bytes)
+			}
 		}
-	}
-	if err := state.bw.Observe(d.measuredRate); err != nil {
-		return StepInfo{}, err
+		if err := state.bw.Observe(d.measuredRate); err != nil {
+			return StepInfo{}, err
+		}
+		state.prevChoice, state.hasPrev = d.used.Option, true
+		state.prevQ0, state.hasPrevQ0 = d.q0, true
 	}
 	state.tWall, state.buffer = d.info.WallSec, d.info.BufferSec
-	state.prevChoice, state.hasPrev = d.chosen.Option, true
-	state.prevQ0, state.hasPrevQ0 = d.q0, true
 
 	if d.emergency {
 		state.emergencies++
@@ -541,26 +622,31 @@ func (s *session) apply(state *State, d *stepDelta) (StepInfo, error) {
 		state.viewportHits++
 	}
 	state.acc.Add(d.bd)
-	state.bits += d.chosen.SizeBits
-	state.qualitySum += float64(d.chosen.Quality)
-	state.frameRateSum += d.chosen.FrameRate
+	state.bits += d.used.SizeBits
+	state.qualitySum += float64(d.used.Quality)
+	state.frameRateSum += d.used.FrameRate
 	if d.fromPtile {
 		state.ptileSegments++
 	}
 	if s.cfg.RecordSegments {
 		state.perSegment = append(state.perSegment, SegmentTrace{
-			Segment:       d.info.Segment,
-			Quality:       d.chosen.Quality,
-			FrameRate:     d.chosen.FrameRate,
-			SizeBits:      d.chosen.SizeBits,
-			ThroughputBps: d.measuredRate,
-			BufferSec:     d.bufferAtRequest,
-			Q0:            d.q0,
-			Q:             d.bd.Q,
-			StallSec:      d.bd.StallSec,
-			EnergyMJ:      d.energy.Total(),
-			FromPtile:     d.fromPtile,
-			Emergency:     d.emergency,
+			Segment:        d.info.Segment,
+			Quality:        d.used.Quality,
+			FrameRate:      d.used.FrameRate,
+			SizeBits:       d.used.SizeBits,
+			ThroughputBps:  d.measuredRate,
+			BufferSec:      d.bufferAtRequest,
+			Q0:             d.q0,
+			Q:              d.bd.Q,
+			StallSec:       d.bd.StallSec,
+			EnergyMJ:       d.energy.Total(),
+			TxEnergyMJ:     d.energy.Tx,
+			DecodeEnergyMJ: d.energy.Decode,
+			FromPtile:      d.fromPtile,
+			Emergency:      d.emergency,
+			Retries:        d.retries,
+			Degraded:       d.degraded,
+			Abandoned:      d.abandoned,
 		})
 	}
 	state.segments++
