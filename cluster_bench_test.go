@@ -10,9 +10,10 @@ package ptile360
 //
 // Run via:
 //
-//	scripts/bench.sh cluster '^Benchmark(DBSCAN|StreamWindow)' 1x
+//	go test -run '^$' -bench '^Benchmark(DBSCAN|StreamWindow)' -benchtime 3x -benchmem .
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"ptile360/internal/cluster"
@@ -84,6 +85,41 @@ func benchmarkDBSCAN(b *testing.B, n int, f func([]geom.Point, float64, int) ([]
 
 func BenchmarkDBSCANNaive10k(b *testing.B) { benchmarkDBSCAN(b, 10_000, cluster.DBSCAN) }
 func BenchmarkDBSCANGrid10k(b *testing.B)  { benchmarkDBSCAN(b, 10_000, cluster.DBSCANGrid) }
+
+// TestDBSCANAllocs holds the DBSCAN benches' allocations per pass at the
+// count measured when each ceiling was set, so one extra allocation per
+// pass fails. The naive O(n²) pass runs on a 2k-point window to keep the
+// suite fast. The collector is off while counting: a GC cycle adds runtime
+// allocations of its own.
+func TestDBSCANAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cases := []struct {
+		name    string
+		n       int
+		dbscan  func([]geom.Point, float64, int) ([]cluster.Cluster, []int, error)
+		ceiling float64
+	}{
+		{"Grid10k", 10_000, cluster.DBSCANGrid, 98},
+		{"Naive2k", 2_000, cluster.DBSCAN, 10_258},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pts := viewportWindow(tc.n, 42)
+			allocs := testing.AllocsPerRun(1, func() {
+				if _, _, err := tc.dbscan(pts, clusterBenchEps, 4); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%v allocs/pass", allocs)
+			if allocs > tc.ceiling {
+				t.Fatalf("%v allocs/pass exceeds the ceiling %v", allocs, tc.ceiling)
+			}
+		})
+	}
+}
 
 // BenchmarkStreamWindow is the per-report cost of the online stage: every
 // iteration ingests one viewport report; once per windowful the dirty

@@ -8,7 +8,10 @@ package ptile360
 //
 // Run via:
 //
-//	scripts/bench.sh fleet '^BenchmarkFleetTick' 1x
+//	go test -run '^$' -bench '^BenchmarkFleetTick' -benchtime 10x -benchmem .
+//
+// TestFleetSteadyStateAllocs (internal/fleet) holds the allocations per tick
+// of FleetTick10k, FleetTick100k and FleetTickObserved.
 
 import (
 	"runtime"

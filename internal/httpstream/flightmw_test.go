@@ -79,8 +79,9 @@ func TestFlightMiddleware(t *testing.T) {
 	r.RemoteAddr = "10.1.2.3:5555"
 	status = 200
 	mw.ServeHTTP(httptest.NewRecorder(), r)
-	if !rec.Trigger("10.1.2.3", "manual") {
-		t.Fatal("remote-host session not recorded")
+	rec.TriggerAll("manual")
+	if got := dumpedSessions(rec, "manual"); len(got) != 1 || !got["10.1.2.3"] {
+		t.Fatalf("manual dumps = %v, want the remote-host session alone", got)
 	}
 
 	// A nil recorder is a no-op passthrough.
@@ -120,11 +121,20 @@ func TestFlightMiddlewareEviction(t *testing.T) {
 	if _, ok := mw.sess["b"]; ok {
 		t.Fatal("idle client b not evicted")
 	}
-	// Evicted sessions are closed: triggering them no longer dumps.
-	if rec.Trigger("b", "manual") {
-		t.Fatal("evicted session still live")
+	// Evicted sessions are closed: triggering no longer dumps them.
+	rec.TriggerAll("manual")
+	if got := dumpedSessions(rec, "manual"); len(got) != 2 || !got["a"] || !got["c"] {
+		t.Fatalf("manual dumps = %v, want the live sessions a and c", got)
 	}
-	if !rec.Trigger("a", "manual") || !rec.Trigger("c", "manual") {
-		t.Fatal("live sessions lost")
+}
+
+// dumpedSessions lists the sessions the recorder dumped for reason.
+func dumpedSessions(rec *obs.FlightRecorder, reason string) map[string]bool {
+	out := map[string]bool{}
+	for _, d := range rec.Dumps() {
+		if d.Reason == reason {
+			out[d.Session] = true
+		}
 	}
+	return out
 }

@@ -341,12 +341,7 @@ func TestObservabilitySoak(t *testing.T) {
 	if _, err := probe.Stream(2, h.eval[0]); err != nil {
 		t.Fatalf("probe session: %v", err)
 	}
-	probeTraces := map[string]bool{}
-	for _, sp := range probe.Tracer().Recent() {
-		if sp.TraceID != "" {
-			probeTraces[sp.TraceID] = true
-		}
-	}
+	probeTraces := obs.NewSpanHub(probe.Tracer()).Traces()
 	if len(probeTraces) == 0 {
 		t.Fatal("probe session minted no traces")
 	}
@@ -366,7 +361,7 @@ func TestObservabilitySoak(t *testing.T) {
 	stitched := false
 	for _, sj := range routerDB.Snapshot("router_request_seconds", 0).Series {
 		for _, ex := range sj.Exemplars {
-			if !probeTraces[ex.TraceID] {
+			if probeTraces[ex.TraceID] == nil {
 				continue // stale exemplar from the chaos phases
 			}
 			spans := hub.Trace(ex.TraceID)

@@ -156,9 +156,13 @@ func (f *FlightRecorder) Session(id string) *FlightSession {
 
 // SessionN is Session for integer-identified sessions (the fleet engine):
 // the gate is n % SampleEvery == 0, so sampled sessions are predictable in
-// tests and evenly spread across shards.
+// tests and evenly spread across shards. Only sampled sessions get an id
+// formatted, so the gate allocates nothing for the rest.
 func (f *FlightRecorder) SessionN(n int) *FlightSession {
-	return f.admit(fmt.Sprintf("session-%d", n), n%f.cfg.SampleEvery == 0)
+	if n%f.cfg.SampleEvery != 0 {
+		return f.admit("", false)
+	}
+	return f.admit(fmt.Sprintf("session-%d", n), true)
 }
 
 func (f *FlightRecorder) admit(id string, sampled bool) *FlightSession {
@@ -294,18 +298,6 @@ func (f *FlightRecorder) dump(s *FlightSession, reason string) {
 			f.dropped.Add(float64(evicted))
 		}
 	}
-}
-
-// Trigger dumps one active session by id (reason is recorded verbatim).
-func (f *FlightRecorder) Trigger(id, reason string) bool {
-	f.mu.Lock()
-	s := f.active[id]
-	f.mu.Unlock()
-	if s == nil {
-		return false
-	}
-	f.dump(s, reason)
-	return true
 }
 
 // TriggerAll dumps every active sampled session — the SLO burn hook. Returns

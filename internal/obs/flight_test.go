@@ -70,6 +70,27 @@ func TestFlightSamplingGates(t *testing.T) {
 	}
 }
 
+// TestFlightSessionNUnsampledAllocs: the fleet offers every joining session
+// to SessionN, so the 1-in-N gate must not allocate for the sessions it
+// turns away, while flight_sessions_seen_total still counts each of them.
+func TestFlightSessionNUnsampledAllocs(t *testing.T) {
+	reg := NewRegistry()
+	f := NewFlightRecorder(FlightConfig{SampleEvery: 64, Registry: reg})
+	for n := 0; n < 128; n++ {
+		f.SessionN(n)
+	}
+	vals := scrape(t, reg)
+	if seen := vals["flight_sessions_seen_total"]; seen != 128 {
+		t.Fatalf("flight_sessions_seen_total = %v, want 128", seen)
+	}
+	if sampled := vals["flight_sessions_sampled_total"]; sampled != 2 {
+		t.Fatalf("flight_sessions_sampled_total = %v, want 2", sampled)
+	}
+	if n := testing.AllocsPerRun(100, func() { f.SessionN(1001) }); n != 0 {
+		t.Fatalf("unsampled SessionN made %v allocs, want 0", n)
+	}
+}
+
 // TestFlightAbandonTrigger: an abandon event dumps the ring immediately, and
 // a re-trigger with no new events is deduplicated.
 func TestFlightAbandonTrigger(t *testing.T) {
@@ -96,15 +117,15 @@ func TestFlightAbandonTrigger(t *testing.T) {
 	}
 
 	// No new events since the dump: an external trigger must not duplicate.
-	if !f.Trigger("sess", "manual") {
-		t.Fatal("Trigger on active session returned false")
+	if n := f.TriggerAll("manual"); n != 1 {
+		t.Fatalf("TriggerAll reached %d sessions, want 1", n)
 	}
 	if len(f.Dumps()) != 1 {
 		t.Fatalf("dedupe failed: %d dumps", len(f.Dumps()))
 	}
 	// One new event makes the next trigger dump again.
 	s.Record(FlightEvent{TimeSec: 3, Kind: FlightLeave, Seg: -1})
-	f.Trigger("sess", "manual")
+	f.TriggerAll("manual")
 	if len(f.Dumps()) != 2 {
 		t.Fatalf("post-event trigger: %d dumps, want 2", len(f.Dumps()))
 	}
@@ -188,9 +209,6 @@ func TestFlightTriggerAll(t *testing.T) {
 		if d.Session == "c" {
 			t.Fatal("closed session dumped")
 		}
-	}
-	if f.Trigger("c", "late") {
-		t.Fatal("Trigger on closed session returned true")
 	}
 }
 

@@ -210,8 +210,8 @@ func (t *Tracer) push(r SpanRecord) {
 	t.rmu.Unlock()
 }
 
-// Recent returns the most recent completed spans, oldest first.
-func (t *Tracer) Recent() []SpanRecord {
+// recent returns the most recent completed spans, oldest first.
+func (t *Tracer) recent() []SpanRecord {
 	t.rmu.Lock()
 	defer t.rmu.Unlock()
 	return t.recentLocked()
@@ -234,7 +234,7 @@ func (t *Tracer) recentLocked() []SpanRecord {
 func (t *Tracer) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(t.Recent())
+		json.NewEncoder(w).Encode(t.recent())
 	})
 }
 
@@ -279,7 +279,7 @@ func (h *SpanHub) snapshot() []*Tracer {
 func (h *SpanHub) Trace(traceID string) []SpanRecord {
 	var out []SpanRecord
 	for _, t := range h.snapshot() {
-		for _, r := range t.Recent() {
+		for _, r := range t.recent() {
 			if r.TraceID == traceID {
 				out = append(out, r)
 			}
@@ -293,7 +293,7 @@ func (h *SpanHub) Trace(traceID string) []SpanRecord {
 func (h *SpanHub) Traces() map[string][]SpanRecord {
 	out := make(map[string][]SpanRecord)
 	for _, t := range h.snapshot() {
-		for _, r := range t.Recent() {
+		for _, r := range t.recent() {
 			if r.TraceID != "" {
 				out[r.TraceID] = append(out[r.TraceID], r)
 			}

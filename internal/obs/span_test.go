@@ -29,9 +29,9 @@ func TestTracerStagesAndHistograms(t *testing.T) {
 		t.Fatalf("span count = %v, want 3 (End must be idempotent)", got)
 	}
 
-	recent := tr.Recent()
+	recent := tr.recent()
 	if len(recent) != 3 {
-		t.Fatalf("Recent() = %d spans, want 3", len(recent))
+		t.Fatalf("recent() = %d spans, want 3", len(recent))
 	}
 	first := recent[0]
 	if first.ID != "id-0" || len(first.Stages) != 2 || first.Stages[0].Stage != "admit" {
@@ -49,7 +49,7 @@ func TestTracerRingBounded(t *testing.T) {
 		sp := tr.Start(fmt.Sprintf("id-%d", i))
 		sp.End()
 	}
-	recent := tr.Recent()
+	recent := tr.recent()
 	if len(recent) != ringCap {
 		t.Fatalf("ring holds %d, want %d", len(recent), ringCap)
 	}

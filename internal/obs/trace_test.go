@@ -84,7 +84,7 @@ func TestSpanWithTrace(t *testing.T) {
 	}
 	adopted.End()
 
-	recs := tr.Recent()
+	recs := tr.recent()
 	if len(recs) != 2 {
 		t.Fatalf("recent = %d spans", len(recs))
 	}
@@ -110,7 +110,7 @@ func TestSetRingSizeKeepsNewest(t *testing.T) {
 	if tr.RingSize() != 3 {
 		t.Fatalf("ring size = %d", tr.RingSize())
 	}
-	recs := tr.Recent()
+	recs := tr.recent()
 	if len(recs) != 3 || recs[0].ID != "d" || recs[2].ID != "f" {
 		t.Fatalf("after shrink: %+v", recs)
 	}
@@ -118,7 +118,7 @@ func TestSetRingSizeKeepsNewest(t *testing.T) {
 	s := tr.Start("")
 	s.SetID("g")
 	s.End()
-	recs = tr.Recent()
+	recs = tr.recent()
 	if len(recs) != 3 || recs[0].ID != "e" || recs[2].ID != "g" {
 		t.Fatalf("after push: %+v", recs)
 	}
@@ -128,7 +128,7 @@ func TestSetRingSizeKeepsNewest(t *testing.T) {
 	}
 	// Growing preserves everything held.
 	tr.SetRingSize(10)
-	if got := len(tr.Recent()); got != 3 {
+	if got := len(tr.recent()); got != 3 {
 		t.Fatalf("after grow: %d spans", got)
 	}
 	tr.SetRingSize(0) // ignored

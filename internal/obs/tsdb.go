@@ -340,15 +340,6 @@ func (db *TSDB) seriesSlot(f *family, s *series) *tsSeries {
 	return ts
 }
 
-// SeriesNames lists stored series keys in first-seen order.
-func (db *TSDB) SeriesNames() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, len(db.order))
-	copy(out, db.order)
-	return out
-}
-
 // Selector matches stored series: an exact metric name plus required label
 // pairs. A match value ending in '*' is a prefix match — Sel("x_total",
 // L("code", "5*")) sums every 5xx series of x_total.
@@ -425,24 +416,6 @@ func (db *TSDB) DeltaSum(sel Selector, window time.Duration) (float64, bool) {
 			continue
 		}
 		total += rg.vals[rg.idx(last)] - rg.vals[rg.idx(first)]
-		any = true
-	}
-	return total, any
-}
-
-// Last sums the newest sampled value of every matching series.
-func (db *TSDB) Last(sel Selector) (float64, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var total float64
-	any := false
-	for _, key := range db.order {
-		ts := db.series[key]
-		if !sel.matches(ts) || ts.rings[0].n == 0 {
-			continue
-		}
-		rg := ts.rings[0]
-		total += rg.vals[rg.idx(rg.n-1)]
 		any = true
 	}
 	return total, any

@@ -142,7 +142,7 @@ func TestTSDBMaxSeries(t *testing.T) {
 	db.Sample(time.Unix(5000, 0))
 	db.Sample(time.Unix(5001, 0))
 	// Meta-metrics also register on reg, so the cap bites well before c_total.
-	if n := len(db.SeriesNames()); n != 2 {
+	if n := len(db.Snapshot("", 0).Series); n != 2 {
 		t.Fatalf("stored series = %d, want 2 (MaxSeries)", n)
 	}
 	if v := scrape(t, reg)["tsdb_series_dropped_total"]; v == 0 {
@@ -308,8 +308,8 @@ func TestTSDBConcurrentHammer(t *testing.T) {
 	// sample it after the dust clears.
 	c.Inc()
 	db.Sample(time.Unix(0, 0).Add(200 * time.Millisecond))
-	if got, ok := db.Last(Sel("hammer_total")); !ok || got <= 0 {
-		t.Fatalf("Last(hammer_total) = %v ok=%v, want > 0", got, ok)
+	if got, ok := newestPoint(db, "hammer_total"); !ok || got <= 0 {
+		t.Fatalf("newest hammer_total = %v ok=%v, want > 0", got, ok)
 	}
 }
 
@@ -323,7 +323,7 @@ func TestTSDBStartStop(t *testing.T) {
 	db.Start() // second Start is a no-op
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if v, ok := db.Last(Sel("tick_total")); ok && v == 1 {
+		if v, ok := newestPoint(db, "tick_total"); ok && v == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -333,4 +333,14 @@ func TestTSDBStartStop(t *testing.T) {
 	}
 	db.Stop()
 	db.Stop()
+}
+
+// newestPoint reads the newest base-resolution sample of the one stored
+// series whose key contains name.
+func newestPoint(db *TSDB, name string) (float64, bool) {
+	snap := db.Snapshot(name, 1)
+	if len(snap.Series) != 1 || len(snap.Series[0].Resolutions[0].Points) == 0 {
+		return 0, false
+	}
+	return snap.Series[0].Resolutions[0].Points[0].V, true
 }
