@@ -163,7 +163,11 @@ func run() int {
 				if !ok {
 					return
 				}
-				v := srv.SwapCatalog(pipeline.ApplyToCatalog(base))
+				v, err := srv.SwapCatalog(pipeline.ApplyToCatalog(base))
+				if err != nil {
+					logger.Error("online catalogue refused", "video", videoID, "err", err)
+					return
+				}
 				logger.Info("online catalogue published", "video", videoID,
 					"build_version", b.Version, "catalog_version", v, "ptiles", b.Ptiles())
 			}, func(videoID int, err error) {

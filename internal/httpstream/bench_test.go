@@ -2,8 +2,10 @@ package httpstream
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"ptile360/internal/netem"
@@ -76,4 +78,45 @@ func BenchmarkClientSession(b *testing.B) {
 		segments += len(report.Segments)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(segments), "ns/segment")
+}
+
+// BenchmarkServerSegment times the server's segment handler, called
+// directly with the body discarded: query parsing, catalogue resolution,
+// pricing and the body write. ptile requests cycle through every segment's
+// first Ptile at q3, 27 fps; conventional requests through every segment at
+// q3 around one center.
+func BenchmarkServerSegment(b *testing.B) {
+	harnessOnce.Do(func() { harnessCache, harnessErr = buildHarness() })
+	if harnessErr != nil {
+		b.Fatal(harnessErr)
+	}
+	h := harnessCache
+	var ptileReqs, convReqs []*http.Request
+	for k, pts := range h.cat.Ptiles {
+		if len(pts) > 0 {
+			ptileReqs = append(ptileReqs, httptest.NewRequest(http.MethodGet,
+				fmt.Sprintf("/segment?video=2&seg=%d&q=3&f=27&ptile=0", k), nil))
+		}
+		convReqs = append(convReqs, httptest.NewRequest(http.MethodGet,
+			fmt.Sprintf("/segment?video=2&seg=%d&q=3&cx=180&cy=90", k), nil))
+	}
+	for _, bc := range []struct {
+		name string
+		reqs []*http.Request
+	}{{"ptile", ptileReqs}, {"conventional", convReqs}} {
+		b.Run(bc.name, func(b *testing.B) {
+			dw := &discardWriter{h: http.Header{}}
+			w := &countingWriter{ResponseWriter: dw}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				clear(dw.h)
+				w.code, w.bytes = 0, 0
+				h.server.Config.Handler.ServeHTTP(w, bc.reqs[i%len(bc.reqs)])
+				if w.code != http.StatusOK || w.bytes < 1 {
+					b.Fatalf("status %d, %d bytes", w.code, w.bytes)
+				}
+			}
+		})
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -137,7 +138,8 @@ type SegmentRecord struct {
 	Quality video.Quality
 	// FrameRate is in fps.
 	FrameRate float64
-	// Bytes is the payload size received.
+	// Bytes is the payload size received: the priced size of the version
+	// served (the client accepts no other), 0 when abandoned.
 	Bytes int64
 	// ThroughputBps is the measured goodput.
 	ThroughputBps float64
@@ -496,8 +498,8 @@ func (c *Client) StreamContext(ctx context.Context, videoID int, viewer *headtra
 }
 
 // stepper builds the session core for a manifest: the paper's
-// configuration (the 4×8 grid and 100° FoV the server also assumes) over
-// the catalogue rebuilt from the manifest.
+// configuration over the catalogue rebuilt from the manifest, which must
+// advertise the grid, source rate, qualities and rates the client prices.
 func (c *Client) stepper(man *Manifest) (*sim.Stepper, error) {
 	scheme := sim.SchemePtile
 	if c.cfg.UseMPC {
@@ -509,6 +511,16 @@ func (c *Client) stepper(man *Manifest) (*sim.Stepper, error) {
 	}
 	if c.cfg.UseMPC {
 		cfg.FrameRates = man.FrameRates
+	}
+	switch {
+	case man.GridRows != cfg.Grid.Rows || man.GridCols != cfg.Grid.Cols:
+		return nil, fmt.Errorf("httpstream: manifest grid_rows x grid_cols %dx%d, client prices %dx%d", man.GridRows, man.GridCols, cfg.Grid.Rows, cfg.Grid.Cols)
+	case man.SourceFPS != cfg.Encoder.FrameRate:
+		return nil, fmt.Errorf("httpstream: manifest source_fps %g, client prices %g", man.SourceFPS, cfg.Encoder.FrameRate)
+	case man.Qualities != int(video.MaxQuality):
+		return nil, fmt.Errorf("httpstream: manifest qualities %d, client prices %d", man.Qualities, int(video.MaxQuality))
+	case slices.ContainsFunc(cfg.FrameRates, func(f float64) bool { return !slices.Contains(man.FrameRates, f) }):
+		return nil, fmt.Errorf("httpstream: manifest frame_rates %v lack a rate of %v", man.FrameRates, cfg.FrameRates)
 	}
 	cfg.SegmentSec = man.SegmentSec
 	cfg.Estimator = c.cfg.Estimator
@@ -713,6 +725,10 @@ func degradeLadder(options []abr.OptionMeta, chosen abr.OptionMeta) []abr.Option
 // the bytes are only counted, so any buffer will do.
 var readBufPool = sync.Pool{New: func() any { return new([64 << 10]byte) }}
 
+// bodySink discards segment bodies. Hiding io.Discard's ReadFrom makes
+// io.CopyBuffer read through the pooled 64 KiB buffer.
+var bodySink io.Writer = struct{ io.Writer }{io.Discard}
+
 // get GETs one segment version and reads its body, returning the byte count
 // and the wall seconds the body took to arrive. On failure the partial byte
 // count and time are still returned so the attempt can be charged.
@@ -744,33 +760,27 @@ func (l *httpLink) get(f *sim.Fetch, opt abr.OptionMeta) (int64, float64, error)
 	if err != nil {
 		return 0, 0, fmt.Errorf("httpstream: segment %d: %w", f.Segment, err)
 	}
+	// The body must be exactly the priced size: the bits the step charges.
+	want := segmentBytes(opt.SizeBits)
+	if hdr.ContentLength >= 0 && hdr.ContentLength != want {
+		return 0, 0, fmt.Errorf("httpstream: segment %d: declared %d bytes, priced at %d", f.Segment, hdr.ContentLength, want)
+	}
 
 	start := time.Now()
-	var nBytes int64
-	var readErr error
 	buf := readBufPool.Get().(*[64 << 10]byte)
 	defer readBufPool.Put(buf)
-	for {
-		n, err := resp.Body.Read(buf[:])
-		nBytes += int64(n)
-		if nBytes > maxSegmentBytes {
-			readErr = fmt.Errorf("body exceeds cap %d", int64(maxSegmentBytes))
-			break
-		}
-		if err == io.EOF {
-			if hdr.ContentLength >= 0 && nBytes != hdr.ContentLength {
-				readErr = fmt.Errorf("truncated body: %d of %d bytes: %w", nBytes, hdr.ContentLength, io.ErrUnexpectedEOF)
-			}
-			break
-		}
-		if err != nil {
-			readErr = err
-			break
-		}
+	// Read at most one byte past the price, so an overlong body shows.
+	nBytes, err := io.CopyBuffer(bodySink, io.LimitReader(resp.Body, want+1), buf[:])
+	switch {
+	case err != nil:
+	case nBytes < want:
+		err = fmt.Errorf("truncated body: %d of %d bytes: %w", nBytes, want, io.ErrUnexpectedEOF)
+	case nBytes > want:
+		err = fmt.Errorf("body exceeds the priced %d bytes", want)
 	}
 	wall := time.Since(start).Seconds()
-	if readErr != nil {
-		return nBytes, wall, fmt.Errorf("httpstream: segment %d read: %w", f.Segment, readErr)
+	if err != nil {
+		return nBytes, wall, fmt.Errorf("httpstream: segment %d read: %w", f.Segment, err)
 	}
 	return nBytes, wall, nil
 }

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -99,6 +102,49 @@ func FuzzSegmentHeader(f *testing.F) {
 		}
 		if hdr.ContentLength > maxSegmentBytes {
 			t.Fatalf("accepted absurd length %d above cap %d", hdr.ContentLength, int64(maxSegmentBytes))
+		}
+	})
+}
+
+// FuzzSegmentRequest drives the segment handler with arbitrary seg, q, f,
+// ptile, cx and cy strings, seeded from TestServerBadInputTable's segment
+// rows. It must never panic and must answer 200 or 4xx; a 200 writes
+// exactly its Content-Length, at least one byte.
+func FuzzSegmentRequest(f *testing.F) {
+	keys := []string{"seg", "q", "f", "ptile", "cx", "cy"}
+	for _, tc := range badInputCases {
+		u, err := url.Parse(tc.path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if u.Path != "/segment" {
+			continue
+		}
+		qy := u.Query()
+		f.Add(qy.Get(keys[0]), qy.Get(keys[1]), qy.Get(keys[2]), qy.Get(keys[3]), qy.Get(keys[4]), qy.Get(keys[5]))
+	}
+	harnessOnce.Do(func() { harnessCache, harnessErr = buildHarness() })
+	if harnessErr != nil {
+		f.Fatal(harnessErr)
+	}
+	handler := harnessCache.server.Config.Handler
+
+	f.Fuzz(func(t *testing.T, seg, q, fr, ptile, cx, cy string) {
+		qy := url.Values{"video": {"2"}}
+		for i, v := range []string{seg, q, fr, ptile, cx, cy} {
+			if v != "" {
+				qy.Set(keys[i], v)
+			}
+		}
+		w := &countingWriter{ResponseWriter: &discardWriter{h: http.Header{}}}
+		handler.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/segment?"+qy.Encode(), nil))
+		switch cl := w.Header().Get("Content-Length"); {
+		case w.code == http.StatusOK:
+			if n, err := strconv.ParseInt(cl, 10, 64); err != nil || n < 1 || n != w.bytes {
+				t.Fatalf("%s: 200 with Content-Length %q and %d body bytes", qy.Encode(), cl, w.bytes)
+			}
+		case w.code < 400 || w.code >= 500:
+			t.Fatalf("%s: status %d, want 200 or 4xx", qy.Encode(), w.code)
 		}
 	})
 }

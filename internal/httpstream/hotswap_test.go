@@ -81,8 +81,8 @@ func TestCatalogSwapVersioning(t *testing.T) {
 		t.Fatal("fixture segment 0 has no Ptiles; pick another probe segment")
 	}
 
-	if v := srv.SwapCatalog(altCatalog(h.cat)); v != 2 {
-		t.Fatalf("first swap version %d, want 2", v)
+	if v, err := srv.SwapCatalog(altCatalog(h.cat)); err != nil || v != 2 {
+		t.Fatalf("first swap version %d (%v), want 2", v, err)
 	}
 	m2 := fetchManifest(t, ts.URL+"/manifest?video=2")
 	if m2.CatalogVersion != 2 || len(m2.Segments[0].Ptiles) != 0 {

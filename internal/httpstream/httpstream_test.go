@@ -82,6 +82,25 @@ func TestNewServerValidation(t *testing.T) {
 	if _, err := NewServer(map[int]*sim.Catalog{2: h.cat}, video.DefaultEncoderConfig(), nil); err == nil {
 		t.Fatal("want error for no frame rates")
 	}
+	for _, ladder := range [][]float64{{30, 60}, {30, 0}, {30, -24}} {
+		if _, err := NewServer(map[int]*sim.Catalog{2: h.cat}, video.DefaultEncoderConfig(), ladder); err == nil {
+			t.Fatalf("want error for ladder %v: rates lie in (0, source fps]", ladder)
+		}
+	}
+	// A catalogue the server cannot price is refused, at construction and
+	// at a swap, which then publishes nothing.
+	if _, err := NewServer(map[int]*sim.Catalog{2: nil}, video.DefaultEncoderConfig(), []float64{30}); err == nil {
+		t.Fatal("want error for a nil catalogue")
+	}
+	srv, err := NewServer(map[int]*sim.Catalog{2: h.cat}, video.DefaultEncoderConfig(), []float64{30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []*sim.Catalog{nil, {Video: h.cat.Video, SegmentSec: 1}} {
+		if v, err := srv.SwapCatalog(bad); err == nil || srv.CatalogVersion() != 1 {
+			t.Fatalf("unpriceable catalogue published as version %d (%v)", v, err)
+		}
+	}
 }
 
 func TestManifestEndpoint(t *testing.T) {

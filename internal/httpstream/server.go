@@ -9,7 +9,9 @@
 package httpstream
 
 import (
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -20,6 +22,7 @@ import (
 
 	"ptile360/internal/geom"
 	"ptile360/internal/netem"
+	"ptile360/internal/power"
 	"ptile360/internal/ptile"
 	"ptile360/internal/sim"
 	"ptile360/internal/video"
@@ -88,21 +91,22 @@ func (m *Manifest) catalog() *sim.Catalog {
 // 410 Gone and must refetch the manifest.
 const maxCatalogHistory = 8
 
-// catalogSet is one immutable published catalogue generation. Readers load
+// catalogSet is one immutable published catalogue generation: each video's
+// catalogue as a sim.Pricer, resolved when it was published. Readers load
 // it with a single atomic pointer read — no lock anywhere on the request
 // hot path — and resolve pinned versions through the history map, which is
 // never mutated after publication.
 type catalogSet struct {
 	version  int64
-	catalogs map[int]*sim.Catalog
+	catalogs map[int]*sim.Pricer
 	// history resolves still-supported older versions (most recent
 	// maxCatalogHistory generations).
-	history map[int64]map[int]*sim.Catalog
+	history map[int64]map[int]*sim.Pricer
 }
 
 // resolve returns the catalogue map for a pinned version (version 0 means
 // "current").
-func (cs *catalogSet) resolve(version int64) (map[int]*sim.Catalog, bool) {
+func (cs *catalogSet) resolve(version int64) (map[int]*sim.Pricer, bool) {
 	if version == 0 || version == cs.version {
 		return cs.catalogs, true
 	}
@@ -118,9 +122,9 @@ type Server struct {
 	mux    *http.ServeMux
 	cats   atomic.Pointer[catalogSet]
 	swapMu sync.Mutex // serializes writers; readers never take it
-	enc    video.EncoderConfig
-	frames []float64
-	grid   geom.Grid
+	// cfg is the session configuration every catalogue is priced under;
+	// its scheme and phone do not enter a price.
+	cfg    sim.Config
 	inst   *serverObs // nil until Instrument
 	pacing atomic.Pointer[pacingState]
 	sink   atomic.Pointer[ViewportSink]
@@ -139,29 +143,26 @@ type pacingState struct {
 // is called on the request goroutine; keep it fast.
 type ViewportSink func(video, segment int, x, y float64)
 
-// NewServer builds a server over the given catalogues. frameRates lists the
-// Ptile frame-rate versions available for download.
+// NewServer builds a server over the given catalogues. It prices segments
+// as a sim session does (sim.DefaultConfig with enc), and frameRates is the
+// Ptile frame-rate ladder it advertises and serves.
 func NewServer(catalogs map[int]*sim.Catalog, enc video.EncoderConfig, frameRates []float64) (*Server, error) {
 	if len(catalogs) == 0 {
 		return nil, fmt.Errorf("httpstream: no catalogues")
 	}
-	if err := enc.Validate(); err != nil {
-		return nil, err
-	}
-	if len(frameRates) == 0 {
-		return nil, fmt.Errorf("httpstream: no frame rates")
-	}
-	grid, err := geom.NewGrid(4, 8)
+	cfg, err := sim.DefaultConfig(sim.SchemeOurs, power.Pixel3)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		mux:    http.NewServeMux(),
-		enc:    enc,
-		frames: frameRates,
-		grid:   grid,
+	cfg.Encoder, cfg.FrameRates = enc, frameRates
+	s := &Server{mux: http.NewServeMux(), cfg: cfg}
+	priced := make(map[int]*sim.Pricer, len(catalogs))
+	for id, cat := range catalogs {
+		if priced[id], err = sim.NewPricer(cat, s.cfg); err != nil {
+			return nil, fmt.Errorf("httpstream: video %d: %w", id, err)
+		}
 	}
-	s.cats.Store(&catalogSet{version: 1, catalogs: catalogs})
+	s.cats.Store(&catalogSet{version: 1, catalogs: priced})
 	s.mux.HandleFunc("/manifest", s.handleManifest)
 	s.mux.HandleFunc("/segment", s.handleSegment)
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -183,21 +184,26 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // SwapCatalog atomically publishes a new catalogue for one video and
 // returns the new generation's version. Every other video keeps its current
 // catalogue; the superseded generation stays resolvable for pinned sessions
-// until it ages out of the bounded history. Concurrent swaps serialize on
-// swapMu; readers are wait-free (one atomic load per request).
-func (s *Server) SwapCatalog(cat *sim.Catalog) int64 {
+// until it ages out of the bounded history. A catalogue the server cannot
+// price is refused with an error and nothing is published. Concurrent swaps
+// serialize on swapMu; readers are wait-free (one atomic load per request).
+func (s *Server) SwapCatalog(cat *sim.Catalog) (int64, error) {
+	pr, err := sim.NewPricer(cat, s.cfg)
+	if err != nil {
+		return 0, err
+	}
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	old := s.cats.Load()
 	next := &catalogSet{
 		version:  old.version + 1,
-		catalogs: make(map[int]*sim.Catalog, len(old.catalogs)+1),
-		history:  make(map[int64]map[int]*sim.Catalog, len(old.history)+1),
+		catalogs: make(map[int]*sim.Pricer, len(old.catalogs)+1),
+		history:  make(map[int64]map[int]*sim.Pricer, len(old.history)+1),
 	}
 	for id, c := range old.catalogs {
 		next.catalogs[id] = c
 	}
-	next.catalogs[cat.Video.ID] = cat
+	next.catalogs[cat.Video.ID] = pr
 	for v, m := range old.history {
 		if v > next.version-maxCatalogHistory {
 			next.history[v] = m
@@ -207,7 +213,7 @@ func (s *Server) SwapCatalog(cat *sim.Catalog) int64 {
 		next.history[old.version] = old.catalogs
 	}
 	s.cats.Store(next)
-	return next.version
+	return next.version, nil
 }
 
 // CatalogVersion returns the currently published generation.
@@ -253,7 +259,7 @@ func (s *Server) report(video, segment int, x, y float64) {
 // video parameter selects the video, and the optional cv parameter pins the
 // catalogue generation a session started on. An evicted generation answers
 // 410 Gone — the signal to refetch the manifest.
-func (s *Server) catalogFor(w http.ResponseWriter, qy url.Values) (*sim.Catalog, int64, bool) {
+func (s *Server) catalogFor(w http.ResponseWriter, qy url.Values) (*sim.Pricer, int64, bool) {
 	id, err := strconv.Atoi(qy.Get("video"))
 	if err != nil || id < 0 {
 		http.Error(w, "bad or missing video parameter", http.StatusBadRequest)
@@ -274,27 +280,28 @@ func (s *Server) catalogFor(w http.ResponseWriter, qy url.Values) (*sim.Catalog,
 		http.Error(w, fmt.Sprintf("catalog version %d no longer served", version), http.StatusGone)
 		return nil, 0, false
 	}
-	cat, ok := catalogs[id]
+	pr, ok := catalogs[id]
 	if !ok {
 		http.Error(w, fmt.Sprintf("unknown video %d", id), http.StatusNotFound)
 		return nil, 0, false
 	}
-	return cat, version, true
+	return pr, version, true
 }
 
 func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
-	cat, version, ok := s.catalogFor(w, r.URL.Query())
+	pr, version, ok := s.catalogFor(w, r.URL.Query())
 	if !ok {
 		return
 	}
+	cat := pr.Catalog()
 	m := Manifest{
 		VideoID:        cat.Video.ID,
 		SegmentSec:     cat.SegmentSec,
 		Qualities:      int(video.MaxQuality),
-		FrameRates:     s.frames,
-		SourceFPS:      s.enc.FrameRate,
-		GridRows:       s.grid.Rows,
-		GridCols:       s.grid.Cols,
+		FrameRates:     s.cfg.FrameRates,
+		SourceFPS:      s.cfg.Encoder.FrameRate,
+		GridRows:       s.cfg.Grid.Rows,
+		GridCols:       s.cfg.Grid.Cols,
 		CatalogVersion: version,
 	}
 	for seg := range cat.Content {
@@ -311,126 +318,53 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleSegment synthesizes a segment payload. Query parameters:
+// handleSegment serves one segment version: segmentBytes of its sim.Pricer
+// price in filler bytes. Query parameters:
 //
 //	video, seg           — segment address
 //	q                    — quality level 1..5
-//	f                    — frame rate (0 → source rate)
+//	f                    — frame rate, 0 or absent for the source rate: a
+//	                       Ptile request names a rate on the manifest's
+//	                       ladder, a conventional request the source rate;
+//	                       any other rate is a 400
 //	cv                   — catalogue generation the session is pinned to
 //	                       (absent → current; evicted → 410)
-//	ptile                — Ptile index within the segment; when present the
-//	                       response is the Ptile (plus background blocks),
-//	                       otherwise the conventional tile set is served.
+//	ptile                — Ptile index within the segment: the response is
+//	                       the Ptile plus background blocks; -1 or absent
+//	                       serves the conventional tiles around the
+//	                       viewport center cx, cy.
 func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 	qy := r.URL.Query()
-	cat, _, ok := s.catalogFor(w, qy)
+	pr, _, ok := s.catalogFor(w, qy)
 	if !ok {
 		return
 	}
-	seg, err := strconv.Atoi(qy.Get("seg"))
-	if err != nil || seg < 0 || seg >= len(cat.Content) {
-		http.Error(w, "bad segment index", http.StatusBadRequest)
+	seg, errSeg := strconv.Atoi(qy.Get("seg"))
+	q, errQ := strconv.Atoi(qy.Get("q"))
+	f, errF := strconv.ParseFloat(cmp.Or(qy.Get("f"), "0"), 64)
+	pi, errP := strconv.Atoi(cmp.Or(qy.Get("ptile"), "-1"))
+	var center geom.Point
+	var errX, errY error
+	if pi == -1 {
+		center.X, errX = strconv.ParseFloat(qy.Get("cx"), 64)
+		center.Y, errY = strconv.ParseFloat(qy.Get("cy"), 64)
+	}
+	if err := errors.Join(errSeg, errQ, errF, errP, errX, errY); err != nil {
+		http.Error(w, "bad segment request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	qLevel, err := strconv.Atoi(qy.Get("q"))
+	bits, err := pr.Bits(seg, video.Quality(q), f, pi, center)
 	if err != nil {
-		http.Error(w, "bad quality", http.StatusBadRequest)
-		return
-	}
-	quality := video.Quality(qLevel)
-	if err := quality.Validate(); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	f := 0.0
-	if fs := qy.Get("f"); fs != "" {
-		f, err = strconv.ParseFloat(fs, 64)
-		// NaN, infinities, negatives, and absurd rates must die here with
-		// a 400, not fall through into the size model.
-		if err != nil || !finite(f) || f < 0 || f > 1000 {
-			http.Error(w, "bad frame rate", http.StatusBadRequest)
-			return
-		}
+	if pi >= 0 {
+		r := pr.Catalog().Ptiles[seg][pi].Rect
+		center = geom.Point{X: r.X0 + r.W/2, Y: r.Y0 + r.H/2}
 	}
+	s.report(pr.Catalog().Video.ID, seg, center.X, center.Y)
 
-	sc := cat.Content[seg]
-
-	var bits float64
-	if ps := qy.Get("ptile"); ps != "" {
-		idx, err := strconv.Atoi(ps)
-		if err != nil || idx < 0 || idx >= len(cat.Ptiles[seg]) {
-			http.Error(w, "bad ptile index", http.StatusBadRequest)
-			return
-		}
-		pt := cat.Ptiles[seg][idx]
-		s.report(cat.Video.ID, seg, pt.Rect.X0+pt.Rect.W/2, pt.Rect.Y0+pt.Rect.H/2)
-		bits, err = s.enc.TileBits(video.TileSpec{
-			Rect: pt.Rect, Quality: quality, FrameRate: f, Kind: video.KindPtile,
-		}, cat.SegmentSec, sc)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		for _, block := range ptile.BackgroundBlocks(pt, s.grid) {
-			b, err := s.enc.TileBits(video.TileSpec{
-				Rect: block, Quality: video.MinQuality, Kind: video.KindBlock,
-			}, cat.SegmentSec, sc)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			bits += b
-		}
-	} else {
-		// Conventional request: FoV tiles at q (center supplied by the
-		// client), background tiles at the lowest quality.
-		cx, errX := strconv.ParseFloat(qy.Get("cx"), 64)
-		cy, errY := strconv.ParseFloat(qy.Get("cy"), 64)
-		if errX != nil || errY != nil || !finite(cx) || !finite(cy) ||
-			cx < -1e6 || cx > 1e6 || cy < -1e6 || cy > 1e6 {
-			http.Error(w, "bad or missing viewport center", http.StatusBadRequest)
-			return
-		}
-		center := geom.Point{X: cx, Y: cy}
-		s.report(cat.Video.ID, seg, cx, cy)
-		// The shared FoV LUT answers membership with a bitset; the map is
-		// only needed if the grid cannot carry tile masks.
-		var fovSet geom.TileSet
-		var inFoV map[geom.TileID]bool
-		if lut := geom.FoVLUTFor(s.grid, 100, 100); lut != nil {
-			fovSet = lut.SetAt(center)
-		} else {
-			fov := s.grid.FoVTiles(center, 100, 100)
-			inFoV = make(map[geom.TileID]bool, len(fov))
-			for _, id := range fov {
-				inFoV[id] = true
-			}
-		}
-		for row := 0; row < s.grid.Rows; row++ {
-			for col := 0; col < s.grid.Cols; col++ {
-				id := geom.TileID{Row: row, Col: col}
-				tq := video.MinQuality
-				if inFoV != nil {
-					if inFoV[id] {
-						tq = quality
-					}
-				} else if fovSet.Contains(s.grid.Index(id)) {
-					tq = quality
-				}
-				b, err := s.enc.TileBits(video.TileSpec{Rect: s.grid.TileRect(id), Quality: tq}, cat.SegmentSec, sc)
-				if err != nil {
-					http.Error(w, err.Error(), http.StatusInternalServerError)
-					return
-				}
-				bits += b
-			}
-		}
-	}
-
-	nBytes := int64(bits / 8)
-	if nBytes < 1 {
-		nBytes = 1
-	}
+	nBytes := segmentBytes(bits)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.FormatInt(nBytes, 10))
 	var dst io.Writer = w
@@ -442,6 +376,11 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 	}
 	writePayload(dst, nBytes)
 }
+
+// segmentBytes is the body length of a segment priced at bits: whole bytes,
+// at least one. The server writes exactly this many and the client accepts
+// nothing else.
+func segmentBytes(bits float64) int64 { return max(int64(bits/8), 1) }
 
 // filler is the read-only segment body pattern: byte k of every body is
 // byte(k), because the filler's length is a multiple of 256.

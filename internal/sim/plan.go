@@ -181,27 +181,9 @@ func (s *session) procPower(scheme power.Scheme, f float64) (float64, error) {
 // quality, one option per v at the source frame rate.
 func (s *session) ctilePlan(k, slot int, predCenter geom.Point, speedEst float64, sc video.SegmentContent) (*segmentPlan, error) {
 	plan := s.planBuf(slot)
-	var hq []geom.TileID
+	plan.hqTiles = s.fovTiles(predCenter)
 	if s.lut != nil {
-		hq = s.lut.TilesAt(predCenter)
-		plan.hqSet = s.lut.SetAt(predCenter)
-		plan.hasHQSet = true
-	} else {
-		hq = s.cfg.Grid.FoVTiles(predCenter, s.cfg.FoVDeg, s.cfg.FoVDeg)
-	}
-	plan.hqTiles = hq
-	tileFrac := 1.0 / float64(s.cfg.Grid.NumTiles())
-	nBG := s.cfg.Grid.NumTiles() - len(hq)
-
-	gridBits := func(v video.Quality) (float64, error) {
-		if s.tab != nil {
-			return s.tab.gridTileBits[k][int(v)-1], nil
-		}
-		return s.cfg.Encoder.RegionBits(tileFrac, v, s.fm, video.KindGrid, s.cfg.SegmentSec, sc)
-	}
-	bgBits, err := gridBits(video.MinQuality)
-	if err != nil {
-		return nil, err
+		plan.hqSet, plan.hasHQSet = s.lut.SetAt(predCenter), true
 	}
 	proc, err := s.procPower(power.Ctile, s.fm)
 	if err != nil {
@@ -213,7 +195,7 @@ func (s *session) ctilePlan(k, slot int, predCenter geom.Point, speedEst float64
 	}
 	plan.options = s.optionBuf(slot, numQualities)
 	for v := video.MinQuality; v <= video.MaxQuality; v++ {
-		tileBits, err := gridBits(v)
+		bits, err := s.ctileBits(k, v, len(plan.hqTiles))
 		if err != nil {
 			return nil, err
 		}
@@ -221,8 +203,7 @@ func (s *session) ctilePlan(k, slot int, predCenter geom.Point, speedEst float64
 		if err != nil {
 			return nil, err
 		}
-		setOption(&plan.options[int(v)-1], v, s.fm,
-			float64(len(hq))*tileBits+float64(nBG)*bgBits, q0*factor, proc)
+		setOption(&plan.options[int(v)-1], v, s.fm, bits, q0*factor, proc)
 	}
 	return plan, nil
 }
@@ -241,12 +222,7 @@ func (s *session) ftilePlan(k, slot int, predCenter geom.Point, speedEst float64
 			hq = append(hq, s.tab.ftileSets[k][gi].Intersects(fovSet))
 		}
 	} else {
-		var fov []geom.TileID
-		if s.lut != nil {
-			fov = s.lut.TilesAt(predCenter)
-		} else {
-			fov = s.cfg.Grid.FoVTiles(predCenter, s.cfg.FoVDeg, s.cfg.FoVDeg)
-		}
+		fov := s.fovTiles(predCenter)
 		inFoV := make(map[geom.TileID]bool, len(fov))
 		for _, id := range fov {
 			inFoV[id] = true
@@ -352,27 +328,10 @@ func (s *session) ptilePlan(k, slot int, predCenter geom.Point, speedEst float64
 		return plan, nil
 	}
 
-	var tab *ptileTable
-	if s.tab != nil {
-		tab = &s.tab.ptiles[k][pi]
+	sizes, err := s.ptileSizes(k, pi)
+	if err != nil {
+		return nil, err
 	}
-
-	// Background blocks at lowest quality and full frame rate.
-	var bgBits float64
-	if tab != nil {
-		bgBits = tab.bgBits
-	} else {
-		for _, block := range ptile.BackgroundBlocks(*pt, s.cfg.Grid) {
-			bits, err := s.cfg.Encoder.TileBits(video.TileSpec{
-				Rect: block, Quality: video.MinQuality, Kind: video.KindBlock,
-			}, s.cfg.SegmentSec, sc)
-			if err != nil {
-				return nil, err
-			}
-			bgBits += bits
-		}
-	}
-
 	// Eq. 4's factor once per frame rate: α is shared by the whole plan.
 	curve, err := s.rateCurve(sc, speedEst)
 	if err != nil {
@@ -398,18 +357,7 @@ func (s *session) ptilePlan(k, slot int, predCenter geom.Point, speedEst float64
 			return nil, err
 		}
 		for fi, f := range s.cfg.FrameRates {
-			var bits float64
-			if tab != nil {
-				bits = tab.bits[int(v)-1][fi]
-			} else {
-				bits, err = s.cfg.Encoder.TileBits(video.TileSpec{
-					Rect: pt.Rect, Quality: v, FrameRate: f, Kind: video.KindPtile,
-				}, s.cfg.SegmentSec, sc)
-				if err != nil {
-					return nil, err
-				}
-			}
-			setOption(&plan.options[(int(v)-1)*nRates+fi], v, f, bits+bgBits, q0*factors[fi], s.ptileProc[fi])
+			setOption(&plan.options[(int(v)-1)*nRates+fi], v, f, sizes[int(v)-1][fi], q0*factors[fi], s.ptileProc[fi])
 		}
 	}
 	return plan, nil
@@ -513,12 +461,7 @@ func (s *session) coverageFraction(k int, plan *segmentPlan, actual geom.Point) 
 	if s.cfg.Scheme == SchemeNontile {
 		return 1
 	}
-	var fov []geom.TileID
-	if s.lut != nil {
-		fov = s.lut.TilesAt(actual)
-	} else {
-		fov = s.cfg.Grid.FoVTiles(actual, s.cfg.FoVDeg, s.cfg.FoVDeg)
-	}
+	fov := s.fovTiles(actual)
 	if len(fov) == 0 {
 		return 0
 	}

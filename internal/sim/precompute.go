@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"ptile360/internal/geom"
-	"ptile360/internal/ptile"
 	"ptile360/internal/video"
 	"ptile360/internal/vmaf"
 )
@@ -30,7 +29,7 @@ const numQualities = int(video.MaxQuality-video.MinQuality) + 1
 
 // disablePlanTables forces sessions onto the direct per-call computation
 // path — the serial reference the determinism tests compare the tables
-// against. Toggled via export_test.go only.
+// against. Toggled by tests only.
 var disablePlanTables bool
 
 // planKey fingerprints every session-config field the tables depend on.
@@ -54,21 +53,9 @@ func planKeyFor(cfg *Config) planKey {
 	return k
 }
 
-// ptileTable holds one catalogue Ptile's precomputed sizes.
-type ptileTable struct {
-	// bgBits is the total background-block size at the minimum quality and
-	// source frame rate, summed in BackgroundBlocks order.
-	bgBits float64
-	// bits[v-1][fi] is the Ptile rect's encoded size at quality v and
-	// frame rate planTables.rates[fi].
-	bits [numQualities][]float64
-}
-
 // planTables carries the per-segment tables for one (catalogue, planKey)
 // pair.
 type planTables struct {
-	// rates is the frame-rate ladder the ptile tables are indexed by.
-	rates []float64
 	// q0[k][v-1] is Eq. 3's Q₀ of segment k's content at quality v.
 	q0 [][numQualities]float64
 	// gridTileBits[k][v-1] is one conventional grid tile's size at quality v
@@ -78,8 +65,9 @@ type planTables struct {
 	panoramaBits [][numQualities]float64
 	// ftileBits[k][g][v-1] is Ftile group g's size at quality v.
 	ftileBits [][][numQualities]float64
-	// ptiles[k][i] are the per-Ptile tables.
-	ptiles [][]ptileTable
+	// ptiles[k][i][v-1][fi] is Ptile i's version size at quality v and frame
+	// rate FrameRates[fi]: its rect's encode plus its background blocks.
+	ptiles [][][numQualities][]float64
 	// setsOK reports that the coverage masks below were built: the grid fits
 	// a geom.TileSet and every catalogue Ftile tile lies on it. When false
 	// the planners keep the per-tile predicate paths.
@@ -128,12 +116,11 @@ func (c *Catalog) buildPlanTables(cfg *Config) (*planTables, error) {
 	fm := enc.FrameRate
 	tileFrac := 1.0 / float64(cfg.Grid.NumTiles())
 	t := &planTables{
-		rates:        append([]float64(nil), cfg.FrameRates...),
 		q0:           make([][numQualities]float64, nSeg),
 		gridTileBits: make([][numQualities]float64, nSeg),
 		panoramaBits: make([][numQualities]float64, nSeg),
 		ftileBits:    make([][][numQualities]float64, nSeg),
-		ptiles:       make([][]ptileTable, nSeg),
+		ptiles:       make([][][numQualities][]float64, nSeg),
 	}
 	t.setsOK = cfg.Grid.SetSupported()
 	if t.setsOK {
@@ -199,31 +186,13 @@ func (c *Catalog) buildPlanTables(cfg *Config) (*planTables, error) {
 			}
 		}
 
-		t.ptiles[k] = make([]ptileTable, len(c.Ptiles[k]))
+		t.ptiles[k] = make([][numQualities][]float64, len(c.Ptiles[k]))
 		for pi := range c.Ptiles[k] {
-			pt := &c.Ptiles[k][pi]
-			entry := &t.ptiles[k][pi]
-			for _, block := range ptile.BackgroundBlocks(*pt, cfg.Grid) {
-				bits, err := enc.TileBits(video.TileSpec{
-					Rect: block, Quality: video.MinQuality, Kind: video.KindBlock,
-				}, cfg.SegmentSec, sc)
-				if err != nil {
-					return nil, err
-				}
-				entry.bgBits += bits
+			sizes, err := ptileVersionSizes(cfg, &c.Ptiles[k][pi], sc)
+			if err != nil {
+				return nil, err
 			}
-			for v := video.MinQuality; v <= video.MaxQuality; v++ {
-				entry.bits[int(v)-1] = make([]float64, len(t.rates))
-				for fi, f := range t.rates {
-					bits, err := enc.TileBits(video.TileSpec{
-						Rect: pt.Rect, Quality: v, FrameRate: f, Kind: video.KindPtile,
-					}, cfg.SegmentSec, sc)
-					if err != nil {
-						return nil, err
-					}
-					entry.bits[int(v)-1][fi] = bits
-				}
-			}
+			t.ptiles[k][pi] = sizes
 		}
 	}
 	return t, nil

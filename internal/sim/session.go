@@ -259,14 +259,12 @@ type Result struct {
 // planning scratch. It holds no per-session state; compute and apply take
 // the session's State (see step.go).
 type session struct {
-	cfg        Config
-	cat        *Catalog
+	// Pricer holds the config, catalogue, plan tables and FoV LUT.
+	Pricer
 	pm         power.Model
 	mpc        *abr.EnergyMPC
 	qoeMPC     *abr.QoEMPC
 	rate       *abr.RateBased
-	tab        *planTables
-	lut        *geom.FoVLUT
 	vp         *predict.ViewportPredictor
 	planBufs   []segmentPlan
 	optBufs    [][]abr.OptionMeta
@@ -276,7 +274,6 @@ type session struct {
 	// ptileProc[fi] is P_d(f) + P_r(f) of the Ptile pipeline at
 	// cfg.FrameRates[fi]: it depends only on the phone and f.
 	ptileProc []float64
-	fm        float64
 	// fetch is the step's download request and outcome. It lives here, not
 	// on compute's stack, because passing it through the Link interface
 	// would move it to the heap on every step.

@@ -226,11 +226,9 @@ type StepInfo struct {
 // NewStepper validates the configuration against the catalogue and builds
 // the shared session runtime.
 func NewStepper(cat *Catalog, cfg Config) (*Stepper, error) {
-	if err := cfg.Validate(); err != nil {
+	pr, err := NewPricer(cat, cfg)
+	if err != nil {
 		return nil, err
-	}
-	if cat == nil || len(cat.Content) == 0 {
-		return nil, fmt.Errorf("sim: empty catalogue")
 	}
 	if cat.SegmentSec != cfg.SegmentSec {
 		return nil, fmt.Errorf("sim: catalogue segment duration %g != config %g", cat.SegmentSec, cfg.SegmentSec)
@@ -266,22 +264,10 @@ func NewStepper(cat *Catalog, cfg Config) (*Stepper, error) {
 		return nil, err
 	}
 
-	// Fetch the catalogue's shared precomputed size tables; when disabled
-	// (determinism tests) the planners fall back to computing every size
-	// directly, which is the bit-identical serial reference path.
-	var tab *planTables
-	if !disablePlanTables {
-		tab, err = cat.tablesFor(&cfg)
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	st := &Stepper{
 		s: session{
-			cfg: cfg, cat: cat,
-			pm: pm, mpc: mpc, qoeMPC: qoeMPC, rate: rateCtl,
-			tab: tab, fm: cfg.Encoder.FrameRate,
+			Pricer: *pr,
+			pm:     pm, mpc: mpc, qoeMPC: qoeMPC, rate: rateCtl,
 		},
 		estKind: estKind,
 		xyCache: make(map[*headtrace.Trace]xySeries),
@@ -294,12 +280,9 @@ func NewStepper(cat *Catalog, cfg Config) (*Stepper, error) {
 		}
 		st.s.ptileProc = append(st.s.ptileProc, proc)
 	}
-	// Shared FoV coverage LUT (nil on grids too large for a TileSet — the
-	// planners then keep the direct FoVTiles paths) and the reusable
-	// viewport predictor. A config the predictor rejects is one Viewport
-	// would reject on every call, so predictViewport's trace fallback applies
-	// either way.
-	st.s.lut = geom.FoVLUTFor(cfg.Grid, cfg.FoVDeg, cfg.FoVDeg)
+	// The reusable viewport predictor. A config the predictor rejects is one
+	// Viewport would reject on every call, so predictViewport's trace
+	// fallback applies either way.
 	if vp, vpErr := predict.NewViewportPredictor(cfg.Viewport); vpErr == nil {
 		st.s.vp = vp
 	}

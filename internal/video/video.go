@@ -285,18 +285,3 @@ func (c EncoderConfig) RegionBits(areaFrac float64, q Quality, f float64, kind T
 	content *= math.Pow(f/c.FrameRate, c.FrameRateExponent)
 	return content + c.TileOverheadBits, nil
 }
-
-// SetBits returns the total encoded size in bits of a set of tiles for one
-// segment. Each tile pays its own fixed overhead — the mechanism that makes
-// many small tiles expensive.
-func (c EncoderConfig) SetBits(specs []TileSpec, l float64, sc SegmentContent) (float64, error) {
-	var total float64
-	for i, s := range specs {
-		bits, err := c.TileBits(s, l, sc)
-		if err != nil {
-			return 0, fmt.Errorf("video: tile %d: %w", i, err)
-		}
-		total += bits
-	}
-	return total, nil
-}

@@ -175,27 +175,6 @@ func TestFig8Calibration(t *testing.T) {
 	}
 }
 
-func TestSetBits(t *testing.T) {
-	cfg := DefaultEncoderConfig()
-	grid, _ := geom.NewGrid(4, 8)
-	specs := []TileSpec{
-		{Rect: grid.TileRect(geom.TileID{Row: 1, Col: 1}), Quality: 3},
-		{Rect: grid.TileRect(geom.TileID{Row: 1, Col: 2}), Quality: 3},
-	}
-	total, err := cfg.SetBits(specs, 1, refContent())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1, _ := cfg.TileBits(specs[0], 1, refContent())
-	b2, _ := cfg.TileBits(specs[1], 1, refContent())
-	if math.Abs(total-(b1+b2)) > 1e-9 {
-		t.Fatalf("SetBits = %g, want %g", total, b1+b2)
-	}
-	if _, err := cfg.SetBits([]TileSpec{{Rect: geom.Rect{}, Quality: 3}}, 1, refContent()); err == nil {
-		t.Fatal("want error for invalid tile in set")
-	}
-}
-
 // Property: higher SI or TI content never shrinks tile size.
 func TestContentScaleMonotone(t *testing.T) {
 	cfg := DefaultEncoderConfig()
