@@ -1,7 +1,7 @@
 // Command stream drives a full playback session against a ptileserver: it
 // generates a viewer, fetches the manifest, and streams segments with the
-// paper's controller, emitting one JSON telemetry record per segment (the
-// paper's headline series: bitrate, frame rate, stall, QoE loss, energy)
+// paper's controller, emitting one JSON telemetry event per segment (the
+// paper's headline series: size, frame rate, stall, QoE loss, energy)
 // and logging a periodic session summary.
 //
 // A chaos run injects client-side faults from a named profile and reports
@@ -83,7 +83,7 @@ func run() int {
 	}
 	viewer := ds.Traces[0]
 
-	// Telemetry sink: JSONL records as the session progresses.
+	// Telemetry sink: JSONL events as the session progresses.
 	var telemetryW io.Writer
 	switch *telemetryOut {
 	case "":
@@ -122,16 +122,16 @@ func run() int {
 	if telemetryW == nil {
 		enc = nil
 	}
-	var sum sessionAccumulator
-	cfg.Telemetry = func(tr httpstream.TelemetryRecord) {
-		sum.add(tr)
+	progress := &httpstream.SessionReport{VideoID: *videoID}
+	cfg.Telemetry = func(ev httpstream.SegmentEvent) {
+		progress.Add(ev.SegmentTrace)
 		if enc != nil {
-			if err := enc.Encode(tr); err != nil {
+			if err := enc.Encode(ev); err != nil {
 				logger.Error("telemetry write failed", "err", err)
 			}
 		}
-		if *summaryEvery > 0 && sum.segments%*summaryEvery == 0 {
-			sum.log(logger)
+		if *summaryEvery > 0 && len(progress.Segments)%*summaryEvery == 0 {
+			logSummary(logger, "session progress", progress)
 		}
 	}
 	if *retries > 0 {
@@ -212,23 +212,7 @@ func run() int {
 		return 1
 	}
 
-	meanLoss := 0.0
-	if len(report.Segments) > 0 {
-		meanLoss = report.TotalQoELoss / float64(len(report.Segments))
-	}
-	logger.Info("session complete",
-		"video", *videoID,
-		"segments", len(report.Segments),
-		"mb", float64(report.TotalBytes)/1e6,
-		"energy_j", report.TotalEnergyMJ/1e3,
-		"ptile_segments", report.PtileSegments,
-		"qoe_loss_mean", meanLoss,
-		"retries", report.TotalRetries,
-		"degraded", report.DegradedSegments,
-		"abandoned", report.AbandonedSegments,
-		"stalls", report.Stalls,
-		"stall_sec", report.TotalStallSec,
-		"wall_sec", time.Since(start).Seconds())
+	logSummary(logger, "session complete", report, "wall_sec", time.Since(start).Seconds())
 	if injector != nil {
 		logger.Info("injected faults", "stats", fmt.Sprint(injector.Stats()))
 	}
@@ -267,38 +251,26 @@ func run() int {
 	return 0
 }
 
-// sessionAccumulator aggregates telemetry for the periodic summary log.
-type sessionAccumulator struct {
-	segments  int
-	bytes     int64
-	energyMJ  float64
-	stallSec  float64
-	qoeLoss   float64
-	retries   int
-	abandoned int
-}
-
-func (s *sessionAccumulator) add(tr httpstream.TelemetryRecord) {
-	s.segments++
-	s.bytes += tr.Bytes
-	s.energyMJ += tr.EnergyMJ
-	s.stallSec += tr.StallSec
-	s.qoeLoss += tr.QoELoss
-	s.retries += tr.Retries
-	if tr.Abandoned {
-		s.abandoned++
+// logSummary logs a session report's totals as msg, followed by extra
+// key-value pairs.
+func logSummary(logger *slog.Logger, msg string, r *httpstream.SessionReport, extra ...any) {
+	meanLoss := 0.0
+	if n := len(r.Segments); n > 0 {
+		meanLoss = r.TotalQoELoss / float64(n)
 	}
-}
-
-func (s *sessionAccumulator) log(logger *slog.Logger) {
-	logger.Info("session progress",
-		"segments", s.segments,
-		"mb", float64(s.bytes)/1e6,
-		"energy_j", s.energyMJ/1e3,
-		"stall_sec", s.stallSec,
-		"qoe_loss_mean", s.qoeLoss/float64(s.segments),
-		"retries", s.retries,
-		"abandoned", s.abandoned)
+	logger.Info(msg, append([]any{
+		"video", r.VideoID,
+		"segments", len(r.Segments),
+		"mb", float64(r.TotalBytes) / 1e6,
+		"energy_j", r.TotalEnergyMJ / 1e3,
+		"ptile_segments", r.PtileSegments,
+		"qoe_loss_mean", meanLoss,
+		"retries", r.TotalRetries,
+		"degraded", r.DegradedSegments,
+		"abandoned", r.AbandonedSegments,
+		"stalls", r.Stalls,
+		"stall_sec", r.TotalStallSec,
+	}, extra...)...)
 }
 
 func writeJSON(path string, v any) error {
@@ -320,7 +292,7 @@ func writeCSV(path string, report *httpstream.SessionReport) error {
 	if err != nil {
 		return err
 	}
-	if err := sim.WriteSegmentsCSV(f, report.SegmentTraces()); err != nil {
+	if err := sim.WriteSegmentsCSV(f, report.Segments); err != nil {
 		f.Close()
 		return err
 	}

@@ -656,9 +656,9 @@ func (sh *shard) flightJoin(t float64, slot, session int) {
 	}
 }
 
-// flightDownload records one completed segment download into the session's
-// black box: v1 = download seconds, v2 = stall seconds, v3 = the session's
-// bandwidth estimate (bps). A no-op for unsampled sessions.
+// flightDownload records one completed segment into the session's black
+// box: its stall, if it rebuffered, and its download. A no-op for unsampled
+// sessions.
 func (sh *shard) flightDownload(t float64, slot int, state *sim.State, info sim.StepInfo) {
 	if sh.flight == nil {
 		return
@@ -667,8 +667,7 @@ func (sh *shard) flightDownload(t float64, slot int, state *sim.State, info sim.
 	if fsess == nil || state == nil {
 		return
 	}
-	fsess.Record(obs.FlightEvent{TimeSec: t, Kind: obs.FlightDownload,
-		Seg: int32(info.Segment), V1: info.DownloadSec, V2: info.StallSec, V3: state.EstimateBps()})
+	fsess.RecordSegment(t, info.Segment, info.DownloadSec, info.StallSec, state.EstimateBps(), false)
 }
 
 // reportViewport feeds the just-completed segment's trace viewing center to
@@ -712,12 +711,6 @@ func (sh *shard) handle(ev Event) error {
 	case KindStallResume:
 		sh.led.Stalls++
 		sh.led.StallSec += sh.pending[slot].StallSec
-		if sh.flight != nil {
-			if fsess := sh.flight[slot]; fsess != nil {
-				fsess.Record(obs.FlightEvent{TimeSec: ev.Time, Kind: obs.FlightStall,
-					Seg: int32(sh.pending[slot].Segment), V1: sh.pending[slot].StallSec})
-			}
-		}
 		return nil
 
 	case KindViewportUpdate:
@@ -747,7 +740,7 @@ func (sh *shard) handle(ev Event) error {
 		if sh.flight != nil {
 			if fsess := sh.flight[slot]; fsess != nil {
 				fsess.Record(obs.FlightEvent{TimeSec: ev.Time, Kind: obs.FlightLeave, Seg: -1,
-					V1: res.Energy.Total(), V2: res.QoE.MeanQ})
+					EnergyMJ: res.Energy.Total(), QoE: res.QoE.MeanQ})
 				fsess.Close()
 				sh.flight[slot] = nil
 			}

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"ptile360/internal/abr"
-	"ptile360/internal/geom"
 	"ptile360/internal/headtrace"
 	"ptile360/internal/lte"
 	"ptile360/internal/netem"
@@ -77,13 +76,13 @@ type ClientConfig struct {
 	Transport http.RoundTripper
 	// ClientID, when set, is sent as the X-Client-Id header so the
 	// server's per-client rate limiter can key on the session rather than
-	// the shared NAT address. It also labels telemetry records.
+	// the shared NAT address. It also labels telemetry events.
 	ClientID string
-	// Telemetry, when set, receives one record per segment (served or
+	// Telemetry, when set, receives each segment's event (served or
 	// abandoned) as the session progresses — the paper's headline series:
-	// bitrate, frame rate, stall, QoE loss, and modeled energy. The
-	// callback runs on the streaming goroutine; keep it fast.
-	Telemetry func(TelemetryRecord)
+	// size, frame rate, stall, QoE loss, and modeled energy. The callback
+	// runs on the streaming goroutine; keep it fast.
+	Telemetry func(SegmentEvent)
 	// Metrics, when set, receives the session's counters and per-stage
 	// latency histograms (client_segments_total, client_stall_seconds_total,
 	// client_qoe_loss, client_segment_stage_seconds, ...).
@@ -130,58 +129,12 @@ func (c ClientConfig) Validate() error {
 	return nil
 }
 
-// SegmentRecord is the client-side accounting of one downloaded segment.
-type SegmentRecord struct {
-	// Segment is the index.
-	Segment int
-	// Quality and FrameRate are the chosen version.
-	Quality video.Quality
-	// FrameRate is in fps.
-	FrameRate float64
-	// Bytes is the payload size received: the priced size of the version
-	// served (the client accepts no other), 0 when abandoned.
-	Bytes int64
-	// ThroughputBps is the measured goodput.
-	ThroughputBps float64
-	// FromPtile reports whether a Ptile served the segment.
-	FromPtile bool
-	// EnergyMJ is the Eq. 1 energy estimate for the segment.
-	EnergyMJ float64
-	// PerceivedQuality is the delivered Q0: the served version's Q(v, f)
-	// at the viewer's actual switching speed.
-	PerceivedQuality float64
-	// BufferSec is the buffer level when the download started.
-	BufferSec float64
-	// Emergency reports a stall-accepting controller fallback decision.
-	Emergency bool
-	// Retries counts failed download attempts before the segment was
-	// served (or given up on).
-	Retries int
-	// DegradeSteps counts ladder rungs dropped below the controller's
-	// choice before an attempt succeeded.
-	DegradeSteps int
-	// Abandoned reports that every rung failed and playback skipped the
-	// segment.
-	Abandoned bool
-	// StallSec is the rebuffering time charged to this segment, including
-	// the deadline miss of an abandoned segment.
-	StallSec float64
-	// BestPerceivedQuality is the highest Q(v, f) any offered version had —
-	// the reference the per-segment QoE loss is measured against.
-	BestPerceivedQuality float64
-	// TxEnergyMJ and DecodeEnergyMJ split the Eq. 1 estimate into its
-	// transmission and decode terms (render is the remainder).
-	TxEnergyMJ     float64
-	DecodeEnergyMJ float64
-	// ViewCenter is the predicted viewport center the segment was fetched
-	// for — the viewport report the online Ptile pipeline clusters.
-	ViewCenter geom.Point
-}
-
 // SessionReport summarizes a client streaming run.
 type SessionReport struct {
-	VideoID  int
-	Segments []SegmentRecord
+	VideoID int
+	// Segments are the session's events, one per stepped segment: the rows
+	// a simulated session records in Result.PerSegment.
+	Segments []sim.SegmentTrace
 	// TotalBytes is the summed payload volume.
 	TotalBytes int64
 	// TotalEnergyMJ is the summed Eq. 1 energy estimate.
@@ -204,48 +157,29 @@ type SessionReport struct {
 	// divide by len(Segments) for the session mean the paper's ≤5 %
 	// constraint is stated over.
 	TotalQoELoss float64
-
-	// traces are the rows the session's steps recorded.
-	traces []sim.SegmentTrace
 }
 
-// SegmentTraces returns the simulator rows the session's steps recorded, one
-// per segment: the same schema, and the same numbers, as a simulated
-// session's Result.PerSegment.
-func (r *SessionReport) SegmentTraces() []sim.SegmentTrace { return r.traces }
-
-// add folds one segment's record into the report.
-func (r *SessionReport) add(rec SegmentRecord) {
-	r.Segments = append(r.Segments, rec)
-	r.TotalBytes += rec.Bytes
-	r.TotalEnergyMJ += rec.EnergyMJ
-	if rec.FromPtile {
+// Add appends one segment's event to the report and folds it into the
+// totals.
+func (r *SessionReport) Add(ev sim.SegmentTrace) {
+	r.Segments = append(r.Segments, ev)
+	r.TotalBytes += ev.Bytes
+	r.TotalEnergyMJ += ev.EnergyMJ
+	if ev.FromPtile {
 		r.PtileSegments++
 	}
-	r.TotalRetries += rec.Retries
-	if rec.DegradeSteps > 0 {
+	r.TotalRetries += ev.Retries
+	if ev.DegradeSteps > 0 {
 		r.DegradedSegments++
 	}
-	if rec.Abandoned {
+	if ev.Abandoned {
 		r.AbandonedSegments++
 	}
-	if rec.StallSec > 0 {
+	if ev.StallSec > 0 {
 		r.Stalls++
-		r.TotalStallSec += rec.StallSec
+		r.TotalStallSec += ev.StallSec
 	}
-	r.TotalQoELoss += rec.qoeLoss()
-}
-
-// qoeLoss is the segment's QoE loss against the best offered version: 1 for
-// an abandoned segment.
-func (rec SegmentRecord) qoeLoss() float64 {
-	switch {
-	case rec.Abandoned:
-		return 1
-	case rec.BestPerceivedQuality > 0:
-		return (rec.BestPerceivedQuality - rec.PerceivedQuality) / rec.BestPerceivedQuality
-	}
-	return 0
+	r.TotalQoELoss += ev.QoELoss
 }
 
 // Client streams a video from a Server, running the simulator's session
@@ -475,25 +409,14 @@ func (c *Client) StreamContext(ctx context.Context, videoID int, viewer *headtra
 			return nil, err
 		}
 		rows := state.PerSegment()
-		rec := link.record(rows[len(rows)-1])
-		report.add(rec)
+		ev := rows[len(rows)-1]
+		report.Add(ev)
 		if fs != nil {
-			now := float64(seg) * man.SegmentSec
-			if rec.StallSec > 0 {
-				fs.Record(obs.FlightEvent{TimeSec: now, Kind: obs.FlightStall, Seg: int32(seg), V1: rec.StallSec})
-			}
-			if rec.Abandoned {
-				fs.Record(obs.FlightEvent{TimeSec: now, Kind: obs.FlightAbandon, Seg: int32(seg), V2: rec.StallSec, V3: 1})
-			} else {
-				fs.Record(obs.FlightEvent{TimeSec: now, Kind: obs.FlightDownload, Seg: int32(seg), V1: float64(rec.Bytes), V2: rec.StallSec, V3: rec.qoeLoss()})
-			}
+			fs.RecordSegment(ev.WallSec, ev.Segment, ev.DownloadSec, ev.StallSec, state.EstimateBps(), ev.Abandoned)
 		}
-		c.emitTelemetry(videoID, man.SegmentSec, rec, link.span)
+		c.emitTelemetry(videoID, ev, link.span)
 	}
-	if fs != nil {
-		fs.Record(obs.FlightEvent{TimeSec: float64(n) * man.SegmentSec, Kind: obs.FlightLeave, Seg: int32(n)})
-	}
-	report.traces = state.PerSegment()
+	fs.Record(obs.FlightEvent{TimeSec: state.WallSec(), Kind: obs.FlightLeave, Seg: -1})
 	return report, nil
 }
 
@@ -528,20 +451,16 @@ func (c *Client) stepper(man *Manifest) (*sim.Stepper, error) {
 	return sim.NewStepper(man.catalog(), cfg)
 }
 
-// emitTelemetry converts one segment's accounting into a telemetry record,
-// feeds the registry, closes the segment span, and invokes the callback.
-func (c *Client) emitTelemetry(videoID int, segmentSec float64, rec SegmentRecord, span *obs.Span) {
+// emitTelemetry closes the segment span, feeds the segment's event to the
+// registry, and invokes the callback.
+func (c *Client) emitTelemetry(videoID int, ev sim.SegmentTrace, span *obs.Span) {
 	if span != nil {
 		span.Stage("account")
 		span.End()
 	}
-	if c.obs == nil && c.cfg.Telemetry == nil {
-		return
-	}
-	tr := telemetryFrom(c.cfg.ClientID, videoID, segmentSec, rec)
-	c.obs.observe(tr)
+	c.obs.observe(ev)
 	if c.cfg.Telemetry != nil {
-		c.cfg.Telemetry(tr)
+		c.cfg.Telemetry(SegmentEvent{Session: c.cfg.ClientID, Video: videoID, SegmentTrace: ev})
 	}
 }
 
@@ -560,14 +479,6 @@ type httpLink struct {
 	// sets them before each step.
 	ctx  context.Context
 	span *obs.Span
-
-	// What the last Download saw beyond the fetch outcome: the bytes of
-	// the delivered body, the ladder rungs dropped, the best offered
-	// quality, and the predicted center the plan was built for.
-	bytes        int64
-	degradeSteps int
-	bestQ        float64
-	center       geom.Point
 }
 
 // RateAt reports the bandwidth model's rate at time t.
@@ -607,10 +518,6 @@ func (l *httpLink) Download(f *sim.Fetch) error {
 // the session. Only context cancellation, permanent (4xx) errors and a
 // failed bandwidth model propagate.
 func (l *httpLink) fetch(f *sim.Fetch) error {
-	l.bytes, l.degradeSteps, l.bestQ, l.center = 0, 0, 0, f.Center
-	for _, o := range f.Options {
-		l.bestQ = max(l.bestQ, o.PerceivedQuality)
-	}
 	var lastErr error
 	for rung, opt := range degradeLadder(f.Options, f.Chosen) {
 		for attempt := 0; attempt < l.c.retry.MaxAttempts; attempt++ {
@@ -629,8 +536,7 @@ func (l *httpLink) fetch(f *sim.Fetch) error {
 				return fmt.Errorf("httpstream: segment %d: %w", f.Segment, merr)
 			}
 			if err == nil {
-				f.Used, f.DownloadSec = opt, sec
-				l.bytes, l.degradeSteps = nBytes, rung
+				f.Used, f.DownloadSec, f.DegradeSteps = opt, sec, rung
 				return nil
 			}
 			f.Retries++
@@ -672,31 +578,6 @@ func (l *httpLink) charge(bits, startSec, wallSec float64) (float64, error) {
 		compression = 1
 	}
 	return sec, sleepCtx(l.ctx, time.Duration(sec/compression*float64(time.Second)))
-}
-
-// record builds the segment's client record from the step's trace row and
-// what the link saw.
-func (l *httpLink) record(row sim.SegmentTrace) SegmentRecord {
-	return SegmentRecord{
-		Segment:              row.Segment,
-		Quality:              row.Quality,
-		FrameRate:            row.FrameRate,
-		Bytes:                l.bytes,
-		ThroughputBps:        row.ThroughputBps,
-		FromPtile:            row.FromPtile,
-		EnergyMJ:             row.EnergyMJ,
-		PerceivedQuality:     row.Q0,
-		BufferSec:            row.BufferSec,
-		Emergency:            row.Emergency,
-		Retries:              row.Retries,
-		DegradeSteps:         l.degradeSteps,
-		Abandoned:            row.Abandoned,
-		StallSec:             row.StallSec,
-		BestPerceivedQuality: l.bestQ,
-		TxEnergyMJ:           row.TxEnergyMJ,
-		DecodeEnergyMJ:       row.DecodeEnergyMJ,
-		ViewCenter:           l.center,
-	}
 }
 
 // degradeLadder orders the fallback rungs for a segment: the controller's
@@ -761,7 +642,7 @@ func (l *httpLink) get(f *sim.Fetch, opt abr.OptionMeta) (int64, float64, error)
 		return 0, 0, fmt.Errorf("httpstream: segment %d: %w", f.Segment, err)
 	}
 	// The body must be exactly the priced size: the bits the step charges.
-	want := segmentBytes(opt.SizeBits)
+	want := sim.SegmentBytes(opt.SizeBits)
 	if hdr.ContentLength >= 0 && hdr.ContentLength != want {
 		return 0, 0, fmt.Errorf("httpstream: segment %d: declared %d bytes, priced at %d", f.Segment, hdr.ContentLength, want)
 	}

@@ -14,10 +14,11 @@ import (
 // each distinct client — the `X-Client-Id` header, falling back to the
 // remote host — is one flight session, and every request lands one event in
 // its black-box ring. Successful responses record FlightDownload and 5xx
-// responses record FlightStall (both with V1 = handler seconds, V2 = status
-// code, Seg from the `seg` query parameter), so a burst of errors for one
-// client trips the recorder's stall-burst trigger on its own, and an SLO
-// burn's TriggerAll dumps the recent request history of every live client.
+// responses record FlightStall (both with the handler's seconds as
+// DownloadSec, the response code as Status, and Seg from the `seg` query
+// parameter), so a burst of errors for one client trips the recorder's
+// stall-burst trigger on its own, and an SLO burn's TriggerAll dumps the
+// recent request history of every live client.
 // Unsampled clients hold a nil session: their per-request cost is the id
 // lookup and a nil-check.
 //
@@ -115,10 +116,10 @@ func (h *flightHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		kind = obs.FlightStall
 	}
 	s.Record(obs.FlightEvent{
-		TimeSec: t0.Sub(h.start).Seconds(),
-		Kind:    kind,
-		Seg:     seg,
-		V1:      time.Since(t0).Seconds(),
-		V2:      float64(cw.code),
+		TimeSec:     t0.Sub(h.start).Seconds(),
+		Kind:        kind,
+		Seg:         seg,
+		DownloadSec: time.Since(t0).Seconds(),
+		Status:      cw.code,
 	})
 }

@@ -49,13 +49,13 @@ func TestFlightMiddleware(t *testing.T) {
 		switch ev.Kind {
 		case obs.FlightDownload:
 			downloads++
-			if ev.V2 != 200 {
-				t.Fatalf("download event carries code %v", ev.V2)
+			if ev.Status != 200 {
+				t.Fatalf("download event carries code %v", ev.Status)
 			}
 		case obs.FlightStall:
 			stalls++
-			if ev.V2 != 503 {
-				t.Fatalf("stall event carries code %v", ev.V2)
+			if ev.Status != 503 {
+				t.Fatalf("stall event carries code %v", ev.Status)
 			}
 		default:
 			t.Fatalf("unexpected event %+v", ev)

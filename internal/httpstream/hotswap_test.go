@@ -243,8 +243,8 @@ func TestCatalogHotSwapSoak(t *testing.T) {
 				Phone:       power.Pixel3,
 				MaxSegments: 8,
 				ClientID:    fmt.Sprintf("swap-soak-%d", c),
-				Telemetry: func(tr TelemetryRecord) {
-					pipe.IngestTelemetry(tr.Video, tr.Segment, tr.ViewX, tr.ViewY)
+				Telemetry: func(ev SegmentEvent) {
+					pipe.IngestTelemetry(ev.Video, ev.Segment, ev.Center.X, ev.Center.Y)
 				},
 			})
 			if err != nil {

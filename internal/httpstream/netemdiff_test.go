@@ -83,8 +83,8 @@ func TestNetemIdealConnMatchesDirectTransport(t *testing.T) {
 			{d.FrameRate, e.FrameRate},
 			{d.PerceivedQuality, e.PerceivedQuality},
 			{d.BestPerceivedQuality, e.BestPerceivedQuality},
-			{d.ViewCenter.X, e.ViewCenter.X},
-			{d.ViewCenter.Y, e.ViewCenter.Y},
+			{d.Center.X, e.Center.X},
+			{d.Center.Y, e.Center.Y},
 		} {
 			if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
 				t.Fatalf("segment %d float diverges: %x vs %x (%g vs %g)",
@@ -151,38 +151,22 @@ func simConfig(t *testing.T, useMPC bool) sim.Config {
 }
 
 // requireSameSession fails unless the client's session is the simulated
-// one: the recorded rows DeepEqual, and every record's energy, perceived
-// quality, stall, buffer and throughput equal its row on Float64bits.
+// one: its events DeepEqual the simulator's rows, so every float matches on
+// Float64bits — the step's timing, energy, perceived and best quality, QoE
+// loss, stall, buffer, throughput and center — and so do the bytes, degrade
+// steps and flags.
 func requireSameSession(t *testing.T, report *SessionReport, res *sim.Result) {
 	t.Helper()
-	rows := report.SegmentTraces()
-	if len(rows) != len(res.PerSegment) || len(report.Segments) != len(rows) {
-		t.Fatalf("client %d records / %d rows, simulator %d rows", len(report.Segments), len(rows), len(res.PerSegment))
-	}
-	if !reflect.DeepEqual(rows, res.PerSegment) {
-		for i := range rows {
-			if rows[i] != res.PerSegment[i] {
-				t.Fatalf("segment %d diverges:\nclient    %+v\nsimulator %+v", i, rows[i], res.PerSegment[i])
+	if !reflect.DeepEqual(report.Segments, res.PerSegment) {
+		if len(report.Segments) != len(res.PerSegment) {
+			t.Fatalf("client %d events, simulator %d rows", len(report.Segments), len(res.PerSegment))
+		}
+		for i, ev := range report.Segments {
+			if ev != res.PerSegment[i] {
+				t.Fatalf("segment %d diverges:\nclient    %+v\nsimulator %+v", i, ev, res.PerSegment[i])
 			}
 		}
-		t.Fatal("client rows differ from the simulator's")
-	}
-	for i, rec := range report.Segments {
-		row := rows[i]
-		for _, f := range []struct {
-			what      string
-			rec, want float64
-		}{
-			{"energy", rec.EnergyMJ, row.EnergyMJ},
-			{"perceived quality", rec.PerceivedQuality, row.Q0},
-			{"stall", rec.StallSec, row.StallSec},
-			{"buffer", rec.BufferSec, row.BufferSec},
-			{"throughput", rec.ThroughputBps, row.ThroughputBps},
-		} {
-			if math.Float64bits(f.rec) != math.Float64bits(f.want) {
-				t.Fatalf("segment %d record %s %v, row %v", i, f.what, f.rec, f.want)
-			}
-		}
+		t.Fatal("client events differ from the simulator's rows")
 	}
 }
 

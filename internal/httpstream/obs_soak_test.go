@@ -273,7 +273,7 @@ func TestObservabilitySoak(t *testing.T) {
 		if rep == nil {
 			t.Fatalf("abandon dump for session %q without a report", d.Session)
 		}
-		bySeg := map[int32]SegmentRecord{}
+		bySeg := map[int32]sim.SegmentTrace{}
 		for _, r := range rep.Segments {
 			bySeg[int32(r.Segment)] = r
 		}
@@ -283,30 +283,28 @@ func TestObservabilitySoak(t *testing.T) {
 			case obs.FlightJoin, obs.FlightLeave:
 				continue
 			}
-			rec, ok := bySeg[ev.Seg]
+			row, ok := bySeg[ev.Seg]
 			if !ok {
 				t.Fatalf("dump %s/%s: event for segment %d not in report", d.Session, d.Reason, ev.Seg)
 			}
-			if ev.TimeSec != float64(rec.Segment) {
-				t.Fatalf("dump %s: event time %g != segment %d (1 s segments)", d.Session, ev.TimeSec, rec.Segment)
+			// Every segment event is stamped on the session clock and
+			// carries the step's fetch and stall seconds.
+			if ev.TimeSec != row.WallSec || ev.DownloadSec != row.DownloadSec || ev.StallSec != row.StallSec {
+				t.Fatalf("dump %s seg %d: %s event %+v != report row %+v", d.Session, ev.Seg, ev.Kind, ev, row)
 			}
 			switch ev.Kind {
 			case obs.FlightDownload:
-				loss := 0.0
-				if rec.BestPerceivedQuality > 0 {
-					loss = (rec.BestPerceivedQuality - rec.PerceivedQuality) / rec.BestPerceivedQuality
-				}
-				if ev.V1 != float64(rec.Bytes) || ev.V2 != rec.StallSec || ev.V3 != loss {
-					t.Fatalf("dump %s seg %d: download event %+v != report %+v", d.Session, ev.Seg, ev, rec)
+				if row.Abandoned {
+					t.Fatalf("dump %s seg %d: download event for an abandoned row %+v", d.Session, ev.Seg, row)
 				}
 			case obs.FlightStall:
-				if ev.V1 != rec.StallSec || rec.StallSec <= 0 {
-					t.Fatalf("dump %s seg %d: stall event %+v != report stall %g", d.Session, ev.Seg, ev, rec.StallSec)
+				if row.StallSec <= 0 {
+					t.Fatalf("dump %s seg %d: stall event %+v for a row without stall", d.Session, ev.Seg, ev)
 				}
 			case obs.FlightAbandon:
 				sawAbandon = true
-				if !rec.Abandoned || ev.V2 != rec.StallSec || ev.V3 != 1 {
-					t.Fatalf("dump %s seg %d: abandon event %+v != report %+v", d.Session, ev.Seg, ev, rec)
+				if !row.Abandoned {
+					t.Fatalf("dump %s seg %d: abandon event %+v != report %+v", d.Session, ev.Seg, ev, row)
 				}
 			}
 		}

@@ -318,8 +318,8 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleSegment serves one segment version: segmentBytes of its sim.Pricer
-// price in filler bytes. Query parameters:
+// handleSegment serves one segment version: sim.SegmentBytes of its
+// sim.Pricer price in filler bytes. Query parameters:
 //
 //	video, seg           — segment address
 //	q                    — quality level 1..5
@@ -364,7 +364,7 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 	}
 	s.report(pr.Catalog().Video.ID, seg, center.X, center.Y)
 
-	nBytes := segmentBytes(bits)
+	nBytes := sim.SegmentBytes(bits)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.FormatInt(nBytes, 10))
 	var dst io.Writer = w
@@ -376,11 +376,6 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 	}
 	writePayload(dst, nBytes)
 }
-
-// segmentBytes is the body length of a segment priced at bits: whole bytes,
-// at least one. The server writes exactly this many and the client accepts
-// nothing else.
-func segmentBytes(bits float64) int64 { return max(int64(bits/8), 1) }
 
 // filler is the read-only segment body pattern: byte k of every body is
 // byte(k), because the filler's length is a multiple of 256.

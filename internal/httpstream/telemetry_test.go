@@ -15,14 +15,14 @@ import (
 )
 
 // TestClientTelemetryPerSegment is the acceptance check for session
-// telemetry: every downloaded segment yields exactly one record carrying
-// bitrate, frame rate, stall, QoE loss, and energy, and the registry series
-// agree with the records and the session report.
+// telemetry: every downloaded segment yields exactly one event carrying
+// size, frame rate, stall, QoE loss, and energy, and the registry series
+// agree with the events and the session report.
 func TestClientTelemetryPerSegment(t *testing.T) {
 	h := newHarness(t)
 	const nSegments = 6
 	reg := obs.NewRegistry()
-	var records []TelemetryRecord
+	var records []SegmentEvent
 	client, err := NewClient(ClientConfig{
 		BaseURL:     h.server.URL,
 		Phone:       power.Pixel3,
@@ -30,7 +30,7 @@ func TestClientTelemetryPerSegment(t *testing.T) {
 		UseMPC:      true,
 		ClientID:    "telemetry-test",
 		Metrics:     reg,
-		Telemetry:   func(tr TelemetryRecord) { records = append(records, tr) },
+		Telemetry:   func(ev SegmentEvent) { records = append(records, ev) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -53,13 +53,13 @@ func TestClientTelemetryPerSegment(t *testing.T) {
 			t.Fatalf("segment %d abandoned against a healthy server", i)
 		}
 		// The headline fields must all be populated on a served segment.
-		if tr.BitrateMbps <= 0 || tr.FrameRate <= 0 || tr.Bytes <= 0 || tr.EnergyMJ <= 0 {
+		if tr.SizeBits <= 0 || tr.FrameRate <= 0 || tr.Bytes <= 0 || tr.EnergyMJ <= 0 {
 			t.Fatalf("record %d missing headline fields: %+v", i, tr)
 		}
 		if tr.StallSec < 0 {
 			t.Fatalf("record %d negative stall: %+v", i, tr)
 		}
-		if tr.QoELoss < 0 || tr.QoELoss > 1 || tr.QoEBest < tr.QoE {
+		if tr.QoELoss < 0 || tr.QoELoss > 1 || tr.BestPerceivedQuality < tr.PerceivedQuality {
 			t.Fatalf("record %d QoE accounting broken: %+v", i, tr)
 		}
 		if tr.TxEnergyMJ <= 0 || tr.DecodeEnergyMJ <= 0 || tr.TxEnergyMJ+tr.DecodeEnergyMJ > tr.EnergyMJ {

@@ -10,9 +10,9 @@ import (
 )
 
 // The flight recorder is a per-session black box: a sampled subset of
-// sessions keeps a small fixed ring of recent events (downloads, plan
-// decisions, stalls, estimator state), and an anomaly — abandon, stall
-// burst, SLO burn — dumps the ring as a JSONL record for postmortems. The
+// sessions keeps a small fixed ring of recent events (joins, downloads,
+// stalls, abandons, leaves), and an anomaly — abandon, stall burst, SLO
+// burn — dumps the ring as a JSONL record for postmortems. The
 // design is gated for the fleet hot path: unsampled sessions hold a nil
 // *FlightSession and every Record call on nil is a single branch, so the
 // engine's ≲0.001 allocs/event steady state survives with the recorder on.
@@ -21,24 +21,21 @@ import (
 type FlightKind uint8
 
 const (
-	// FlightJoin marks session start. v1 = join time.
+	// FlightJoin marks session start.
 	FlightJoin FlightKind = iota
-	// FlightDownload is one fetched segment. v1/v2/v3 are caller-defined
-	// (fleet: download sec / stall sec / estimate bps; client: bytes /
-	// stall sec / QoE loss).
+	// FlightDownload is one fetched segment (server side: one served
+	// request).
 	FlightDownload
-	// FlightPlan is one planning decision. v1 = buffer sec, v2 = estimate.
-	FlightPlan
-	// FlightStall is a rebuffering event. v1 = stall sec.
+	// FlightStall is a segment that rebuffered (server side: a 5xx
+	// response).
 	FlightStall
-	// FlightAbandon is a segment abandoned after the retry ladder. v1 =
-	// stall sec charged.
+	// FlightAbandon is a segment abandoned after the retry ladder.
 	FlightAbandon
 	// FlightLeave marks session end.
 	FlightLeave
 )
 
-var flightKindNames = [...]string{"join", "download", "plan", "stall", "abandon", "leave"}
+var flightKindNames = [...]string{"join", "download", "stall", "abandon", "leave"}
 
 // String names the kind.
 func (k FlightKind) String() string {
@@ -63,19 +60,30 @@ func (k *FlightKind) UnmarshalText(b []byte) error {
 }
 
 // FlightEvent is one black-box entry. It is a compact value type: recording
-// into the preallocated ring allocates nothing.
+// into the preallocated ring allocates nothing. Each payload field means the
+// same for every producer; a kind fills only the fields it has.
 type FlightEvent struct {
-	// TimeSec is session-relative (or virtual-clock) time.
+	// TimeSec is the session clock: the client's session time, the fleet's
+	// virtual clock, or the server's time since the middleware started.
 	TimeSec float64 `json:"t"`
 	// Kind tags the event.
 	Kind FlightKind `json:"kind"`
 	// Seg is the segment index the event concerns (-1 when not segment
 	// scoped).
 	Seg int32 `json:"seg"`
-	// V1..V3 are kind-specific payloads (see the kind docs).
-	V1 float64 `json:"v1"`
-	V2 float64 `json:"v2"`
-	V3 float64 `json:"v3"`
+	// DownloadSec is the segment's whole fetch, failed attempts included
+	// (server side: the handler's time).
+	DownloadSec float64 `json:"download_sec,omitempty"`
+	// StallSec is the rebuffering charged to the segment.
+	StallSec float64 `json:"stall_sec,omitempty"`
+	// EstimateBps is the session's bandwidth estimate after the segment.
+	EstimateBps float64 `json:"estimate_bps,omitempty"`
+	// Status is the HTTP response code of a served request.
+	Status int `json:"status,omitempty"`
+	// EnergyMJ and QoE are a leaving session's total Eq. 1 energy and mean
+	// Eq. 2 QoE.
+	EnergyMJ float64 `json:"energy_mj,omitempty"`
+	QoE      float64 `json:"qoe,omitempty"`
 }
 
 // FlightDump is one triggered black-box dump.
@@ -255,6 +263,25 @@ func (s *FlightSession) Record(ev FlightEvent) {
 	if trigger != "" {
 		s.rec.dump(s, trigger)
 	}
+}
+
+// RecordSegment records one stepped segment at time t: a stall event when
+// it rebuffered, then its download, or its abandon when playback skipped
+// it. Each event carries the step's download and stall seconds and the
+// bandwidth estimate after it. Nil-safe.
+func (s *FlightSession) RecordSegment(t float64, seg int, downloadSec, stallSec, estimateBps float64, abandoned bool) {
+	if s == nil {
+		return
+	}
+	ev := FlightEvent{TimeSec: t, Kind: FlightStall, Seg: int32(seg), DownloadSec: downloadSec, StallSec: stallSec, EstimateBps: estimateBps}
+	if stallSec > 0 {
+		s.Record(ev)
+	}
+	ev.Kind = FlightDownload
+	if abandoned {
+		ev.Kind = FlightAbandon
+	}
+	s.Record(ev)
 }
 
 // Close deregisters the session from the recorder's active set (its dumps

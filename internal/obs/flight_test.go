@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -61,6 +63,7 @@ func TestFlightSamplingGates(t *testing.T) {
 	// Nil session: every method is a no-op, not a panic.
 	var nilS *FlightSession
 	nilS.Record(FlightEvent{Kind: FlightAbandon})
+	nilS.RecordSegment(1, 0, 0.5, 0.5, 1e6, true)
 	nilS.Close()
 	if nilS.ID() != "" {
 		t.Fatal("nil ID() not empty")
@@ -98,8 +101,8 @@ func TestFlightAbandonTrigger(t *testing.T) {
 	f := NewFlightRecorder(FlightConfig{SampleEvery: 1, Registry: reg})
 	s := f.Session("sess")
 	s.Record(FlightEvent{TimeSec: 0, Kind: FlightJoin, Seg: -1})
-	s.Record(FlightEvent{TimeSec: 1, Kind: FlightDownload, Seg: 0, V1: 1000})
-	s.Record(FlightEvent{TimeSec: 2, Kind: FlightAbandon, Seg: 1, V1: 0.7})
+	s.Record(FlightEvent{TimeSec: 1, Kind: FlightDownload, Seg: 0, DownloadSec: 0.5})
+	s.Record(FlightEvent{TimeSec: 2, Kind: FlightAbandon, Seg: 1, StallSec: 0.7})
 
 	dumps := f.Dumps()
 	if len(dumps) != 1 {
@@ -112,7 +115,7 @@ func TestFlightAbandonTrigger(t *testing.T) {
 	if len(d.Events) != 3 || d.Events[0].Kind != FlightJoin || d.Events[2].Kind != FlightAbandon {
 		t.Fatalf("dump events = %+v", d.Events)
 	}
-	if d.Events[2].V1 != 0.7 || d.Events[2].Seg != 1 {
+	if d.Events[2].StallSec != 0.7 || d.Events[2].Seg != 1 {
 		t.Fatalf("abandon payload = %+v", d.Events[2])
 	}
 
@@ -142,14 +145,14 @@ func TestFlightStallBurst(t *testing.T) {
 	s := f.Session("bursty")
 	// Three stalls across 40 s of session time: outside the window.
 	for i, ts := range []float64{0, 20, 40} {
-		s.Record(FlightEvent{TimeSec: ts, Kind: FlightStall, Seg: int32(i), V1: 0.5})
+		s.Record(FlightEvent{TimeSec: ts, Kind: FlightStall, Seg: int32(i), StallSec: 0.5})
 	}
 	if n := len(f.Dumps()); n != 0 {
 		t.Fatalf("spread stalls dumped %d times", n)
 	}
 	// Two more stalls close to the last: stalls at 40, 41, 42 fit in 10 s.
-	s.Record(FlightEvent{TimeSec: 41, Kind: FlightStall, Seg: 4, V1: 0.5})
-	s.Record(FlightEvent{TimeSec: 42, Kind: FlightStall, Seg: 5, V1: 0.5})
+	s.Record(FlightEvent{TimeSec: 41, Kind: FlightStall, Seg: 4, StallSec: 0.5})
+	s.Record(FlightEvent{TimeSec: 42, Kind: FlightStall, Seg: 5, StallSec: 0.5})
 	dumps := f.Dumps()
 	if len(dumps) != 1 || dumps[0].Reason != "stall_burst" {
 		t.Fatalf("dumps = %+v, want one stall_burst", dumps)
@@ -242,8 +245,8 @@ func TestFlightMaxDumps(t *testing.T) {
 func TestFlightJSONLAndHandler(t *testing.T) {
 	f := NewFlightRecorder(FlightConfig{SampleEvery: 1})
 	s := f.Session("jsonl")
-	s.Record(FlightEvent{TimeSec: 1.5, Kind: FlightDownload, Seg: 3, V1: 4096, V2: 0.25, V3: 0.1})
-	s.Record(FlightEvent{TimeSec: 2, Kind: FlightAbandon, Seg: 4, V1: 0.8})
+	s.Record(FlightEvent{TimeSec: 1.5, Kind: FlightDownload, Seg: 3, DownloadSec: 0.75, StallSec: 0.25, EstimateBps: 4e6})
+	s.Record(FlightEvent{TimeSec: 2, Kind: FlightAbandon, Seg: 4, StallSec: 0.8})
 
 	var buf bytes.Buffer
 	if err := f.WriteJSONL(&buf); err != nil {
@@ -260,16 +263,20 @@ func TestFlightJSONLAndHandler(t *testing.T) {
 		if d.Session != "jsonl" || d.Reason != "abandon" || len(d.Events) != 2 {
 			t.Fatalf("decoded dump = %+v", d)
 		}
-		if d.Events[0].Kind != FlightDownload || d.Events[0].V1 != 4096 {
+		if d.Events[0].Kind != FlightDownload || d.Events[0].DownloadSec != 0.75 || d.Events[0].EstimateBps != 4e6 {
 			t.Fatalf("event 0 = %+v", d.Events[0])
 		}
 	}
 	if lines != 1 {
 		t.Fatalf("JSONL lines = %d, want 1", lines)
 	}
-	// Kinds serialize as names, not numbers.
+	// Kinds serialize as names, not numbers, and a kind's unfilled fields
+	// are left out.
 	if !bytes.Contains(buf.Bytes(), []byte(`"kind":"download"`)) {
 		t.Fatalf("kind not textual: %s", buf.String())
+	}
+	if !bytes.Contains(buf.Bytes(), []byte(`{"t":2,"kind":"abandon","seg":4,"stall_sec":0.8}`)) {
+		t.Fatalf("abandon event not compact: %s", buf.String())
 	}
 
 	srv := httptest.NewServer(f.Handler())
@@ -288,9 +295,41 @@ func TestFlightJSONLAndHandler(t *testing.T) {
 	}
 }
 
+// TestFlightRecordSegment: a stepped segment lands as a stall event when it
+// rebuffered, then as its download or abandon, each carrying the step's
+// download and stall seconds and the estimate.
+func TestFlightRecordSegment(t *testing.T) {
+	f := NewFlightRecorder(FlightConfig{SampleEvery: 1})
+	s := f.Session("steps")
+	s.RecordSegment(1.5, 0, 0.5, 0, 4e6, false)
+	s.RecordSegment(3.25, 1, 1.75, 0.25, 3e6, false)
+	s.RecordSegment(5, 2, 0.7, 1.2, 3e6, true)
+	dumps := f.Dumps()
+	if len(dumps) != 1 || dumps[0].Reason != "abandon" {
+		t.Fatalf("dumps = %+v, want one abandon", dumps)
+	}
+	want := []FlightEvent{
+		{TimeSec: 1.5, Kind: FlightDownload, Seg: 0, DownloadSec: 0.5, EstimateBps: 4e6},
+		{TimeSec: 3.25, Kind: FlightStall, Seg: 1, DownloadSec: 1.75, StallSec: 0.25, EstimateBps: 3e6},
+		{TimeSec: 3.25, Kind: FlightDownload, Seg: 1, DownloadSec: 1.75, StallSec: 0.25, EstimateBps: 3e6},
+		{TimeSec: 5, Kind: FlightStall, Seg: 2, DownloadSec: 0.7, StallSec: 1.2, EstimateBps: 3e6},
+		{TimeSec: 5, Kind: FlightAbandon, Seg: 2, DownloadSec: 0.7, StallSec: 1.2, EstimateBps: 3e6},
+	}
+	if !reflect.DeepEqual(dumps[0].Events, want) {
+		t.Fatalf("events\ngot  %+v\nwant %+v", dumps[0].Events, want)
+	}
+}
+
 // TestFlightKindRoundTrip: every kind name survives Marshal/Unmarshal and
 // unknown names are rejected.
 func TestFlightKindRoundTrip(t *testing.T) {
+	var names []string
+	for k := FlightJoin; k <= FlightLeave; k++ {
+		names = append(names, k.String())
+	}
+	if got := strings.Join(names, ","); got != "join,download,stall,abandon,leave" {
+		t.Fatalf("kinds = %s", got)
+	}
 	for k := FlightJoin; k <= FlightLeave; k++ {
 		b, err := k.MarshalText()
 		if err != nil {

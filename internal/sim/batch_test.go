@@ -129,6 +129,7 @@ func TestStepBatchMatchesStep(t *testing.T) {
 				if !reflect.DeepEqual(br, sr) {
 					t.Fatalf("session %d: batched Result != scalar Result\nbatch:  %+v\nscalar: %+v", i, br, sr)
 				}
+				requireSessionInvariants(t, cfg, br)
 			}
 		})
 	}

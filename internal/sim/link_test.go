@@ -13,11 +13,14 @@ import (
 
 // scriptedLink is a bandwidth trace whose downloads follow a script on two
 // segments: on degrade, two failed attempts burn 0.4 s and the next rung
-// down is delivered; on abandon, the link gives up after 0.7 s. Every other
-// segment passes through: the chosen version, nothing wasted.
+// down is delivered, one degrade step below the choice; on abandon, the
+// link gives up after 0.7 s. Every other segment passes through: the chosen
+// version, nothing wasted. With inconsistent set, the degraded delivery
+// reports no degrade step.
 type scriptedLink struct {
 	tr               *lte.Trace
 	degrade, abandon int
+	inconsistent     bool
 	// used and dl record the degraded delivery.
 	used abr.OptionMeta
 	dl   float64
@@ -31,6 +34,9 @@ func (l *scriptedLink) Download(f *Fetch) error {
 		return nil
 	case l.degrade:
 		f.WastedSec, f.Retries = 0.4, 2
+		if !l.inconsistent {
+			f.DegradeSteps = 1
+		}
 		used = abr.OptionMeta{}
 		for _, o := range f.Options {
 			if o.SizeBits < f.Chosen.SizeBits && o.SizeBits > used.SizeBits {
@@ -50,11 +56,27 @@ func (l *scriptedLink) RateAt(t float64) float64 { return l.tr.At(t) }
 
 func (l *scriptedLink) Packets() []netem.PacketSample { return nil }
 
+// claimingLink passes every segment through but claims a degrade step on
+// segment seg, whose chosen version it delivered.
+type claimingLink struct {
+	scriptedLink
+	seg int
+}
+
+func (l *claimingLink) Download(f *Fetch) error {
+	err := l.scriptedLink.Download(f)
+	if f.Segment == l.seg {
+		f.DegradeSteps = 1
+	}
+	return err
+}
+
 // TestLinkOutcomes pins how a step accounts a link's outcome: a degraded
 // delivery is charged as the version used, with the failed attempts'
 // time draining the buffer and counting in the stall; an abandoned segment
 // charges only its stall and leaves the estimator and the previous-choice
-// memory alone; and a pass-through link is sim.Run to the bit.
+// memory alone; a delivery whose degrade steps disagree with the version
+// used fails the step; and a pass-through link is sim.Run to the bit.
 func TestLinkOutcomes(t *testing.T) {
 	fx := fixture(t)
 	cfg, err := DefaultConfig(SchemeOurs, power.Pixel3)
@@ -106,9 +128,44 @@ func TestLinkOutcomes(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("pass-through result diverges from sim.Run:\ngot  %+v\nwant %+v", got, want)
 		}
+		requireSessionInvariants(t, cfg, got)
 	})
 
 	const degradeSeg, abandonSeg = 30, 60
+
+	// A link whose degrade steps disagree with the version it delivered
+	// fails the step, which leaves the session where it was.
+	for _, tc := range []struct {
+		name string
+		link Link
+	}{
+		{"cheaper rung without a step", &scriptedLink{tr: fx.trace, degrade: degradeSeg, abandon: -1, inconsistent: true}},
+		{"chosen rung with a step", &claimingLink{scriptedLink{tr: fx.trace, degrade: -1, abandon: -1}, degradeSeg}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := NewStepper(fx.cat, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			state, err := st.NewStateLink(user, tc.link)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < degradeSeg; k++ {
+				if _, err := st.Step(state); err != nil {
+					t.Fatalf("segment %d: %v", k, err)
+				}
+			}
+			before := snapshotOf(state)
+			if _, err := st.Step(state); err == nil {
+				t.Fatal("inconsistent degrade report accepted")
+			}
+			if after := snapshotOf(state); after != before || len(state.PerSegment()) != degradeSeg {
+				t.Fatalf("failed step moved the state\nbefore: %+v\nafter:  %+v (%d rows)", before, after, len(state.PerSegment()))
+			}
+		})
+	}
+
 	st, err := NewStepper(fx.cat, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -126,9 +183,9 @@ func TestLinkOutcomes(t *testing.T) {
 			t.Fatal(err)
 		}
 		row := state.PerSegment()[k]
-		B := row.BufferSec
+		B := row.RequestBufferSec
 		if k != degradeSeg && k != abandonSeg {
-			if row.Retries != 0 || row.Degraded || row.Abandoned {
+			if row.Retries != 0 || row.DegradeSteps != 0 || row.Abandoned {
 				t.Fatalf("segment %d: pass-through row marks resilience: %+v", k, row)
 			}
 			continue
@@ -141,10 +198,10 @@ func TestLinkOutcomes(t *testing.T) {
 		}
 
 		if k == abandonSeg {
-			if !row.Abandoned || row.Degraded || row.Retries != 3 {
+			if !row.Abandoned || row.DegradeSteps != 0 || row.Retries != 3 {
 				t.Fatalf("abandoned row columns: %+v", row)
 			}
-			if row.Quality != 0 || row.SizeBits != 0 || row.EnergyMJ != 0 || row.Q0 != 0 || row.Q != 0 || row.FromPtile || row.ThroughputBps != 0 {
+			if row.Quality != 0 || row.SizeBits != 0 || row.EnergyMJ != 0 || row.PerceivedQuality != 0 || row.Q != 0 || row.FromPtile || row.ThroughputBps != 0 {
 				t.Fatalf("abandoned segment charged a delivery: %+v", row)
 			}
 			if want := math.Max(0.7-B, 0) + L; row.StallSec != want || info.StallSec != want {
@@ -166,7 +223,7 @@ func TestLinkOutcomes(t *testing.T) {
 		if used.SizeBits == 0 {
 			t.Fatalf("segment %d: chosen version has no cheaper rung", k)
 		}
-		if !row.Degraded || row.Abandoned || row.Retries != 2 {
+		if row.DegradeSteps != 1 || row.Abandoned || row.Retries != 2 {
 			t.Fatalf("degraded row columns: %+v", row)
 		}
 		if row.Quality != used.Quality || row.FrameRate != used.FrameRate || row.SizeBits != used.SizeBits {
@@ -192,8 +249,8 @@ func TestLinkOutcomes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(row.Q0) != math.Float64bits(q0) {
-			t.Fatalf("degraded Q0 %g, used version's %g", row.Q0, q0)
+		if math.Float64bits(row.PerceivedQuality) != math.Float64bits(q0) {
+			t.Fatalf("degraded Q0 %g, used version's %g", row.PerceivedQuality, q0)
 		}
 		if want := math.Max(0.4+used.SizeBits/rate-B, 0); math.Float64bits(row.StallSec) != math.Float64bits(want) {
 			t.Fatalf("degraded stall %g, want max(0.4 + S/R − %g, 0) = %g", row.StallSec, B, want)
@@ -225,4 +282,5 @@ func TestLinkOutcomes(t *testing.T) {
 		t.Fatalf("totals do not reconcile with the rows: %g bits vs %g, %d Ptile segments vs %d",
 			res.BitsDownloaded, bits, res.PtileSegments, ptiles)
 	}
+	requireSessionInvariants(t, cfg, res)
 }

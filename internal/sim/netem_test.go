@@ -234,6 +234,17 @@ func TestRunNetemIdealMatchesUnlimitedTrace(t *testing.T) {
 	}
 }
 
+// stateSnapshot is what a failed Step must leave as it was: the clocks,
+// buffer, segment position, segment count and bandwidth estimate.
+type stateSnapshot struct {
+	wall, buffer, estimate float64
+	segment, segments      int
+}
+
+func snapshotOf(state *State) stateSnapshot {
+	return stateSnapshot{state.WallSec(), state.BufferSec(), state.EstimateBps(), state.Segment(), state.Segments()}
+}
+
 // TestFailedStepLeavesState pins Step's failure contract: a step that
 // returns an error leaves the session where it was. The link runs at
 // 40 Mbps for 10 s, then cross traffic claims the whole capacity, so a
@@ -266,20 +277,13 @@ func TestFailedStepLeavesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type snapshot struct {
-		wall, buffer, estimate float64
-		segment, segments      int
-	}
-	snap := func() snapshot {
-		return snapshot{state.WallSec(), state.BufferSec(), state.EstimateBps(), state.Segment(), state.Segments()}
-	}
 	for step := 0; ; step++ {
 		if step == st.Segments() {
 			t.Fatal("every step succeeded; the link never died")
 		}
-		before := snap()
+		before := snapshotOf(state)
 		if _, err := st.Step(state); err != nil {
-			if after := snap(); after != before {
+			if after := snapshotOf(state); after != before {
 				t.Fatalf("step %d failed (%v) but moved the state\nbefore: %+v\nafter:  %+v", step, err, before, after)
 			}
 			t.Logf("step %d failed as intended: %v", step, err)

@@ -7,49 +7,67 @@ import (
 	"io"
 	"strconv"
 
+	"ptile360/internal/geom"
 	"ptile360/internal/video"
 )
 
-// SegmentTrace is the per-segment record emitted when Config.RecordSegments
-// is set: everything needed to plot a session timeline or debug a
-// controller decision.
+// SegmentTrace is the one per-segment event, recorded by the step when
+// Config.RecordSegments is set. Every link records it the same way, so a
+// simulated, emulated or HTTP session's rows compare field for field; the
+// HTTP client's report, telemetry, metrics and flight events are views of
+// it, and WriteSegmentsCSV writes it for plotting.
 type SegmentTrace struct {
-	// Segment is the index within the video.
-	Segment int
-	// Quality and FrameRate are the chosen version.
-	Quality video.Quality
-	// FrameRate is in fps.
-	FrameRate float64
-	// SizeBits is the downloaded payload.
-	SizeBits float64
+	// StepInfo is the step's timing: the segment index, the wait, the whole
+	// fetch, the stall, the wall clock at completion and the buffer after
+	// the segment was appended.
+	StepInfo
+	// Quality and FrameRate are the version delivered; zero when abandoned.
+	Quality   video.Quality `json:"quality"`
+	FrameRate float64       `json:"frame_rate"`
+	// SizeBits is the delivered payload and Bytes its wire size,
+	// SegmentBytes(SizeBits); both 0 when abandoned.
+	SizeBits float64 `json:"size_bits"`
+	Bytes    int64   `json:"bytes"`
 	// ThroughputBps is the measured download throughput.
-	ThroughputBps float64
-	// BufferSec is the buffer level when the request was issued (after the
-	// β wait).
-	BufferSec float64
-	// Q0 and Q are the segment's perceived quality and Eq. 2 QoE.
-	Q0, Q float64
-	// StallSec is the rebuffering duration charged to this segment.
-	StallSec float64
+	ThroughputBps float64 `json:"throughput_bps"`
+	// RequestBufferSec is the buffer level when the request was issued
+	// (after the β wait).
+	RequestBufferSec float64 `json:"request_buffer_sec"`
+	// PerceivedQuality is the delivered Q0 and Q the segment's Eq. 2 QoE.
+	PerceivedQuality float64 `json:"perceived_quality"`
+	Q                float64 `json:"q"`
+	// BestPerceivedQuality is the highest Q0 the plan offered, and QoELoss
+	// the loss against it, (best − Q0) / best: the quantity the paper's
+	// ε = 5 % constraint bounds. QoELoss is 1 for an abandoned segment.
+	BestPerceivedQuality float64 `json:"best_perceived_quality"`
+	QoELoss              float64 `json:"qoe_loss"`
 	// EnergyMJ is the segment's Eq. 1 energy; TxEnergyMJ and DecodeEnergyMJ
 	// are its transmission and decode terms (render is the remainder).
-	EnergyMJ       float64
-	TxEnergyMJ     float64
-	DecodeEnergyMJ float64
+	EnergyMJ       float64 `json:"energy_mj"`
+	TxEnergyMJ     float64 `json:"tx_energy_mj"`
+	DecodeEnergyMJ float64 `json:"decode_energy_mj"`
 	// FromPtile reports whether a Ptile served the segment.
-	FromPtile bool
+	FromPtile bool `json:"from_ptile"`
 	// Emergency reports a stall-accepting fallback decision.
-	Emergency bool
-	// Retries counts failed download attempts charged to this segment
-	// (zero on the trace and netem links, which never retry).
-	Retries int
-	// Degraded reports the segment was served below the controller's
-	// chosen rung by the resilience ladder.
-	Degraded bool
+	Emergency bool `json:"emergency"`
+	// Retries counts failed download attempts charged to this segment, and
+	// DegradeSteps the ladder rungs below the controller's choice it was
+	// served on (both zero on the trace and netem links, which never
+	// retry).
+	Retries      int `json:"retries"`
+	DegradeSteps int `json:"degrade_steps"`
 	// Abandoned reports playback skipped the segment after the resilience
 	// ladder was exhausted.
-	Abandoned bool
+	Abandoned bool `json:"abandoned"`
+	// Center is the predicted viewport center the plan was built for: the
+	// viewport report the online Ptile pipeline clusters.
+	Center geom.Point `json:"center"`
 }
+
+// SegmentBytes is the wire size of a segment priced at bits: whole bytes,
+// at least one. The server writes exactly this many and the client accepts
+// nothing else.
+func SegmentBytes(bits float64) int64 { return max(int64(bits/8), 1) }
 
 // WriteSegmentsCSV serializes per-segment traces as CSV for external
 // analysis/plotting.
@@ -71,15 +89,15 @@ func WriteSegmentsCSV(w io.Writer, traces []SegmentTrace) error {
 			strconv.FormatFloat(tr.FrameRate, 'f', 1, 64),
 			strconv.FormatFloat(tr.SizeBits, 'f', 0, 64),
 			strconv.FormatFloat(tr.ThroughputBps, 'f', 0, 64),
-			strconv.FormatFloat(tr.BufferSec, 'f', 3, 64),
-			strconv.FormatFloat(tr.Q0, 'f', 2, 64),
+			strconv.FormatFloat(tr.RequestBufferSec, 'f', 3, 64),
+			strconv.FormatFloat(tr.PerceivedQuality, 'f', 2, 64),
 			strconv.FormatFloat(tr.Q, 'f', 2, 64),
 			strconv.FormatFloat(tr.StallSec, 'f', 3, 64),
 			strconv.FormatFloat(tr.EnergyMJ, 'f', 1, 64),
 			strconv.FormatBool(tr.FromPtile),
 			strconv.FormatBool(tr.Emergency),
 			strconv.Itoa(tr.Retries),
-			strconv.FormatBool(tr.Degraded),
+			strconv.FormatBool(tr.DegradeSteps > 0),
 			strconv.FormatBool(tr.Abandoned),
 		}
 		if err := cw.Write(rec); err != nil {

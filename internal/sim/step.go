@@ -140,8 +140,11 @@ type Fetch struct {
 	// count.
 	WastedSec float64
 	Retries   int
-	// Abandoned reports that the link gave up on the segment; Used and
-	// DownloadSec are then ignored.
+	// DegradeSteps is the ladder rung below Chosen that Used was delivered
+	// on: positive exactly when Used is not Chosen.
+	DegradeSteps int
+	// Abandoned reports that the link gave up on the segment; Used,
+	// DownloadSec and DegradeSteps are then ignored.
 	Abandoned bool
 }
 
@@ -206,21 +209,21 @@ func (st *State) EstimateBps() float64 {
 // download-completion event on its virtual clock.
 type StepInfo struct {
 	// Segment is the segment index this step fetched.
-	Segment int
+	Segment int `json:"segment"`
 	// WaitSec is the pre-request pacing wait (buffer above β).
-	WaitSec float64
+	WaitSec float64 `json:"wait_sec"`
 	// DownloadSec is the time the fetch took: the delivering download plus
 	// any failed attempts before it.
-	DownloadSec float64
+	DownloadSec float64 `json:"download_sec"`
 	// StallSec is the rebuffering charged to this segment.
-	StallSec float64
+	StallSec float64 `json:"stall_sec"`
 	// WallSec is the session-local wall clock when the download completed.
-	WallSec float64
+	WallSec float64 `json:"wall_sec"`
 	// BufferSec is the buffer level after the segment was appended.
-	BufferSec float64
+	BufferSec float64 `json:"buffer_sec"`
 	// Done reports that no segments remain: the session is complete and
 	// ready for Finish.
-	Done bool
+	Done bool `json:"done"`
 }
 
 // NewStepper validates the configuration against the catalogue and builds
@@ -401,8 +404,12 @@ type stepDelta struct {
 	fromPtile    bool
 	bd           qoe.Breakdown
 	retries      int
-	degraded     bool
+	degradeSteps int
 	abandoned    bool
+	// bestQ and center are the plan's best offered quality and predicted
+	// center, computed only when the step records segments.
+	bestQ  float64
+	center geom.Point
 }
 
 // Step advances the session by one segment: the wait rule, the controller
@@ -506,6 +513,9 @@ func (s *session) compute(state *State, d *stepDelta) error {
 		info:            StepInfo{Segment: k, WaitSec: wait, DownloadSec: spent, WallSec: tWall, Done: k+1 >= len(s.cat.Content)},
 		bufferAtRequest: buffer, emergency: decision.Emergency, retries: f.Retries,
 	}
+	if s.cfg.RecordSegments {
+		d.bestQ, d.center = bestQuality(seg.options), predCenter
+	}
 	if f.Abandoned {
 		// Playback skips the segment: the failed attempts drain the buffer,
 		// and the missed deadline freezes the display for one segment on
@@ -517,6 +527,9 @@ func (s *session) compute(state *State, d *stepDelta) error {
 		return nil
 	}
 	used := f.Used
+	if (used.Option != chosen.Option) != (f.DegradeSteps > 0) {
+		return fmt.Errorf("sim: segment %d: link delivered %+v for %+v at %d degrade steps", k, used.Option, chosen.Option, f.DegradeSteps)
+	}
 	measuredRate := used.SizeBits / f.DownloadSec
 	if f.DownloadSec <= 0 {
 		measuredRate = state.link.RateAt(tWall)
@@ -566,7 +579,7 @@ func (s *session) compute(state *State, d *stepDelta) error {
 	d.energy = e
 	d.q0, d.hit, d.bd = q0, hit, bd
 	d.fromPtile = !seg.fallback && (s.cfg.Scheme == SchemePtile || s.cfg.Scheme == SchemeOurs)
-	d.degraded = used.Option != chosen.Option
+	d.degradeSteps = f.DegradeSteps
 	return nil
 }
 
@@ -612,29 +625,44 @@ func (s *session) apply(state *State, d *stepDelta) (StepInfo, error) {
 		state.ptileSegments++
 	}
 	if s.cfg.RecordSegments {
-		state.perSegment = append(state.perSegment, SegmentTrace{
-			Segment:        d.info.Segment,
-			Quality:        d.used.Quality,
-			FrameRate:      d.used.FrameRate,
-			SizeBits:       d.used.SizeBits,
-			ThroughputBps:  d.measuredRate,
-			BufferSec:      d.bufferAtRequest,
-			Q0:             d.q0,
-			Q:              d.bd.Q,
-			StallSec:       d.bd.StallSec,
-			EnergyMJ:       d.energy.Total(),
-			TxEnergyMJ:     d.energy.Tx,
-			DecodeEnergyMJ: d.energy.Decode,
-			FromPtile:      d.fromPtile,
-			Emergency:      d.emergency,
-			Retries:        d.retries,
-			Degraded:       d.degraded,
-			Abandoned:      d.abandoned,
-		})
+		state.perSegment = append(state.perSegment, d.trace())
 	}
 	state.segments++
 	state.nextSeg = d.info.Segment + 1
 	return d.info, nil
+}
+
+// trace is the delta's SegmentTrace row.
+func (d *stepDelta) trace() SegmentTrace {
+	tr := SegmentTrace{
+		StepInfo:             d.info,
+		Quality:              d.used.Quality,
+		FrameRate:            d.used.FrameRate,
+		SizeBits:             d.used.SizeBits,
+		ThroughputBps:        d.measuredRate,
+		RequestBufferSec:     d.bufferAtRequest,
+		PerceivedQuality:     d.q0,
+		Q:                    d.bd.Q,
+		BestPerceivedQuality: d.bestQ,
+		EnergyMJ:             d.energy.Total(),
+		TxEnergyMJ:           d.energy.Tx,
+		DecodeEnergyMJ:       d.energy.Decode,
+		FromPtile:            d.fromPtile,
+		Emergency:            d.emergency,
+		Retries:              d.retries,
+		DegradeSteps:         d.degradeSteps,
+		Abandoned:            d.abandoned,
+		Center:               d.center,
+	}
+	if d.abandoned {
+		tr.QoELoss = 1
+		return tr
+	}
+	tr.Bytes = SegmentBytes(d.used.SizeBits)
+	if d.bestQ > 0 {
+		tr.QoELoss = (d.bestQ - d.q0) / d.bestQ
+	}
+	return tr
 }
 
 // Finish settles the session accounting into a Result. It may be called
