@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"ptile360/internal/headtrace"
-	"ptile360/internal/lte"
 	"ptile360/internal/power"
 	"ptile360/internal/predict"
 	"ptile360/internal/sim"
@@ -35,7 +33,8 @@ type AblationsResult struct {
 // Ablations sweeps the controller's design knobs — ε tolerance, MPC horizon,
 // buffer threshold β, bandwidth-estimator family, and viewport-predictor
 // family — on video 8 under trace 2, quantifying each choice the paper
-// fixes.
+// fixes. Every (setting, user) session is one job of a single pooled sweep;
+// each setting then averages its users in order.
 func Ablations(scale Scale) (*AblationsResult, error) {
 	if err := scale.Validate(); err != nil {
 		return nil, err
@@ -48,20 +47,61 @@ func Ablations(scale Scale) (*AblationsResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	base, err := sim.DefaultConfig(sim.SchemeOurs, power.Pixel3)
+	if err != nil {
+		return nil, err
+	}
+
+	type knob struct {
+		sweep, setting string
+		cfg            sim.Config
+	}
+	var knobs []knob
+	set := func(sweep, setting string, mutate func(*sim.Config)) {
+		cfg := base
+		mutate(&cfg)
+		knobs = append(knobs, knob{sweep: sweep, setting: setting, cfg: cfg})
+	}
+	for _, eps := range []float64{0.0, 0.05, 0.15} {
+		set("epsilon", fmt.Sprintf("%.0f%%", 100*eps), func(c *sim.Config) { c.Epsilon = eps })
+	}
+	for _, h := range []int{1, 3, 5, 8} {
+		set("horizon", fmt.Sprintf("H=%d", h), func(c *sim.Config) { c.Horizon = h })
+	}
+	for _, beta := range []float64{2, 3, 5} {
+		set("buffer", fmt.Sprintf("%.0fs", beta), func(c *sim.Config) { c.BufferCapSec = beta })
+	}
+	for _, kind := range []predict.EstimatorKind{
+		predict.EstimatorHarmonic, predict.EstimatorLastSample,
+		predict.EstimatorEWMA, predict.EstimatorMovingAverage,
+	} {
+		set("estimator", kind.String(), func(c *sim.Config) { c.Estimator = kind })
+	}
+	for _, kind := range []predict.ViewportKind{
+		predict.ViewportRidge, predict.ViewportOLS, predict.ViewportStatic,
+	} {
+		set("viewport", kind.String(), func(c *sim.Config) { c.Viewport.Kind = kind })
+	}
+	// The objective swap: the paper's energy-minimizing MPC against the
+	// QoE-maximizing MPC it descends from [24].
+	set("controller", "energy-mpc", func(*sim.Config) {})
+	set("controller", "qoe-mpc", func(c *sim.Config) { c.UseQoEMPC = true })
+
+	sessions, err := sweep(len(knobs), len(setup.eval), func(k, u int) (*sim.Result, error) {
+		r, err := sim.Run(setup.catalog, setup.eval[u], trace2, knobs[k].cfg)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: ablation %s=%s: %w", knobs[k].sweep, knobs[k].setting, err)
+		}
+		return r, nil
+	})
+	if err != nil {
+		return nil, err
+	}
 
 	res := &AblationsResult{VideoID: 8}
-	runWith := func(sweep, setting string, mutate func(*sim.Config)) error {
-		cfg, err := sim.DefaultConfig(sim.SchemeOurs, power.Pixel3)
-		if err != nil {
-			return err
-		}
-		mutate(&cfg)
-		row := AblationRow{Sweep: sweep, Setting: setting}
-		for _, user := range setup.eval {
-			r, err := runSession(setup, user, trace2, cfg)
-			if err != nil {
-				return fmt.Errorf("experiments: ablation %s=%s: %w", sweep, setting, err)
-			}
+	for k, kn := range knobs {
+		row := AblationRow{Sweep: kn.sweep, Setting: kn.setting}
+		for _, r := range sessions[k] {
 			row.EnergyPerSegment += r.Energy.Total() / float64(r.Segments)
 			row.QoE += r.QoE.MeanQ
 			row.Stalls += float64(r.QoE.Stalls)
@@ -73,56 +113,8 @@ func Ablations(scale Scale) (*AblationsResult, error) {
 		row.Stalls /= n
 		row.MeanFrameRate /= n
 		res.Rows = append(res.Rows, row)
-		return nil
-	}
-
-	for _, eps := range []float64{0.0, 0.05, 0.15} {
-		setting := fmt.Sprintf("%.0f%%", 100*eps)
-		if err := runWith("epsilon", setting, func(c *sim.Config) { c.Epsilon = eps }); err != nil {
-			return nil, err
-		}
-	}
-	for _, h := range []int{1, 3, 5, 8} {
-		if err := runWith("horizon", fmt.Sprintf("H=%d", h), func(c *sim.Config) { c.Horizon = h }); err != nil {
-			return nil, err
-		}
-	}
-	for _, beta := range []float64{2, 3, 5} {
-		if err := runWith("buffer", fmt.Sprintf("%.0fs", beta), func(c *sim.Config) { c.BufferCapSec = beta }); err != nil {
-			return nil, err
-		}
-	}
-	for _, kind := range []predict.EstimatorKind{
-		predict.EstimatorHarmonic, predict.EstimatorLastSample,
-		predict.EstimatorEWMA, predict.EstimatorMovingAverage,
-	} {
-		k := kind
-		if err := runWith("estimator", kind.String(), func(c *sim.Config) { c.Estimator = k }); err != nil {
-			return nil, err
-		}
-	}
-	for _, kind := range []predict.ViewportKind{
-		predict.ViewportRidge, predict.ViewportOLS, predict.ViewportStatic,
-	} {
-		k := kind
-		if err := runWith("viewport", kind.String(), func(c *sim.Config) { c.Viewport.Kind = k }); err != nil {
-			return nil, err
-		}
-	}
-	// The objective swap: the paper's energy-minimizing MPC against the
-	// QoE-maximizing MPC it descends from [24].
-	if err := runWith("controller", "energy-mpc", func(*sim.Config) {}); err != nil {
-		return nil, err
-	}
-	if err := runWith("controller", "qoe-mpc", func(c *sim.Config) { c.UseQoEMPC = true }); err != nil {
-		return nil, err
 	}
 	return res, nil
-}
-
-// runSession is a seam for Ablations so it shares the videoSetup plumbing.
-func runSession(setup *videoSetup, user *headtrace.Trace, net *lte.Trace, cfg sim.Config) (*sim.Result, error) {
-	return sim.Run(setup.catalog, user, net, cfg)
 }
 
 // Render formats the ablation sweeps.

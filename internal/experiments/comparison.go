@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"ptile360/internal/headtrace"
 	"ptile360/internal/lte"
 	"ptile360/internal/parallel"
 	"ptile360/internal/power"
@@ -52,22 +51,30 @@ type Comparison struct {
 // deterministic regardless of worker count and scheduling: each session is a
 // pure function of its inputs, and per-cell aggregation always sums users in
 // evaluation order.
+//
+// The comparison itself is memoized per (phone, scale), so the figures that
+// share one (Figs. 9 and 11, Robustness's first seed) stream it once. The
+// returned comparison is shared: callers must treat it as read-only.
 func RunComparison(phone power.Phone, scale Scale) (*Comparison, error) {
 	if err := scale.Validate(); err != nil {
 		return nil, err
 	}
+	return comparisonFor(phone, scale)
+}
+
+// buildComparison is RunComparison without the memo.
+func buildComparison(phone power.Phone, scale Scale) (*Comparison, error) {
 	trace1, trace2, err := standardTraces(scale)
 	if err != nil {
 		return nil, err
 	}
 	traces := [2]*lte.Trace{trace1, trace2}
-	workers := maxWorkers()
 
 	// Build (or fetch from cache) every video setup up front; distinct
 	// videos build concurrently, and concurrent figures requesting the same
 	// video share one build through the cache's singleflight.
 	setups := make([]*videoSetup, len(scale.Videos))
-	if err := parallel.ForEach(len(scale.Videos), workers, func(i int) error {
+	if err := parallel.ForEach(len(scale.Videos), maxWorkers(), func(i int) error {
 		s, err := setupVideo(scale.Videos[i], scale)
 		if err != nil {
 			return err
@@ -78,24 +85,14 @@ func RunComparison(phone power.Phone, scale Scale) (*Comparison, error) {
 		return nil, err
 	}
 
-	// One session job per (cell, user), flattened so a single bounded pool
-	// saturates the machine even when cells have few users each.
 	type cellJob struct {
 		cell  Cell
 		setup *videoSetup
 		net   *lte.Trace
 		cfg   sim.Config
-		// userStart indexes this cell's first session in the flat results.
-		userStart int
-	}
-	type sessionJob struct {
-		cellIdx int
-		user    *headtrace.Trace
 	}
 	var cells []cellJob
-	var sessions []sessionJob
 	for vi, id := range scale.Videos {
-		setup := setups[vi]
 		for traceID := 1; traceID <= 2; traceID++ {
 			for _, scheme := range sim.Schemes() {
 				cfg, err := sim.DefaultConfig(scheme, phone)
@@ -103,37 +100,32 @@ func RunComparison(phone power.Phone, scale Scale) (*Comparison, error) {
 					return nil, err
 				}
 				cells = append(cells, cellJob{
-					cell:      Cell{Scheme: scheme, VideoID: id, TraceID: traceID},
-					setup:     setup,
-					net:       traces[traceID-1],
-					cfg:       cfg,
-					userStart: len(sessions),
+					cell:  Cell{Scheme: scheme, VideoID: id, TraceID: traceID},
+					setup: setups[vi],
+					net:   traces[traceID-1],
+					cfg:   cfg,
 				})
-				for _, user := range setup.eval {
-					sessions = append(sessions, sessionJob{cellIdx: len(cells) - 1, user: user})
-				}
 			}
 		}
 	}
 
-	sessionResults := make([]*sim.Result, len(sessions))
-	if err := parallel.ForEach(len(sessions), workers, func(i int) error {
-		job := sessions[i]
-		c := cells[job.cellIdx]
-		r, err := sim.Run(c.setup.catalog, job.user, c.net, c.cfg)
+	sessions, err := sweep(len(cells), scale.EvalUsers, func(c, u int) (*sim.Result, error) {
+		job := cells[c]
+		user := job.setup.eval[u]
+		r, err := sim.Run(job.setup.catalog, user, job.net, job.cfg)
 		if err != nil {
-			return fmt.Errorf("experiments: %v video %d trace %d user %d: %w",
-				c.cell.Scheme, c.cell.VideoID, c.cell.TraceID, job.user.UserID, err)
+			return nil, fmt.Errorf("experiments: %v video %d trace %d user %d: %w",
+				job.cell.Scheme, job.cell.VideoID, job.cell.TraceID, user.UserID, err)
 		}
-		sessionResults[i] = r
-		return nil
-	}); err != nil {
+		return r, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 
 	results := make([]CellResult, len(cells))
 	for ci, c := range cells {
-		results[ci] = aggregateCell(c.cell, sessionResults[c.userStart:c.userStart+len(c.setup.eval)])
+		results[ci] = aggregateCell(c.cell, sessions[ci])
 	}
 
 	sort.Slice(results, func(i, j int) bool {
@@ -207,16 +199,15 @@ func (c *Comparison) NormalizedQoE(traceID int) map[sim.Scheme]float64 {
 	return c.normalized(traceID, func(r *CellResult) float64 { return r.QoE })
 }
 
+// normalized averages metric(scheme)/metric(Ctile) over videos, summing in
+// ascending video ID so the result is the same on every call.
 func (c *Comparison) normalized(traceID int, metric func(*CellResult) float64) map[sim.Scheme]float64 {
-	videos := map[int]bool{}
-	for _, cell := range c.Cells {
-		videos[cell.VideoID] = true
-	}
+	videos := c.videoIDs()
 	out := make(map[sim.Scheme]float64, len(sim.Schemes()))
 	for _, scheme := range sim.Schemes() {
 		var sum float64
 		var n int
-		for id := range videos {
+		for _, id := range videos {
 			base := c.cellFor(sim.SchemeCtile, id, traceID)
 			cell := c.cellFor(scheme, id, traceID)
 			if base == nil || cell == nil || metric(base) == 0 {

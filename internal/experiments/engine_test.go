@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"ptile360/internal/power"
@@ -21,32 +22,142 @@ func withWorkers(t *testing.T, n int, fn func()) {
 	fn()
 }
 
+// requireWorkersDeterministic runs a harness from cold caches serially, then
+// on pools of GOMAXPROCS and 8 workers, and requires every result — every
+// row, every float — and every rendered table to equal the serial run's.
+func requireWorkersDeterministic[T any](t *testing.T, run func() (T, error), render func(T) []Table) {
+	t.Helper()
+	var serial T
+	withWorkers(t, 1, func() {
+		var err error
+		if serial, err = run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, workers := range []int{0, 8} {
+		var wide T
+		withWorkers(t, workers, func() {
+			var err error
+			if wide, err = run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !reflect.DeepEqual(serial, wide) {
+			t.Fatalf("workers=%d: result differs from serial run", workers)
+		}
+		if !reflect.DeepEqual(render(serial), render(wide)) {
+			t.Fatalf("workers=%d: rendered tables differ from serial run", workers)
+		}
+	}
+}
+
+// TestNetemFigWorkersDeterministic runs the default three-profile sweep,
+// whose packet sessions each own a seeded path, at every worker count.
+func TestNetemFigWorkersDeterministic(t *testing.T) {
+	requireWorkersDeterministic(t,
+		func() (*NetemResult, error) { return NetemFig(8, QuickScale()) },
+		func(r *NetemResult) []Table { return []Table{r.Render()} })
+}
+
+// TestAblationsWorkersDeterministic runs the 19 knob settings at every
+// worker count.
+func TestAblationsWorkersDeterministic(t *testing.T) {
+	requireWorkersDeterministic(t,
+		func() (*AblationsResult, error) { return Ablations(QuickScale()) },
+		func(r *AblationsResult) []Table { return []Table{r.Render()} })
+}
+
+// TestRobustnessWorkersDeterministic runs two seeds' comparisons, and the
+// normalized bars folded across them, at every worker count.
+func TestRobustnessWorkersDeterministic(t *testing.T) {
+	requireWorkersDeterministic(t,
+		func() (*RobustnessResult, error) { return Robustness(QuickScale(), 2) },
+		func(r *RobustnessResult) []Table { return []Table{r.Render()} })
+}
+
+// TestRunComparisonMemo pins the comparison memo: one comparison per
+// (phone, scale), a new one when any input changes, and a fresh build after
+// ResetCaches.
+func TestRunComparisonMemo(t *testing.T) {
+	scale := QuickScale()
+	withWorkers(t, 0, func() {
+		// Concurrent first calls share one build.
+		got := make([]*Comparison, 4)
+		errs := make([]error, len(got))
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				got[g], errs[g] = RunComparison(power.Pixel3, scale)
+			}(g)
+		}
+		wg.Wait()
+		first := got[0]
+		for g := range got {
+			if errs[g] != nil {
+				t.Fatal(errs[g])
+			}
+			if got[g] != first {
+				t.Fatalf("concurrent caller %d got its own comparison", g)
+			}
+		}
+		same := scale
+		same.Videos = append([]int(nil), scale.Videos...)
+		if again, err := RunComparison(power.Pixel3, same); err != nil || again != first {
+			t.Fatalf("same (phone, scale) built a new comparison (err %v)", err)
+		}
+		if s := Stats(); s.ComparisonMisses != 1 || s.ComparisonHits != len(got) {
+			t.Fatalf("%d comparison builds and %d hits, want 1 and %d", s.ComparisonMisses, s.ComparisonHits, len(got))
+		}
+
+		seed := scale
+		seed.Seed++
+		videos := scale
+		videos.Videos = []int{1, 8}
+		samples := scale
+		samples.TraceSamples -= 50
+		for _, tc := range []struct {
+			name  string
+			phone power.Phone
+			scale Scale
+		}{
+			{"phone", power.Nexus5X, scale},
+			{"seed", power.Pixel3, seed},
+			{"videos", power.Pixel3, videos},
+			{"trace length", power.Pixel3, samples},
+		} {
+			other, err := RunComparison(tc.phone, tc.scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if other == first {
+				t.Fatalf("another %s returned the memoized comparison", tc.name)
+			}
+		}
+
+		ResetCaches()
+		fresh, err := RunComparison(power.Pixel3, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh == first {
+			t.Fatal("ResetCaches kept the memoized comparison")
+		}
+		if !reflect.DeepEqual(fresh, first) {
+			t.Fatal("rebuilt comparison differs from the first build")
+		}
+	})
+}
+
 // TestRunComparisonWorkersDeterministic proves the flattened session pool is
 // a pure reordering of the serial sweep: the full Comparison — every cell,
 // every float — is byte-identical whether the sessions run one at a time or
 // on a wide pool.
 func TestRunComparisonWorkersDeterministic(t *testing.T) {
-	scale := QuickScale()
-	var serial, wide *Comparison
-	withWorkers(t, 1, func() {
-		var err error
-		serial, err = RunComparison(power.Nexus5X, scale)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	for _, workers := range []int{0, 8} {
-		withWorkers(t, workers, func() {
-			var err error
-			wide, err = RunComparison(power.Nexus5X, scale)
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-		if !reflect.DeepEqual(serial, wide) {
-			t.Fatalf("workers=%d: comparison differs from serial run", workers)
-		}
-	}
+	requireWorkersDeterministic(t,
+		func() (*Comparison, error) { return RunComparison(power.Nexus5X, QuickScale()) },
+		func(c *Comparison) []Table { return append(c.RenderEnergy(), c.RenderQoE()...) })
 }
 
 // TestFigureHarnessesWorkersDeterministic repeats the worker sweep for the

@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"ptile360/internal/headtrace"
+	"ptile360/internal/parallel"
 	"ptile360/internal/sim"
 	"ptile360/internal/video"
 )
@@ -100,8 +101,10 @@ type videoSetup struct {
 }
 
 // buildVideoSetup generates and splits the head-movement dataset for one
-// video and builds its catalogue. Callers go through the memoizing
-// setupVideo (setupcache.go) instead of calling this directly.
+// video and builds its catalogue. Since a valid scale leaves at least
+// EvalUsers viewers outside the training split, every setup evaluates
+// exactly EvalUsers viewers. Callers go through the memoizing setupVideo
+// (setupcache.go) instead of calling this directly.
 func buildVideoSetup(id int, scale Scale) (*videoSetup, error) {
 	p, err := video.ProfileByID(id)
 	if err != nil {
@@ -129,4 +132,26 @@ func buildVideoSetup(id int, scale Scale) (*videoSetup, error) {
 		return nil, err
 	}
 	return &videoSetup{profile: p, train: train, eval: eval, catalog: cat}, nil
+}
+
+// sweep runs fn for every (cell, user) pair on the engine's worker pool and
+// returns the results grouped by cell, each cell's users in order. The pairs
+// form one flat job list, so a sweep of many cells with few users each still
+// keeps every worker busy. fn must only read what the caller built before
+// the sweep; callers then fold each cell's results in user order, so their
+// aggregates do not depend on the worker count.
+func sweep[T any](cells, users int, fn func(cell, user int) (T, error)) ([][]T, error) {
+	flat := make([]T, cells*users)
+	if err := parallel.ForEach(len(flat), maxWorkers(), func(i int) error {
+		r, err := fn(i/users, i%users)
+		flat[i] = r
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	out := make([][]T, cells)
+	for c := range out {
+		out[c] = flat[c*users : (c+1)*users : (c+1)*users]
+	}
+	return out, nil
 }

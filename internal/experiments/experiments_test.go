@@ -298,6 +298,35 @@ func TestComparisonShape(t *testing.T) {
 	}
 }
 
+// TestNormalizedSumsVideosInIDOrder pins the Fig. 9c/10/11c bars to one
+// bit pattern: the per-video ratios are summed in ascending video ID. Three
+// videos are the fewest that can show an order dependence (a two-term sum
+// commutes), and these ratios average to different floats in 4 of their 6
+// orders.
+func TestNormalizedSumsVideosInIDOrder(t *testing.T) {
+	ratio := map[int]float64{3: 0.1, 5: 0.7, 7: 0.3}
+	c := &Comparison{Phone: power.Pixel3}
+	for _, id := range []int{7, 3, 5} {
+		c.Cells = append(c.Cells,
+			CellResult{Cell: Cell{Scheme: sim.SchemeCtile, VideoID: id, TraceID: 1}, EnergyPerSegment: 1, QoE: 1},
+			CellResult{Cell: Cell{Scheme: sim.SchemeOurs, VideoID: id, TraceID: 1}, EnergyPerSegment: ratio[id], QoE: ratio[id]})
+	}
+	sum := ratio[3]
+	sum += ratio[5]
+	sum += ratio[7]
+	want := math.Float64bits(sum / 3)
+	if other := math.Float64bits((ratio[5] + ratio[7] + ratio[3]) / 3); other == want {
+		t.Fatal("fixture ratios do not depend on summation order")
+	}
+	for i := 0; i < 64; i++ {
+		e := c.NormalizedEnergy(1)[sim.SchemeOurs]
+		q := c.NormalizedQoE(1)[sim.SchemeOurs]
+		if math.Float64bits(e) != want || math.Float64bits(q) != want {
+			t.Fatalf("call %d: energy %v, QoE %v; want the ascending-ID mean %v", i, e, q, sum/3)
+		}
+	}
+}
+
 func TestRunComparisonValidation(t *testing.T) {
 	bad := QuickScale()
 	bad.Videos = nil

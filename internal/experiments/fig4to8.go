@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ptile360/internal/cluster"
@@ -122,25 +123,30 @@ type Fig5Result struct {
 }
 
 // Fig5 computes the Eq. 5 switching-speed distribution over every user and
-// video at the given scale.
+// video at the given scale. Each trace's speeds are computed on the engine's
+// worker pool and concatenated in (video, user) order, so the distribution
+// is the same sample sequence whatever the worker count.
 func Fig5(scale Scale) (*Fig5Result, error) {
 	if err := scale.Validate(); err != nil {
 		return nil, err
 	}
-	var speeds []float64
-	for _, id := range scale.Videos {
+	datasets := make([]*headtrace.Dataset, len(scale.Videos))
+	for i, id := range scale.Videos {
 		p, err := video.ProfileByID(id)
 		if err != nil {
 			return nil, err
 		}
-		ds, err := datasetFor(p, scale.UsersPerVideo, scale.Seed)
-		if err != nil {
+		if datasets[i], err = datasetFor(p, scale.UsersPerVideo, scale.Seed); err != nil {
 			return nil, err
 		}
-		for _, tr := range ds.Traces {
-			speeds = tr.AppendSwitchingSpeeds(speeds)
-		}
 	}
+	perTrace, err := sweep(len(datasets), scale.UsersPerVideo, func(v, u int) ([]float64, error) {
+		return datasets[v].Traces[u].SwitchingSpeeds(), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	speeds := slices.Concat(slices.Concat(perTrace...)...)
 	med, err := stats.Median(speeds)
 	if err != nil {
 		return nil, err

@@ -92,6 +92,10 @@ type NetemResult struct {
 // any divergence between the two models is purely packet dynamics: queueing
 // delay, loss, retransmission, and the timing signal the delay-gradient
 // estimator feeds on.
+//
+// Every (profile, estimator, model) cell streams each evaluation user as one
+// job of a single pooled sweep; each cell then aggregates its users in
+// order.
 func NetemFig(videoID int, scale Scale) (*NetemResult, error) {
 	if err := scale.Validate(); err != nil {
 		return nil, err
@@ -100,29 +104,93 @@ func NetemFig(videoID int, scale Scale) (*NetemResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &NetemResult{Video: videoID, Users: len(setup.eval)}
-	estimators := []predict.EstimatorKind{predict.EstimatorHarmonic, predict.EstimatorDelayGradient}
+
+	// Every cell's inputs are built before the pool starts; the sessions
+	// only read them.
+	type netemJob struct {
+		prof  *netem.Profile
+		kind  predict.EstimatorKind
+		model string
+		cfg   sim.Config
+		// segTrace is the segment-level twin of the profile: its capacity
+		// schedule (minus cross traffic) sampled at the segment cadence, one
+		// trace for every user since the fluid model has no per-session
+		// state. Nil on the packet model.
+		segTrace *lte.Trace
+	}
+	var cells []netemJob
 	for _, spec := range netemProfiles() {
 		prof, err := netem.ParseProfile(spec)
 		if err != nil {
 			return nil, err
 		}
-		// The segment-level twin of the profile: the capacity schedule
-		// (minus cross traffic) sampled at the segment cadence. One trace
-		// serves every user — the fluid model has no per-session state.
 		segTrace, err := netemSegmentTrace(prof, scale.TraceSamples)
 		if err != nil {
 			return nil, err
 		}
-		for _, kind := range estimators {
-			for _, model := range []string{"segment", "packet"} {
-				row, err := netemCell(setup, prof, segTrace, kind, model, scale)
-				if err != nil {
-					return nil, fmt.Errorf("experiments: netem %s/%s/%s: %w", prof.Name, model, kind, err)
-				}
-				res.Rows = append(res.Rows, row)
+		for _, kind := range []predict.EstimatorKind{predict.EstimatorHarmonic, predict.EstimatorDelayGradient} {
+			cfg, err := sim.DefaultConfig(sim.SchemeOurs, power.Pixel3)
+			if err != nil {
+				return nil, err
+			}
+			cfg.Estimator = kind
+			cells = append(cells,
+				netemJob{prof: prof, kind: kind, model: "segment", cfg: cfg, segTrace: segTrace},
+				netemJob{prof: prof, kind: kind, model: "packet", cfg: cfg})
+		}
+	}
+
+	type session struct {
+		r   *sim.Result
+		net netem.SessionStats
+	}
+	sessions, err := sweep(len(cells), len(setup.eval), func(c, u int) (session, error) {
+		cell := cells[c]
+		var s session
+		var err error
+		if cell.segTrace != nil {
+			s.r, err = sim.Run(setup.catalog, setup.eval[u], cell.segTrace, cell.cfg)
+		} else {
+			// A packet path carries per-session link state: each session
+			// gets its own, seeded by the user's position.
+			var pn *netem.SessionNet
+			pn, err = netem.NewSessionNet(netem.SessionConfig{
+				Profile:    cell.prof,
+				Seed:       scale.Seed*1000 + int64(u),
+				SegmentSec: cell.cfg.SegmentSec,
+				PaceFactor: netemPaceFactor,
+			})
+			if err == nil {
+				s.r, err = sim.RunNetem(setup.catalog, setup.eval[u], pn, cell.cfg)
+				s.net = pn.Stats()
 			}
 		}
+		if err != nil {
+			return s, fmt.Errorf("experiments: netem %s/%s/%s: %w", cell.prof.Name, cell.model, cell.kind, err)
+		}
+		return s, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	res := &NetemResult{Video: videoID, Users: len(setup.eval)}
+	for c, cell := range cells {
+		row := NetemRow{Profile: cell.prof.Name, Model: cell.model, Estimator: cell.kind.String()}
+		var qoes, energies, stallSecs []float64
+		for _, s := range sessions[c] {
+			qoes = append(qoes, s.r.QoE.MeanQ)
+			energies = append(energies, s.r.Energy.Total())
+			stallSecs = append(stallSecs, s.r.QoE.StallSec)
+			row.Stalls += s.r.QoE.Stalls
+			row.Packets += s.net.Packets
+			row.Retransmits += s.net.Retransmits
+			row.DropsTail += s.net.DropsTail
+		}
+		row.MeanQoE = stats.Mean(qoes)
+		row.EnergyJ = stats.Mean(energies)
+		row.StallSec = stats.Mean(stallSecs)
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
@@ -142,55 +210,6 @@ func netemSegmentTrace(prof *netem.Profile, samples int) (*lte.Trace, error) {
 		return nil, err
 	}
 	return tr, nil
-}
-
-// netemCell streams every evaluation user through one configuration and
-// aggregates.
-func netemCell(setup *videoSetup, prof *netem.Profile, segTrace *lte.Trace, kind predict.EstimatorKind, model string, scale Scale) (NetemRow, error) {
-	cfg, err := sim.DefaultConfig(sim.SchemeOurs, power.Pixel3)
-	if err != nil {
-		return NetemRow{}, err
-	}
-	cfg.Estimator = kind
-	row := NetemRow{Profile: prof.Name, Model: model, Estimator: kind.String()}
-	var qoes, energies, stallSecs []float64
-	for u, user := range setup.eval {
-		var r *sim.Result
-		switch model {
-		case "segment":
-			r, err = sim.Run(setup.catalog, user, segTrace, cfg)
-		case "packet":
-			var pn *netem.SessionNet
-			pn, err = netem.NewSessionNet(netem.SessionConfig{
-				Profile:    prof,
-				Seed:       scale.Seed*1000 + int64(u),
-				SegmentSec: cfg.SegmentSec,
-				PaceFactor: netemPaceFactor,
-			})
-			if err == nil {
-				r, err = sim.RunNetem(setup.catalog, user, pn, cfg)
-				if err == nil {
-					st := pn.Stats()
-					row.Packets += st.Packets
-					row.Retransmits += st.Retransmits
-					row.DropsTail += st.DropsTail
-				}
-			}
-		default:
-			err = fmt.Errorf("unknown model %q", model)
-		}
-		if err != nil {
-			return NetemRow{}, err
-		}
-		qoes = append(qoes, r.QoE.MeanQ)
-		energies = append(energies, r.Energy.Total())
-		stallSecs = append(stallSecs, r.QoE.StallSec)
-		row.Stalls += r.QoE.Stalls
-	}
-	row.MeanQoE = stats.Mean(qoes)
-	row.EnergyJ = stats.Mean(energies)
-	row.StallSec = stats.Mean(stallSecs)
-	return row, nil
 }
 
 // Render formats the sweep as a printable table.

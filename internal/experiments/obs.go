@@ -22,7 +22,7 @@ var progress struct {
 
 // RegisterMetrics exports the engine's state on reg as callback gauges:
 //
-//	experiments_cache_hits{cache=setup|dataset|trace|fovlut}
+//	experiments_cache_hits{cache=setup|dataset|trace|comparison|fovlut}
 //	experiments_cache_misses{cache=...}
 //	experiments_figures_total, experiments_figures_done
 //
@@ -49,6 +49,10 @@ func RegisterMetrics(reg *obs.Registry) {
 		stat(func(s CacheStats) int { return s.TraceHits }), obs.L("cache", "trace"))
 	reg.GaugeFunc("experiments_cache_misses", "Setup-cache misses by cache.",
 		stat(func(s CacheStats) int { return s.TraceMisses }), obs.L("cache", "trace"))
+	reg.GaugeFunc("experiments_cache_hits", "Setup-cache hits by cache.",
+		stat(func(s CacheStats) int { return s.ComparisonHits }), obs.L("cache", "comparison"))
+	reg.GaugeFunc("experiments_cache_misses", "Setup-cache misses by cache.",
+		stat(func(s CacheStats) int { return s.ComparisonMisses }), obs.L("cache", "comparison"))
 	reg.GaugeFunc("experiments_cache_hits", "Setup-cache hits by cache.",
 		stat(func(s CacheStats) int { return s.FoVLUTHits }), obs.L("cache", "fovlut"))
 	reg.GaugeFunc("experiments_cache_misses", "Setup-cache misses by cache.",

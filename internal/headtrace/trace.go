@@ -54,6 +54,12 @@ type Trace struct {
 	// are throughout).
 	peakMu    sync.Mutex
 	peakCache []segPeaks
+
+	// xyOnce guards xs and ys, the memo of XYSeries: every session of a
+	// viewer predicts from the same unwrapped series, so it is built once
+	// per trace and shared by every path that streams the trace.
+	xyOnce sync.Once
+	xs, ys []float64
 }
 
 // segPeaks is the memoized SegmentPeakSpeed sequence for one segment
@@ -247,22 +253,29 @@ func (tr *Trace) buildSegmentPeaks(segSec float64) []float64 {
 // coordinates in degrees) for ridge-regression viewport prediction. The x
 // series is unwrapped (continuous across the 0/360 seam) so the regression
 // sees a smooth signal.
+//
+// The series is computed on the first call and memoized on the trace, so
+// every call returns the same slices: callers must treat them as read-only.
+// Like the peak-speed memo, it assumes Samples do not change after the
+// first call.
 func (tr *Trace) XYSeries() (xs, ys []float64) {
-	xs = make([]float64, len(tr.Samples))
-	ys = make([]float64, len(tr.Samples))
-	var cum, prevRaw float64
-	for i, s := range tr.Samples {
-		p := geom.PointOf(s.O)
-		if i == 0 {
-			cum = p.X
-		} else {
-			cum += geom.WrapDeltaX(prevRaw, p.X)
+	tr.xyOnce.Do(func() {
+		tr.xs = make([]float64, len(tr.Samples))
+		tr.ys = make([]float64, len(tr.Samples))
+		var cum, prevRaw float64
+		for i, s := range tr.Samples {
+			p := geom.PointOf(s.O)
+			if i == 0 {
+				cum = p.X
+			} else {
+				cum += geom.WrapDeltaX(prevRaw, p.X)
+			}
+			prevRaw = p.X
+			tr.xs[i] = cum
+			tr.ys[i] = p.Y
 		}
-		prevRaw = p.X
-		xs[i] = cum
-		ys[i] = p.Y
-	}
-	return xs, ys
+	})
+	return tr.xs, tr.ys
 }
 
 // Dataset bundles all traces for one video.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"ptile360/internal/geom"
@@ -236,6 +237,92 @@ func TestXYSeriesContinuity(t *testing.T) {
 			if diff := math.Abs(geom.WrapDeltaX(geom.NormalizeYaw(xs[i]), geom.PointOf(s.O).X)); diff > 1e-6 {
 				t.Fatalf("user %d: wrap mismatch %g at %d", tr.UserID, diff, i)
 			}
+		}
+	}
+}
+
+// xySeriesReference is XYSeries' loop without the memo: the unwrapped x
+// and raw y panorama coordinates of every sample.
+func xySeriesReference(tr *Trace) (xs, ys []float64) {
+	xs = make([]float64, len(tr.Samples))
+	ys = make([]float64, len(tr.Samples))
+	var cum, prevRaw float64
+	for i, s := range tr.Samples {
+		p := geom.PointOf(s.O)
+		if i == 0 {
+			cum = p.X
+		} else {
+			cum += geom.WrapDeltaX(prevRaw, p.X)
+		}
+		prevRaw = p.X
+		xs[i] = cum
+		ys[i] = p.Y
+	}
+	return xs, ys
+}
+
+// seamTrace pans right through the 0/360 seam twice, so its unwrapped x
+// series must leave [0, 360).
+func seamTrace() *Trace {
+	tr := &Trace{UserID: 7, VideoID: 2}
+	for i := 0; i < 3*int(SampleRate); i++ {
+		tr.Samples = append(tr.Samples, Sample{
+			T: float64(i) / SampleRate,
+			O: geom.Orientation{Yaw: geom.NormalizeYaw(300 + 3*float64(i)), Pitch: 20 * math.Sin(float64(i)/9)},
+		})
+	}
+	return tr
+}
+
+// TestXYSeriesMemoized pins the once-per-trace series: every call returns
+// the same backing arrays, whose values equal the unmemoized loop's on
+// Float64bits on a trace that crosses the seam.
+func TestXYSeriesMemoized(t *testing.T) {
+	tr := seamTrace()
+	xs, ys := tr.XYSeries()
+	for i := 0; i < 3; i++ {
+		xs2, ys2 := tr.XYSeries()
+		if &xs2[0] != &xs[0] || &ys2[0] != &ys[0] || len(xs2) != len(xs) || len(ys2) != len(ys) {
+			t.Fatalf("call %d returned new series", i+2)
+		}
+	}
+	wantX, wantY := xySeriesReference(tr)
+	if len(xs) != len(wantX) || len(ys) != len(wantY) {
+		t.Fatalf("series lengths %d/%d, want %d", len(xs), len(ys), len(wantX))
+	}
+	for i := range wantX {
+		if math.Float64bits(xs[i]) != math.Float64bits(wantX[i]) || math.Float64bits(ys[i]) != math.Float64bits(wantY[i]) {
+			t.Fatalf("sample %d: (%v, %v), want (%v, %v)", i, xs[i], ys[i], wantX[i], wantY[i])
+		}
+	}
+	if last := xs[len(xs)-1]; last < 720 {
+		t.Fatalf("unwrapped x ends at %g: the trace never crossed the seam twice", last)
+	}
+}
+
+// TestXYSeriesConcurrentFirstCall has 8 goroutines make a trace's first
+// XYSeries call at once; under -race it proves the memo is safe to build
+// from any session, and every caller sees the one series.
+func TestXYSeriesConcurrentFirstCall(t *testing.T) {
+	tr := seamTrace()
+	const callers = 8
+	got := make([][2][]float64, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			xs, ys := tr.XYSeries()
+			got[g] = [2][]float64{xs, ys}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for g := 1; g < callers; g++ {
+		if &got[g][0][0] != &got[0][0][0] || &got[g][1][0] != &got[0][1][0] {
+			t.Fatalf("caller %d got a different series", g)
 		}
 	}
 }

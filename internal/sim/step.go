@@ -40,21 +40,17 @@ import (
 
 // Stepper advances resumable sessions of one (catalogue, config) pair. It
 // owns mutable planning scratch, so it must not be shared by concurrent
-// goroutines — give each worker its own.
+// goroutines — give each worker its own. It keeps nothing per viewer: a
+// session's head series is the viewer trace's own memoized XYSeries, so
+// sim.Run, the fleet and the HTTP client share one series per viewer.
 type Stepper struct {
 	s       session
 	estKind predict.EstimatorKind
-	// xyCache shares the unwrapped head-trace series across sessions of the
-	// same viewer trace (they are read-only), so a fleet replaying a trace
-	// pool pays the XYSeries allocation once per trace, not per session.
-	xyCache map[*headtrace.Trace]xySeries
 	// netSeen remembers bandwidth traces that already passed Validate, so a
 	// fleet joining many sessions onto a shared trace scans it once, not
 	// once per join. Traces are immutable by contract after first use.
 	netSeen map[*lte.Trace]struct{}
 }
-
-type xySeries struct{ xs, ys []float64 }
 
 // State is the compact persistent state of one resumable session. Create
 // with Stepper.NewState, advance with Stepper.Step, and settle the
@@ -74,7 +70,7 @@ type State struct {
 	// its own inline array, a State must not be copied by value after
 	// InitState.
 	bwStore predict.Bandwidth
-	// xs, ys alias the stepper's shared per-trace series (read-only).
+	// xs, ys alias the viewer trace's memoized XYSeries (read-only).
 	xs, ys []float64
 
 	nextSeg    int
@@ -273,7 +269,6 @@ func NewStepper(cat *Catalog, cfg Config) (*Stepper, error) {
 			pm:     pm, mpc: mpc, qoeMPC: qoeMPC, rate: rateCtl,
 		},
 		estKind: estKind,
-		xyCache: make(map[*headtrace.Trace]xySeries),
 		netSeen: make(map[*lte.Trace]struct{}),
 	}
 	for _, f := range cfg.FrameRates {
@@ -301,17 +296,6 @@ func (st *Stepper) Segments() int { return len(st.s.cat.Content) }
 // Config returns the stepper's session configuration.
 func (st *Stepper) Config() Config { return st.s.cfg }
 
-// xySeriesFor returns the shared unwrapped head series for a viewer trace.
-func (st *Stepper) xySeriesFor(user *headtrace.Trace) xySeries {
-	if xy, ok := st.xyCache[user]; ok {
-		return xy
-	}
-	xs, ys := user.XYSeries()
-	xy := xySeries{xs: xs, ys: ys}
-	st.xyCache[user] = xy
-	return xy
-}
-
 // NewState binds a viewer and a bandwidth trace into a fresh session state,
 // seeding the bandwidth estimator with the trace's initial probe exactly as
 // Run does.
@@ -327,7 +311,7 @@ func (st *Stepper) NewState(user *headtrace.Trace, net *lte.Trace) (*State, erro
 // NewState for engines that slab-allocate session state. state's previous
 // contents are discarded. With the default harmonic estimator and a window
 // that fits its inline storage, initialization performs no heap allocation
-// beyond the once-per-trace series cache.
+// beyond the viewer trace's once-per-trace XYSeries memo.
 func (st *Stepper) InitState(state *State, user *headtrace.Trace, net *lte.Trace) error {
 	if _, ok := st.netSeen[net]; !ok {
 		if err := net.Validate(); err != nil {
@@ -383,8 +367,7 @@ func (st *Stepper) bind(state *State, user *headtrace.Trace, l Link) error {
 		}
 		state.bw = bw
 	}
-	xy := st.xySeriesFor(user)
-	state.xs, state.ys = xy.xs, xy.ys
+	state.xs, state.ys = user.XYSeries()
 	return state.bw.Observe(l.RateAt(0))
 }
 
