@@ -41,7 +41,6 @@ type summary struct {
 	Sessions       int     `json:"sessions"`
 	Shards         int     `json:"shards"`
 	Workers        int     `json:"workers"`
-	Planner        string  `json:"planner"`
 	Scheme         string  `json:"scheme"`
 	Video          int     `json:"video"`
 	NetProfile     string  `json:"net_profile"`
@@ -101,7 +100,6 @@ func run() int {
 		scheme       = flag.String("scheme", "Ptile", "streaming scheme (Ctile, Ftile, Nontile, Ptile, Ours)")
 		netProfile   = flag.String("net", "walking", "LTE mobility profile: stationary, walking, driving")
 		vpUpdate     = flag.Float64("viewport-update", 0.5, "virtual seconds between head-pose refresh events (0 disables)")
-		plannerStr   = flag.String("planner", "batched", "fleet planner: batched (share work across decision-identical sessions) or scalar (plan every session independently)")
 		tsdbEvery    = flag.Duration("tsdb-interval", time.Second, "in-process TSDB sampling period backing /debug/tsdb and the /slo burn-rate engine (0 disables both)")
 		flightSample = flag.Int("flight-sample", 0, "flight recorder samples 1-in-N sessions; dumps surface at /debug/flight (0 disables)")
 		logCfg       = obs.LogFlags(nil)
@@ -126,11 +124,6 @@ func run() int {
 	}
 	if sch == 0 {
 		logger.Error("unknown scheme", "scheme", *scheme)
-		return 2
-	}
-	planner, err := fleet.ParsePlanner(*plannerStr)
-	if err != nil {
-		logger.Error("unknown planner", "planner", *plannerStr, "err", err)
 		return 2
 	}
 	var prof lte.Profile
@@ -216,7 +209,6 @@ func run() int {
 		Workers:           *workers,
 		ViewportUpdateSec: *vpUpdate,
 		Registry:          reg,
-		Planner:           planner,
 		Flight:            flight,
 	}, specs)
 	if err != nil {
@@ -287,8 +279,7 @@ func run() int {
 	}
 
 	logger.Info("fleet starting", "sessions", *sessions, "shards", *shards,
-		"workers", *workers, "scheme", sch.String(), "planner", planner.String(),
-		"duration_sec", *duration)
+		"workers", *workers, "scheme", sch.String(), "duration_sec", *duration)
 	start := time.Now()
 	peak := runtime.NumGoroutine()
 	// Advance in bounded virtual-time chunks so the published metrics (and
@@ -327,7 +318,6 @@ func run() int {
 		Sessions:       *sessions,
 		Shards:         *shards,
 		Workers:        *workers,
-		Planner:        planner.String(),
 		Scheme:         sch.String(),
 		Video:          *videoID,
 		NetProfile:     *netProfile,
@@ -357,8 +347,7 @@ func run() int {
 	}
 	logger.Info("fleet done",
 		"finished", led.Finished, "segments", led.Segments,
-		"events", led.Events, "planner", planner.String(),
-		"batch_replays", led.BatchReplays,
+		"events", led.Events, "batch_replays", led.BatchReplays,
 		"wall_sec", fmt.Sprintf("%.2f", wall),
 		"events_per_sec", fmt.Sprintf("%.0f", float64(led.Events)/wall),
 		"goroutine_peak", peak)

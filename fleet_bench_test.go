@@ -90,13 +90,9 @@ func buildFleetBenchFixture() (*fleetBenchFixture, error) {
 	return &fleetBenchFixture{cat: cat, eval: eval, net: net, cfg: cfg}, nil
 }
 
-func newFleetBenchEngine(b *testing.B, fx *fleetBenchFixture, sessions int, planner fleet.PlannerMode) *fleet.Engine {
-	return newFleetBenchEngineCfg(b, fx, sessions, fleet.Config{Planner: planner})
-}
-
-// newFleetBenchEngineCfg builds the bench engine from a caller-shaped config;
+// newFleetBenchEngine builds the bench engine from a caller-shaped config;
 // Catalog, Sim, and Shards are filled from the fixture.
-func newFleetBenchEngineCfg(b *testing.B, fx *fleetBenchFixture, sessions int, cfg fleet.Config) *fleet.Engine {
+func newFleetBenchEngine(b *testing.B, fx *fleetBenchFixture, sessions int, cfg fleet.Config) *fleet.Engine {
 	b.Helper()
 	specs := make([]fleet.SessionSpec, sessions)
 	for i := range specs {
@@ -116,9 +112,9 @@ func newFleetBenchEngineCfg(b *testing.B, fx *fleetBenchFixture, sessions int, c
 	return eng
 }
 
-func benchmarkFleetTick(b *testing.B, sessions int, planner fleet.PlannerMode) {
+func benchmarkFleetTick(b *testing.B, sessions int) {
 	fx := fleetBenchFixtureOnce(b)
-	eng := newFleetBenchEngine(b, fx, sessions, planner)
+	eng := newFleetBenchEngine(b, fx, sessions, fleet.Config{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	horizon := 0.0
@@ -128,7 +124,7 @@ func benchmarkFleetTick(b *testing.B, sessions int, planner fleet.PlannerMode) {
 			// Fleet drained: rebuild off the clock and keep ticking.
 			b.StopTimer()
 			events += eng.Ledger().Events
-			eng = newFleetBenchEngine(b, fx, sessions, planner)
+			eng = newFleetBenchEngine(b, fx, sessions, fleet.Config{})
 			horizon = 0
 			b.StartTimer()
 		}
@@ -143,9 +139,9 @@ func benchmarkFleetTick(b *testing.B, sessions int, planner fleet.PlannerMode) {
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }
 
-func BenchmarkFleetTick10k(b *testing.B)  { benchmarkFleetTick(b, 10_000, fleet.PlannerBatched) }
-func BenchmarkFleetTick100k(b *testing.B) { benchmarkFleetTick(b, 100_000, fleet.PlannerBatched) }
-func BenchmarkFleetTick1M(b *testing.B)   { benchmarkFleetTick(b, 1_000_000, fleet.PlannerBatched) }
+func BenchmarkFleetTick10k(b *testing.B)  { benchmarkFleetTick(b, 10_000) }
+func BenchmarkFleetTick100k(b *testing.B) { benchmarkFleetTick(b, 100_000) }
+func BenchmarkFleetTick1M(b *testing.B)   { benchmarkFleetTick(b, 1_000_000) }
 
 // BenchmarkFleetTickObserved is BenchmarkFleetTick10k with the second
 // observability tier on: the fleet metrics registry is sampled into an
@@ -172,8 +168,7 @@ func BenchmarkFleetTickObserved(b *testing.B) {
 		}}); err != nil {
 			b.Fatal(err)
 		}
-		eng := newFleetBenchEngineCfg(b, fx, 10_000, fleet.Config{
-			Planner:  fleet.PlannerBatched,
+		eng := newFleetBenchEngine(b, fx, 10_000, fleet.Config{
 			Registry: reg,
 			Flight:   flight,
 		})
@@ -205,11 +200,4 @@ func BenchmarkFleetTickObserved(b *testing.B) {
 	events += eng.Ledger().Events
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-}
-
-// BenchmarkFleetTick100kScalar is the per-session reference planner at the
-// 100k scale — the before/after denominator for the batched planner's
-// speedup, kept as a live benchmark so the comparison never goes stale.
-func BenchmarkFleetTick100kScalar(b *testing.B) {
-	benchmarkFleetTick(b, 100_000, fleet.PlannerScalar)
 }

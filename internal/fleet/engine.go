@@ -30,43 +30,6 @@ type SessionSpec struct {
 	LeaveAfterSegments int
 }
 
-// PlannerMode selects how a shard plans the sessions that fire at one
-// virtual instant.
-type PlannerMode int
-
-// Planner modes.
-const (
-	// PlannerBatched (default) pops each run of same-timestamp decision
-	// events as one batch and plans it with sim.StepBatch: sessions in
-	// bit-identical residual state share one controller solve. Results are
-	// bit-identical to PlannerScalar (see TestBatchedPlannerMatchesScalar).
-	PlannerBatched PlannerMode = iota
-	// PlannerScalar plans every session independently — the reference path.
-	PlannerScalar
-)
-
-// String names the mode for logs and flags.
-func (m PlannerMode) String() string {
-	switch m {
-	case PlannerBatched:
-		return "batched"
-	case PlannerScalar:
-		return "scalar"
-	}
-	return fmt.Sprintf("PlannerMode(%d)", int(m))
-}
-
-// ParsePlanner maps a flag string to a PlannerMode.
-func ParsePlanner(s string) (PlannerMode, error) {
-	switch s {
-	case "batched":
-		return PlannerBatched, nil
-	case "scalar":
-		return PlannerScalar, nil
-	}
-	return 0, fmt.Errorf("fleet: unknown planner %q (want batched or scalar)", s)
-}
-
 // Config tunes the fleet engine.
 type Config struct {
 	// Catalog is the encoded-video catalogue every session streams.
@@ -79,19 +42,18 @@ type Config struct {
 	// most one goroutine, so Shards bounds both parallelism and the number
 	// of copies of the planning scratch.
 	Shards int
-	// Workers caps the goroutines advancing shards (0 = min(Shards,
-	// GOMAXPROCS)). Scheduling cost is O(Shards) goroutines at most,
-	// independent of the session count.
+	// Workers caps the goroutines advancing shards (0 = one per shard).
+	// Scheduling cost is O(Shards) goroutines at most, independent of the
+	// session count.
 	Workers int
 	// ViewportUpdateSec > 0 schedules a periodic per-session head-pose
 	// refresh event. The tick is accounting-only — the planners read the
-	// head trace directly — so it exercises the event queue (and its
-	// cancellation path on leave) without perturbing trajectories.
+	// head trace directly — so it exercises the event queue without
+	// perturbing trajectories. A session's last tick outlives its leave and
+	// expires uncounted when it reaches the top of the heap.
 	ViewportUpdateSec float64
 	// Registry receives the fleet metrics; nil creates a private registry.
 	Registry *obs.Registry
-	// Planner selects batched (default) or per-session scalar planning.
-	Planner PlannerMode
 	// ViewportSink, when set, receives one viewport report per completed
 	// segment download: the session's trace viewing center for the segment
 	// it just finished. This is the fleet-side feed of the online Ptile
@@ -131,11 +93,12 @@ type Ledger struct {
 	// Events counts every processed event; EventsByKind splits it by Kind.
 	Events       int
 	EventsByKind [5]int
-	// BatchLeaders, BatchReplays, and BatchFallbacks decompose the batched
-	// planner's steps: full scalar plans run on behalf of a group, steps
-	// resolved by replaying a leader's plan, and steps that could not be
-	// fingerprinted. All zero under PlannerScalar. Leaders + Replays +
-	// Fallbacks equals the segment steps taken on the batched path.
+	// BatchLeaders, BatchReplays, and BatchFallbacks decompose the steps
+	// taken: full plans computed on behalf of a group, steps resolved by
+	// applying a leader's plan, and steps that could not be fingerprinted.
+	// Every join steps once and every segment completion steps again unless
+	// the session leaves, so between Advance calls Leaders + Replays +
+	// Fallbacks = Joined + Segments − Finished.
 	BatchLeaders   int
 	BatchReplays   int
 	BatchFallbacks int
@@ -170,14 +133,12 @@ type shard struct {
 	eng     *Engine
 	stepper *sim.Stepper
 	heap    Heap
-	clock   float64
 
 	// Per-slot columns. states is nil before join and after leave, so a
 	// retired session costs one pointer.
 	global  []int
 	states  []*sim.State
 	pending []sim.StepInfo
-	vpEvent []ID
 	leave   []int32
 	// flight is the per-slot black-box column, nil when Config.Flight is
 	// unset; unsampled slots hold nil sessions.
@@ -199,8 +160,8 @@ type shard struct {
 	arena    []sim.State
 	arenaPos int
 
-	// Batched-planner scratch: the run of same-(time, kind) events being
-	// processed and the StepBatch workspace. Reused across runs.
+	// The run of same-(time, kind) events being processed and the
+	// StepBatch workspace. Reused across runs.
 	scratch    *sim.BatchScratch
 	runMembers []runMember
 	runStates  []*sim.State
@@ -283,9 +244,6 @@ func New(cfg Config, specs []SessionSpec) (*Engine, error) {
 	if cfg.ViewportUpdateSec < 0 {
 		return nil, fmt.Errorf("fleet: negative viewport update interval %g", cfg.ViewportUpdateSec)
 	}
-	if cfg.Planner != PlannerBatched && cfg.Planner != PlannerScalar {
-		return nil, fmt.Errorf("fleet: unknown planner mode %d", int(cfg.Planner))
-	}
 	for i, spec := range specs {
 		if spec.JoinSec < 0 {
 			return nil, fmt.Errorf("fleet: session %d joins at negative time %g", i, spec.JoinSec)
@@ -324,14 +282,11 @@ func New(cfg Config, specs []SessionSpec) (*Engine, error) {
 			global:  make([]int, n),
 			states:  make([]*sim.State, n),
 			pending: make([]sim.StepInfo, n),
-			vpEvent: make([]ID, n),
 			leave:   make([]int32, n),
+			scratch: sim.NewBatchScratch(),
 		}
 		if cfg.Flight != nil {
 			sh.flight = make([]*obs.FlightSession, n)
-		}
-		if cfg.Planner == PlannerBatched {
-			sh.scratch = sim.NewBatchScratch()
 		}
 		e.shards[si] = sh
 	}
@@ -422,8 +377,8 @@ func (e *Engine) NextEventTime() (float64, bool) {
 		if j := sh.joinPos; j < len(sh.joins) && sh.joins[j].time < t {
 			t, ok = sh.joins[j].time, true
 		}
-		if st, sok := sh.heap.PeekTime(); sok && st < t {
-			t, ok = st, true
+		if ev, hok := sh.heap.Peek(); hok && ev.Time < t {
+			t, ok = ev.Time, true
 		}
 	}
 	return t, ok
@@ -471,41 +426,35 @@ func (e *Engine) publish() {
 	e.pub = l
 }
 
-// advance drains the shard's queue up to the time horizon. With the batched
-// planner, runs of decision events sharing one virtual timestamp are popped
-// together and planned as one StepBatch; everything else (and everything
-// under PlannerScalar) takes the one-event path.
+// advance drains the shard's queue up to the time horizon. Runs of decision
+// events (joins, segment completions) sharing one virtual timestamp are
+// popped together and planned as one StepBatch; stall resumes, viewport
+// ticks and leaves are handled one at a time.
 func (sh *shard) advance(until float64) error {
 	if sh.err != nil {
 		return sh.err
 	}
-	batched := sh.scratch != nil
 	for {
 		// Next occurrence: the join cursor merges with the heap top. Joins win
 		// ties — they carried the lowest push-sequence ids back when they
 		// lived on the heap, so this keeps the old pop order exactly.
-		ev, hok := sh.heap.Peek()
+		ev, hok := sh.peek()
 		if j := sh.joinPos; j < len(sh.joins) && (!hok || sh.joins[j].time <= ev.Time) {
-			ev = Event{Time: sh.joins[j].time, Kind: KindJoin, Session: sh.joins[j].session}
+			ev = Event{Time: sh.joins[j].time, Kind: KindJoin}
 		} else if !hok {
 			return nil
 		}
 		if ev.Time > until {
 			return nil
 		}
-		if batched && (ev.Kind == KindSegmentComplete || ev.Kind == KindJoin) {
+		if ev.Kind == KindSegmentComplete || ev.Kind == KindJoin {
 			if err := sh.advanceRun(ev.Time, ev.Kind); err != nil {
 				sh.err = fmt.Errorf("fleet: %s run at t=%.3f: %w", ev.Kind, ev.Time, err)
 				return sh.err
 			}
 			continue
 		}
-		if ev.Kind == KindJoin {
-			sh.joinPos++
-		} else {
-			sh.heap.Pop()
-		}
-		sh.clock = ev.Time
+		sh.heap.Pop()
 		sh.led.Events++
 		sh.led.EventsByKind[ev.Kind]++
 		if err := sh.handle(ev); err != nil {
@@ -515,22 +464,36 @@ func (sh *shard) advance(until float64) error {
 	}
 }
 
+// peek returns the earliest live heap event. A session's pending viewport
+// tick outlives its leave; peek pops and drops such an expired tick before
+// anything counts it, so Events, EventsByKind and ViewportUpdates count only
+// live ticks, and between Advance calls the heap top is live, which keeps
+// NextEventTime exact.
+func (sh *shard) peek() (Event, bool) {
+	for {
+		ev, ok := sh.heap.Peek()
+		if !ok || ev.Kind != KindViewportUpdate || sh.states[sh.slot(ev.Session)] != nil {
+			return ev, ok
+		}
+		sh.heap.Pop()
+	}
+}
+
 // advanceRun processes the maximal run of queued events with timestamp t and
-// the given kind as one batch, in three phases whose combined heap traffic
-// reproduces the scalar path's pop/push sequence exactly:
+// the given kind as one batch, in three phases:
 //
 //  1. Pop the whole run. Run members were all pushed before anything a
-//     member's handling could push at time t, so the scalar path would pop
-//     exactly this run first; popping it up front changes nothing. Joins
-//     bind their states here; completions classify into step vs leave.
+//     member's handling could push at time t, so handling them one at a
+//     time would pop exactly this run first; popping it up front changes
+//     nothing. Joins bind their states here; completions classify into
+//     step vs leave.
 //  2. Plan every stepping member with one StepBatch call — this is where
 //     decision-identical sessions collapse onto shared work.
 //  3. Walk the run in pop order performing each member's pushes (leave,
-//     viewport tick, stall-resume, segment-complete) exactly as its scalar
-//     handler would have — same pushes, same order, so the heap's insertion
-//     sequence, and with it every future tie-break, is bit-identical.
+//     viewport tick, stall-resume, segment-complete), so the heap's
+//     insertion sequence, and with it every future tie-break and the
+//     ledger's float summation order, is the one-at-a-time order.
 func (sh *shard) advanceRun(t float64, kind Kind) error {
-	sh.clock = t
 	sh.runMembers = sh.runMembers[:0]
 	sh.runStates = sh.runStates[:0]
 
@@ -557,7 +520,7 @@ func (sh *shard) advanceRun(t float64, kind Kind) error {
 		}
 	case KindSegmentComplete:
 		for {
-			ev, ok := sh.heap.Peek()
+			ev, ok := sh.peek()
 			if !ok || ev.Time != t || ev.Kind != kind {
 				break
 			}
@@ -633,7 +596,7 @@ func (sh *shard) complete(t float64, slot, session int) bool {
 // the completion event at the shared timestamp.
 func (sh *shard) schedule(t float64, slot, session int, joined bool, info sim.StepInfo) {
 	if vp := sh.eng.cfg.ViewportUpdateSec; joined && vp > 0 {
-		sh.vpEvent[slot] = sh.heap.PushCancellable(t+vp, KindViewportUpdate, session)
+		sh.heap.Push(t+vp, KindViewportUpdate, session)
 	}
 	sh.pending[slot] = info
 	done := t + info.WaitSec + info.DownloadSec
@@ -688,37 +651,18 @@ func (sh *shard) reportViewport(session int, state *sim.State) {
 	sink(session, seg, c)
 }
 
+// handle processes one stall-resume, viewport-tick or leave event.
 func (sh *shard) handle(ev Event) error {
 	slot := sh.slot(ev.Session)
 	switch ev.Kind {
-	case KindJoin, KindSegmentComplete:
-		joined := ev.Kind == KindJoin
-		if joined {
-			if _, err := sh.join(ev.Time, slot, ev.Session); err != nil {
-				return err
-			}
-		} else if !sh.complete(ev.Time, slot, ev.Session) {
-			sh.heap.Push(ev.Time, KindLeave, ev.Session)
-			return nil
-		}
-		info, err := sh.stepper.Step(sh.states[slot])
-		if err != nil {
-			return err
-		}
-		sh.schedule(ev.Time, slot, ev.Session, joined, info)
-		return nil
-
 	case KindStallResume:
 		sh.led.Stalls++
 		sh.led.StallSec += sh.pending[slot].StallSec
 		return nil
 
 	case KindViewportUpdate:
-		if sh.states[slot] == nil {
-			return nil
-		}
 		sh.led.ViewportUpdates++
-		sh.vpEvent[slot] = sh.heap.PushCancellable(ev.Time+sh.eng.cfg.ViewportUpdateSec, KindViewportUpdate, ev.Session)
+		sh.heap.Push(ev.Time+sh.eng.cfg.ViewportUpdateSec, KindViewportUpdate, ev.Session)
 		return nil
 
 	case KindLeave:
@@ -733,10 +677,6 @@ func (sh *shard) handle(ev Event) error {
 		sh.led.QoESum += res.QoE.MeanQ
 		sh.led.Bits += res.BitsDownloaded
 		sh.led.Emergencies += res.Emergencies
-		if sh.vpEvent[slot] != 0 {
-			sh.heap.Cancel(sh.vpEvent[slot])
-			sh.vpEvent[slot] = 0
-		}
 		if sh.flight != nil {
 			if fsess := sh.flight[slot]; fsess != nil {
 				fsess.Record(obs.FlightEvent{TimeSec: ev.Time, Kind: obs.FlightLeave, Seg: -1,

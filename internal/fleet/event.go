@@ -25,7 +25,8 @@ const (
 	KindStallResume
 	// KindViewportUpdate is the periodic head-pose refresh tick; it is
 	// accounting-only (the planners read the head trace directly, so the
-	// tick cannot perturb the trajectory) and is cancelled on leave.
+	// tick cannot perturb the trajectory), and the tick pending when its
+	// session leaves expires uncounted.
 	KindViewportUpdate
 	// KindLeave retires a session and settles its accounting.
 	KindLeave
@@ -56,30 +57,15 @@ type Event struct {
 	Kind Kind
 	// Session is the engine-global session index the event belongs to.
 	Session int
-	id      uint64
+	seq     uint64
 }
 
-// ID is a cancellation handle returned by Heap.PushCancellable. The zero ID
-// is never issued, so it can mean "no outstanding event".
-type ID uint64
-
-// Heap is a min-heap of events ordered by (Time, insertion order). Ties on
-// Time pop in push order, so event processing is deterministic and FIFO at
-// equal timestamps. Cancellation is lazy: cancelled IDs are dropped on Pop,
-// which keeps Cancel O(1) without sifting. Heap is not safe for concurrent
-// use; each shard owns one.
-//
-// Most fleet events (joins, segment completions, stalls, leaves) are never
-// cancelled, so the bookkeeping that makes cancellation possible is opt-in:
-// Push schedules an uncancellable event with no per-event map traffic, and
-// only PushCancellable (viewport ticks, which leave cancels) pays for a
-// pending-set entry.
+// Heap is a min-heap of events ordered by (Time, push order). Ties on Time
+// pop in push order, so event processing is deterministic and FIFO at equal
+// timestamps. Heap is not safe for concurrent use; each shard owns one.
 type Heap struct {
-	events    []Event
-	cancelled map[ID]struct{}
-	pending   map[ID]struct{}
-	nextID    uint64
-	live      int
+	events []Event
+	seq    uint64
 }
 
 // Reserve grows the heap's backing array to hold at least n events without
@@ -94,104 +80,42 @@ func (h *Heap) Reserve(n int) {
 	h.events = events
 }
 
-// Push schedules an event that will never be cancelled. This is the hot
-// path: no cancellation bookkeeping is recorded, so Cancel does not work on
-// these events (it returns false).
+// Push schedules an event.
 func (h *Heap) Push(t float64, kind Kind, session int) {
-	h.nextID++
-	ev := Event{Time: t, Kind: kind, Session: session, id: h.nextID}
-	h.events = append(h.events, ev)
+	h.seq++
+	h.events = append(h.events, Event{Time: t, Kind: kind, Session: session, seq: h.seq})
 	h.up(len(h.events) - 1)
-	h.live++
 }
 
-// PushCancellable schedules an event and returns its cancellation handle.
-func (h *Heap) PushCancellable(t float64, kind Kind, session int) ID {
-	h.Push(t, kind, session)
-	if h.pending == nil {
-		h.pending = make(map[ID]struct{})
-	}
-	h.pending[ID(h.nextID)] = struct{}{}
-	return ID(h.nextID)
-}
-
-// Cancel removes a scheduled event by handle. It reports whether the handle
-// named a still-pending cancellable event; cancelling twice, or cancelling
-// an event already popped, returns false.
-func (h *Heap) Cancel(id ID) bool {
-	if _, ok := h.pending[id]; !ok {
-		return false
-	}
-	delete(h.pending, id)
-	if h.cancelled == nil {
-		h.cancelled = make(map[ID]struct{})
-	}
-	h.cancelled[id] = struct{}{}
-	h.live--
-	return true
-}
-
-// Len returns the number of live (scheduled, not cancelled) events.
-func (h *Heap) Len() int { return h.live }
-
-// PeekTime returns the timestamp of the earliest live event.
-func (h *Heap) PeekTime() (float64, bool) {
-	ev, ok := h.Peek()
-	return ev.Time, ok
-}
-
-// Peek returns the earliest live event without removing it.
+// Peek returns the earliest event without removing it.
 func (h *Heap) Peek() (Event, bool) {
-	for len(h.events) > 0 {
-		if len(h.cancelled) > 0 {
-			if _, dead := h.cancelled[ID(h.events[0].id)]; dead {
-				delete(h.cancelled, ID(h.events[0].id))
-				h.drop()
-				continue
-			}
-		}
-		return h.events[0], true
+	if len(h.events) == 0 {
+		return Event{}, false
 	}
-	return Event{}, false
+	return h.events[0], true
 }
 
-// Pop removes and returns the earliest live event.
+// Pop removes and returns the earliest event.
 func (h *Heap) Pop() (Event, bool) {
-	for len(h.events) > 0 {
-		ev := h.events[0]
-		h.drop()
-		if len(h.cancelled) > 0 {
-			if _, dead := h.cancelled[ID(ev.id)]; dead {
-				delete(h.cancelled, ID(ev.id))
-				continue
-			}
-		}
-		if len(h.pending) > 0 {
-			delete(h.pending, ID(ev.id))
-		}
-		h.live--
-		return ev, true
+	if len(h.events) == 0 {
+		return Event{}, false
 	}
-	return Event{}, false
-}
-
-// drop removes the root element.
-func (h *Heap) drop() {
+	ev := h.events[0]
 	n := len(h.events) - 1
 	h.events[0] = h.events[n]
-	h.events[n] = Event{}
 	h.events = h.events[:n]
 	if n > 0 {
 		h.down(0)
 	}
+	return ev, true
 }
 
-// less orders by (Time, id): id is the strictly increasing push sequence.
+// less orders by (Time, seq): seq is the strictly increasing push sequence.
 func (h *Heap) less(i, j int) bool {
 	if h.events[i].Time != h.events[j].Time {
 		return h.events[i].Time < h.events[j].Time
 	}
-	return h.events[i].id < h.events[j].id
+	return h.events[i].seq < h.events[j].seq
 }
 
 func (h *Heap) up(i int) {

@@ -2,31 +2,19 @@ package fleet
 
 import "testing"
 
-func TestHeapOrderingAndCancel(t *testing.T) {
+func TestHeapOrdering(t *testing.T) {
 	var h Heap
-	h.Push(3, KindSegmentComplete, 0) // id 1
-	h.Push(1, KindJoin, 1)            // id 2
-	c := h.PushCancellable(2, KindViewportUpdate, 2)
-	h.Push(1, KindStallResume, 3) // ties with id 2; pushed later, pops later
-	if h.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", h.Len())
-	}
-	if !h.Cancel(c) {
-		t.Fatal("cancel of pending event failed")
-	}
-	if h.Cancel(c) {
-		t.Fatal("double cancel succeeded")
-	}
-	if h.Len() != 3 {
-		t.Fatalf("Len after cancel = %d, want 3", h.Len())
-	}
-	if tm, ok := h.PeekTime(); !ok || tm != 1 {
-		t.Fatalf("PeekTime = %g,%v, want 1,true", tm, ok)
+	h.Push(3, KindSegmentComplete, 0)
+	h.Push(1, KindJoin, 1)
+	h.Push(2, KindViewportUpdate, 2)
+	h.Push(1, KindStallResume, 3) // ties with session 1's event; pushed later, pops later
+	if len(h.events) != 4 {
+		t.Fatalf("heap holds %d events, want 4", len(h.events))
 	}
 	if ev, ok := h.Peek(); !ok || ev.Session != 1 || ev.Kind != KindJoin {
 		t.Fatalf("Peek = %+v,%v, want join of session 1", ev, ok)
 	}
-	wantSessions := []int{1, 3, 0}
+	wantSessions := []int{1, 3, 2, 0}
 	for i, want := range wantSessions {
 		pk, pok := h.Peek()
 		ev, ok := h.Pop()
@@ -46,41 +34,28 @@ func TestHeapOrderingAndCancel(t *testing.T) {
 	if _, ok := h.Peek(); ok {
 		t.Fatal("peek at drained heap succeeded")
 	}
-	// Uncancellable events never accept their (internal) ids; popped
-	// cancellable and never-issued handles also refuse.
-	if h.Cancel(ID(1)) || h.Cancel(ID(2)) || h.Cancel(ID(4)) {
-		t.Fatal("cancel of uncancellable event succeeded")
-	}
-	if h.Cancel(0) || h.Cancel(ID(99)) {
-		t.Fatal("cancel of never-issued id succeeded")
-	}
 }
 
-// FuzzEventHeapOrdering drives the heap through random interleavings of
-// plain push, cancellable push, cancel, and pop, checking against a flat
-// reference model that (a) every pop returns the minimum (time, push-order)
-// among live events, (b) cancelled events never surface, (c) no live event
-// is lost, (d) Cancel reports exactly whether the handle named a
-// still-pending cancellable event, and (e) Peek always agrees with Pop.
+// FuzzEventHeapOrdering drives the heap through random interleavings of push
+// and pop, checking against a flat reference model that (a) every pop
+// returns the minimum (time, push-order) among pending events, (b) no event
+// is lost or popped twice, and (c) Peek always agrees with Pop.
 func FuzzEventHeapOrdering(f *testing.F) {
-	f.Add([]byte{0, 10, 1, 0, 10, 2, 3, 0, 0, 2, 0, 0, 0, 5, 3})
-	f.Add([]byte{1, 1, 1, 1, 1, 2, 0, 1, 3, 2, 1, 0, 3, 0, 0, 3, 0, 0})
-	f.Add([]byte{3, 0, 0, 2, 0, 0})
+	f.Add([]byte{0, 10, 1, 0, 10, 2, 1, 0, 0, 0, 2, 0, 0, 5, 3, 1, 0, 0})
+	f.Add([]byte{0, 1, 1, 0, 1, 2, 0, 1, 3, 1, 1, 0, 1, 0, 0, 1, 0, 0})
+	f.Add([]byte{1, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var h Heap
 		type rec struct {
-			time        float64
-			cancellable bool
-			cancelled   bool
-			popped      bool
+			time   float64
+			popped bool
 		}
-		recs := make(map[ID]*rec)
-		var ids []ID
-		var modelNext uint64 // mirrors the heap's internal push sequence
-		live := func() int {
+		recs := make(map[uint64]*rec)
+		var modelSeq uint64 // mirrors the heap's internal push sequence
+		pending := func() int {
 			n := 0
 			for _, r := range recs {
-				if !r.cancelled && !r.popped {
+				if !r.popped {
 					n++
 				}
 			}
@@ -93,79 +68,52 @@ func FuzzEventHeapOrdering(f *testing.F) {
 				t.Fatalf("Peek %+v,%v disagrees with Pop %+v,%v", pk, pok, ev, ok)
 			}
 			if !ok {
-				if live() != 0 {
-					t.Fatalf("pop reported empty with %d live events", live())
+				if pending() != 0 {
+					t.Fatalf("pop reported empty with %d pending events", pending())
 				}
 				return
 			}
-			r := recs[ID(ev.id)]
+			r := recs[ev.seq]
 			if r == nil {
-				t.Fatalf("popped unknown id %d", ev.id)
-			}
-			if r.cancelled {
-				t.Fatalf("popped cancelled event %d", ev.id)
+				t.Fatalf("popped unknown event %d", ev.seq)
 			}
 			if r.popped {
-				t.Fatalf("popped event %d twice", ev.id)
+				t.Fatalf("popped event %d twice", ev.seq)
 			}
 			if r.time != ev.Time {
-				t.Fatalf("event %d popped with time %g, pushed at %g", ev.id, ev.Time, r.time)
+				t.Fatalf("event %d popped with time %g, pushed at %g", ev.seq, ev.Time, r.time)
 			}
-			// Minimality: nothing live may order before the popped event.
-			for id, o := range recs {
-				if o.cancelled || o.popped {
+			// Minimality: nothing pending may order before the popped event.
+			for seq, o := range recs {
+				if o.popped {
 					continue
 				}
-				if o.time < ev.Time || (o.time == ev.Time && uint64(id) < ev.id) {
-					t.Fatalf("popped (%g,%d) while (%g,%d) was live", ev.Time, ev.id, o.time, id)
+				if o.time < ev.Time || (o.time == ev.Time && seq < ev.seq) {
+					t.Fatalf("popped (%g,%d) while (%g,%d) was pending", ev.Time, ev.seq, o.time, seq)
 				}
 			}
 			r.popped = true
 		}
 		for i := 0; i+2 < len(data); i += 3 {
-			switch data[i] % 4 {
-			case 0: // plain push: no cancellation handle
+			switch data[i] % 2 {
+			case 0:
 				tm := float64(data[i+1]%32) / 4
 				h.Push(tm, Kind(data[i+2]%5), int(data[i+2]))
-				modelNext++
-				recs[ID(modelNext)] = &rec{time: tm}
-				ids = append(ids, ID(modelNext))
-			case 1: // cancellable push
-				tm := float64(data[i+1]%32) / 4
-				id := h.PushCancellable(tm, Kind(data[i+2]%5), int(data[i+2]))
-				modelNext++
-				if id != ID(modelNext) {
-					t.Fatalf("handle %d, model expects %d", id, modelNext)
-				}
-				recs[id] = &rec{time: tm, cancellable: true}
-				ids = append(ids, id)
-			case 2: // cancel a known handle (possibly uncancellable/popped/cancelled)
-				if len(ids) == 0 {
-					continue
-				}
-				id := ids[int(data[i+1])%len(ids)]
-				r := recs[id]
-				want := r.cancellable && !r.cancelled && !r.popped
-				if got := h.Cancel(id); got != want {
-					t.Fatalf("Cancel(%d) = %v, want %v (cancellable=%v cancelled=%v popped=%v)",
-						id, got, want, r.cancellable, r.cancelled, r.popped)
-				}
-				if want {
-					r.cancelled = true
-				}
-			case 3:
+				modelSeq++
+				recs[modelSeq] = &rec{time: tm}
+			case 1:
 				checkPop()
 			}
-			if h.Len() != live() {
-				t.Fatalf("Len = %d, model has %d live", h.Len(), live())
+			if len(h.events) != pending() {
+				t.Fatalf("heap holds %d events, model has %d pending", len(h.events), pending())
 			}
 		}
-		// Drain: every live event must come out, in order.
-		for h.Len() > 0 {
+		// Drain: every pending event must come out, in order.
+		for len(h.events) > 0 {
 			checkPop()
 		}
-		if live() != 0 {
-			t.Fatalf("heap drained with %d live events lost", live())
+		if pending() != 0 {
+			t.Fatalf("heap drained with %d pending events lost", pending())
 		}
 		if _, ok := h.Pop(); ok {
 			t.Fatal("pop from drained heap succeeded")

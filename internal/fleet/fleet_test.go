@@ -442,3 +442,59 @@ func TestFleetMetricsMatchLedger(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetGoldenLedger pins the whole ledger of one fleet run with early
+// leavers and viewport ticks: integers exactly, floats on Float64bits. Every
+// seventh session leaves after 3–13 segments, so many sessions leave with a
+// viewport tick pending; that tick must expire uncounted, and the ledger's
+// float sums depend on the heap's pop order. The pinned values were read
+// from an engine that cancelled a leaving session's tick; matching them
+// shows that letting the tick expire changes nothing.
+func TestFleetGoldenLedger(t *testing.T) {
+	fx := fixture(t)
+	cfg := simConfig(t, sim.SchemeCtile)
+	cfg.RecordSegments = false
+	specs := specsFor(fx, netFor(t, lte.ProfileWalking, 7), 500)
+	for i := range specs {
+		if i%7 == 0 {
+			specs[i].LeaveAfterSegments = 3 + i%11
+		}
+	}
+	eng, err := New(Config{Catalog: fx.cat, Sim: cfg, Shards: 1, ViewportUpdateSec: 1}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for until := 5.0; ; until += 5 {
+		if _, ok := eng.NextEventTime(); !ok {
+			break
+		}
+		if err := eng.Advance(until); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := eng.Ledger()
+	floats := []struct {
+		name string
+		got  float64
+		want uint64
+	}{
+		{"StallSec", got.StallSec, 0x40644f852ef95168}, // 162.48500775046273
+		{"EnergyMJ", got.EnergyMJ, 0x417b2e0c00787441}, // 2.8500160029407743e+07
+		{"QoESum", got.QoESum, 0x40ce4a2bab32cda0},     // 15508.341162062075
+		{"Bits", got.Bits, 0x42251efa788714da},         // 4.5357022275540726e+10
+	}
+	for _, f := range floats {
+		if bits := math.Float64bits(f.got); bits != f.want {
+			t.Errorf("%s = %v (%#x), pinned %v (%#x)", f.name, f.got, bits, math.Float64frombits(f.want), f.want)
+		}
+	}
+	got.StallSec, got.EnergyMJ, got.QoESum, got.Bits = 0, 0, 0, 0
+	want := Ledger{
+		Joined: 500, Finished: 500, Segments: 10846, Stalls: 1323, Emergencies: 500,
+		ViewportUpdates: 10346, Events: 23515, EventsByKind: [5]int{500, 10846, 1323, 10346, 500},
+		BatchLeaders: 2123, BatchReplays: 8723,
+	}
+	if got != want {
+		t.Errorf("integer ledger:\ngot:  %+v\nwant: %+v", got, want)
+	}
+}

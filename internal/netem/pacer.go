@@ -15,9 +15,11 @@ import (
 // bursts up to the budget cap are permitted but the long-run rate converges
 // to the target. The cap bounds how large a burst an idle period can bank.
 //
-// The Pacer is pure arithmetic over a caller-supplied clock, so the same
-// type drives both the virtual-time SessionNet schedule and the real-time
-// PacedWriter.
+// The Pacer is pure arithmetic over a caller-supplied clock, and it drives
+// only the real-time PacedWriter. The virtual-time SessionNet.Download does
+// not use it: it applies the interval-budget rule in closed form (path.go),
+// each packet departing once the credit accrued at the pacing rate covers
+// the bytes sent before it.
 type Pacer struct {
 	rateBytesPerSec float64
 	budgetBytes     float64
