@@ -61,6 +61,7 @@ type summary struct {
 	BatchFallbacks int     `json:"batch_fallbacks"`
 	WallSec        float64 `json:"wall_sec"`
 	EventsPerSec   float64 `json:"events_per_sec"`
+	SegmentsPerSec float64 `json:"segments_per_sec"`
 	GoroutinePeak  int     `json:"goroutine_peak"`
 }
 
@@ -99,7 +100,6 @@ func run() int {
 		seed         = flag.Int64("seed", 42, "random seed")
 		scheme       = flag.String("scheme", "Ptile", "streaming scheme (Ctile, Ftile, Nontile, Ptile, Ours)")
 		netProfile   = flag.String("net", "walking", "LTE mobility profile: stationary, walking, driving")
-		vpUpdate     = flag.Float64("viewport-update", 0.5, "virtual seconds between head-pose refresh events (0 disables)")
 		tsdbEvery    = flag.Duration("tsdb-interval", time.Second, "in-process TSDB sampling period backing /debug/tsdb and the /slo burn-rate engine (0 disables both)")
 		flightSample = flag.Int("flight-sample", 0, "flight recorder samples 1-in-N sessions; dumps surface at /debug/flight (0 disables)")
 		logCfg       = obs.LogFlags(nil)
@@ -203,13 +203,12 @@ func run() int {
 		flight = obs.NewFlightRecorder(obs.FlightConfig{SampleEvery: *flightSample, Registry: reg})
 	}
 	eng, err := fleet.New(fleet.Config{
-		Catalog:           cat,
-		Sim:               cfg,
-		Shards:            *shards,
-		Workers:           *workers,
-		ViewportUpdateSec: *vpUpdate,
-		Registry:          reg,
-		Flight:            flight,
+		Catalog:  cat,
+		Sim:      cfg,
+		Shards:   *shards,
+		Workers:  *workers,
+		Registry: reg,
+		Flight:   flight,
 	}, specs)
 	if err != nil {
 		logger.Error("engine construction failed", "err", err)
@@ -338,6 +337,7 @@ func run() int {
 		BatchFallbacks: led.BatchFallbacks,
 		WallSec:        wall,
 		EventsPerSec:   float64(led.Events) / wall,
+		SegmentsPerSec: float64(led.Segments) / wall,
 		GoroutinePeak:  peak,
 	}
 	enc := json.NewEncoder(os.Stdout)
@@ -349,7 +349,8 @@ func run() int {
 		"finished", led.Finished, "segments", led.Segments,
 		"events", led.Events, "batch_replays", led.BatchReplays,
 		"wall_sec", fmt.Sprintf("%.2f", wall),
-		"events_per_sec", fmt.Sprintf("%.0f", float64(led.Events)/wall),
+		"events_per_sec", fmt.Sprintf("%.0f", sum.EventsPerSec),
+		"segments_per_sec", fmt.Sprintf("%.0f", sum.SegmentsPerSec),
 		"goroutine_peak", peak)
 	return 0
 }

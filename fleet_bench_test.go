@@ -1,8 +1,9 @@
 package ptile360
 
 // Fleet-scale benches: BenchmarkFleetTick advances an N-session event-driven
-// fleet by one virtual second per iteration, reporting events/op and
-// events/sec alongside allocs/op. The 10k/100k/1M ladder is the scaling
+// fleet by one virtual second per iteration, reporting events/op,
+// events/sec and segments/sec alongside allocs/op. An event is a join, a
+// segment completion or a leave. The 10k/100k/1M ladder is the scaling
 // story: cost per event should stay flat while the session count grows three
 // orders of magnitude (goroutines stay O(shards) throughout).
 //
@@ -112,18 +113,33 @@ func newFleetBenchEngine(b *testing.B, fx *fleetBenchFixture, sessions int, cfg 
 	return eng
 }
 
+// fleetTally sums the ledgers of the engines one bench advanced.
+type fleetTally struct{ events, segments int }
+
+func (c *fleetTally) add(eng *fleet.Engine) {
+	led := eng.Ledger()
+	c.events += led.Events
+	c.segments += led.Segments
+}
+
+func (c *fleetTally) report(b *testing.B) {
+	b.ReportMetric(float64(c.events)/float64(b.N), "events/op")
+	b.ReportMetric(float64(c.events)/b.Elapsed().Seconds(), "events/sec")
+	b.ReportMetric(float64(c.segments)/b.Elapsed().Seconds(), "segments/sec")
+}
+
 func benchmarkFleetTick(b *testing.B, sessions int) {
 	fx := fleetBenchFixtureOnce(b)
 	eng := newFleetBenchEngine(b, fx, sessions, fleet.Config{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	horizon := 0.0
-	events := 0
+	var tally fleetTally
 	for i := 0; i < b.N; i++ {
 		if _, ok := eng.NextEventTime(); !ok {
 			// Fleet drained: rebuild off the clock and keep ticking.
 			b.StopTimer()
-			events += eng.Ledger().Events
+			tally.add(eng)
 			eng = newFleetBenchEngine(b, fx, sessions, fleet.Config{})
 			horizon = 0
 			b.StartTimer()
@@ -134,9 +150,8 @@ func benchmarkFleetTick(b *testing.B, sessions int) {
 		}
 	}
 	b.StopTimer()
-	events += eng.Ledger().Events
-	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+	tally.add(eng)
+	tally.report(b)
 }
 
 func BenchmarkFleetTick10k(b *testing.B)  { benchmarkFleetTick(b, 10_000) }
@@ -178,12 +193,12 @@ func BenchmarkFleetTickObserved(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	horizon := 0.0
-	events := 0
+	var tally fleetTally
 	epoch := time.Now()
 	for i := 0; i < b.N; i++ {
 		if _, ok := eng.NextEventTime(); !ok {
 			b.StopTimer()
-			events += eng.Ledger().Events
+			tally.add(eng)
 			eng, db = newObserved()
 			horizon = 0
 			b.StartTimer()
@@ -197,7 +212,6 @@ func BenchmarkFleetTickObserved(b *testing.B) {
 		db.Sample(epoch.Add(time.Duration(horizon * float64(time.Second))))
 	}
 	b.StopTimer()
-	events += eng.Ledger().Events
-	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+	tally.add(eng)
+	tally.report(b)
 }

@@ -52,13 +52,7 @@ func TestBatchedPlannerMatchesSim(t *testing.T) {
 
 			var first Ledger
 			for _, workers := range []int{1, 8} {
-				eng, err := New(Config{
-					Catalog:           fx.cat,
-					Sim:               cfg,
-					Shards:            4,
-					Workers:           workers,
-					ViewportUpdateSec: 0.5,
-				}, specs)
+				eng, err := New(Config{Catalog: fx.cat, Sim: cfg, Shards: 4, Workers: workers}, specs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -130,9 +124,9 @@ func TestFleetSteadyStateAllocs(t *testing.T) {
 			perEvent: true, ceiling: 0.25},
 		// Each ceiling is ≤ 1.1× the allocs/tick measured when it was set,
 		// given in the trailing comment.
-		bench("FleetTick10k", 10_000, false, 16),      // 15.0
+		bench("FleetTick10k", 10_000, false, 16),      // 14.8
 		bench("FleetTick100k", 100_000, false, 52),    // 47.3
-		bench("FleetTickObserved", 10_000, true, 285), // 259.7
+		bench("FleetTickObserved", 10_000, true, 244), // 222.5
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

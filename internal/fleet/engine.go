@@ -46,11 +46,9 @@ type Config struct {
 	// Scheduling cost is O(Shards) goroutines at most, independent of the
 	// session count.
 	Workers int
-	// ViewportUpdateSec > 0 schedules a periodic per-session head-pose
-	// refresh event. The tick is accounting-only — the planners read the
-	// head trace directly — so it exercises the event queue without
-	// perturbing trajectories. A session's last tick outlives its leave and
-	// expires uncounted when it reaches the top of the heap.
+	// Deprecated: ignored. A session changes state only at its segment
+	// decisions, and the planners read the head trace directly, so the
+	// engine schedules no head-pose tick.
 	ViewportUpdateSec float64
 	// Registry receives the fleet metrics; nil creates a private registry.
 	Registry *obs.Registry
@@ -72,13 +70,15 @@ type Config struct {
 // Ledger is the fleet-wide accounting roll-up. Integer fields are exact;
 // float fields are summed per shard in event order and then across shards
 // in shard order, so they are deterministic for a fixed shard count
-// regardless of worker count.
+// regardless of worker count. Everything is booked at a join, a segment
+// completion or a leave, the only events a session has.
 type Ledger struct {
 	// Joined, Finished, Active count sessions; Active = Joined − Finished.
 	Joined, Finished, Active int
 	// Segments counts completed segment downloads fleet-wide.
 	Segments int
-	// Stalls and StallSec count rebuffering events and their total duration.
+	// Stalls and StallSec count rebuffering events and their total
+	// duration, booked when the stalled segment's download completes.
 	Stalls   int
 	StallSec float64
 	// EnergyMJ, QoESum, and Bits accumulate finished sessions' energy
@@ -88,11 +88,9 @@ type Ledger struct {
 	Bits     float64
 	// Emergencies counts finished sessions' emergency controller decisions.
 	Emergencies int
-	// ViewportUpdates counts head-pose refresh ticks.
-	ViewportUpdates int
-	// Events counts every processed event; EventsByKind splits it by Kind.
-	Events       int
-	EventsByKind [5]int
+	// Events counts every join, segment completion and leave:
+	// Joined + Segments + Finished.
+	Events int
 	// BatchLeaders, BatchReplays, and BatchFallbacks decompose the steps
 	// taken: full plans computed on behalf of a group, steps resolved by
 	// applying a leader's plan, and steps that could not be fingerprinted.
@@ -115,11 +113,6 @@ func (l *Ledger) add(o Ledger) {
 	l.QoESum += o.QoESum
 	l.Bits += o.Bits
 	l.Emergencies += o.Emergencies
-	l.ViewportUpdates += o.ViewportUpdates
-	l.Events += o.Events
-	for k := range l.EventsByKind {
-		l.EventsByKind[k] += o.EventsByKind[k]
-	}
 	l.BatchLeaders += o.BatchLeaders
 	l.BatchReplays += o.BatchReplays
 	l.BatchFallbacks += o.BatchFallbacks
@@ -222,7 +215,6 @@ type fleetMetrics struct {
 	stallSec  *obs.Counter
 	energyMJ  *obs.Counter
 	bits      *obs.Counter
-	events    [5]*obs.Counter
 	shardsG   *obs.Gauge
 	sessionsG *obs.Gauge
 
@@ -240,9 +232,6 @@ func New(cfg Config, specs []SessionSpec) (*Engine, error) {
 	}
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("fleet: no sessions")
-	}
-	if cfg.ViewportUpdateSec < 0 {
-		return nil, fmt.Errorf("fleet: negative viewport update interval %g", cfg.ViewportUpdateSec)
 	}
 	for i, spec := range specs {
 		if spec.JoinSec < 0 {
@@ -307,10 +296,10 @@ func New(cfg Config, specs []SessionSpec) (*Engine, error) {
 			}
 			return cmp.Compare(a.session, b.session)
 		})
-		// Steady state keeps at most two heap events per live session (the
-		// pending completion plus a stall or viewport tick); reserving that
-		// up front avoids append-doubling memmoves during the join wave.
-		sh.heap.Reserve(2 * len(sh.joins))
+		// A live session holds exactly one heap event, its next completion;
+		// reserving one slot per session up front avoids append-doubling
+		// memmoves during the join wave.
+		sh.heap.Reserve(len(sh.joins))
 	}
 	return e, nil
 }
@@ -326,10 +315,6 @@ func (e *Engine) registerMetrics() {
 	m.stallSec = e.reg.Counter("fleet_stall_seconds_total", "Total rebuffering time fleet-wide.")
 	m.energyMJ = e.reg.Counter("fleet_energy_mj_total", "Energy of finished sessions (mJ).")
 	m.bits = e.reg.Counter("fleet_bits_downloaded_total", "Bits downloaded by finished sessions.")
-	for k := range m.events {
-		m.events[k] = e.reg.Counter("fleet_events_total", "Virtual-clock events processed.",
-			obs.L("kind", Kind(k).String()))
-	}
 	m.shardsG = e.reg.Gauge("fleet_shards", "Configured shard count.")
 	m.sessionsG = e.reg.Gauge("fleet_sessions_total", "Configured session count.")
 	m.batchLeaders = e.reg.Counter("fleet_batch_leaders_total",
@@ -391,6 +376,7 @@ func (e *Engine) Ledger() Ledger {
 		l.add(sh.led)
 	}
 	l.Active = l.Joined - l.Finished
+	l.Events = l.Joined + l.Segments + l.Finished
 	return l
 }
 
@@ -415,9 +401,6 @@ func (e *Engine) publish() {
 	m.stallSec.Add(l.StallSec - e.pub.StallSec)
 	m.energyMJ.Add(l.EnergyMJ - e.pub.EnergyMJ)
 	m.bits.Add(l.Bits - e.pub.Bits)
-	for k := range m.events {
-		m.events[k].Add(float64(l.EventsByKind[k] - e.pub.EventsByKind[k]))
-	}
 	m.batchLeaders.Add(float64(l.BatchLeaders - e.pub.BatchLeaders))
 	m.batchReplays.Add(float64(l.BatchReplays - e.pub.BatchReplays))
 	m.batchFallbacks.Add(float64(l.BatchFallbacks - e.pub.BatchFallbacks))
@@ -426,10 +409,10 @@ func (e *Engine) publish() {
 	e.pub = l
 }
 
-// advance drains the shard's queue up to the time horizon. Runs of decision
-// events (joins, segment completions) sharing one virtual timestamp are
-// popped together and planned as one StepBatch; stall resumes, viewport
-// ticks and leaves are handled one at a time.
+// advance drains the shard's queue up to the time horizon. Every event is a
+// join from the static schedule or a segment completion from the heap, and
+// the events sharing one virtual timestamp and kind are planned together as
+// one StepBatch.
 func (sh *shard) advance(until float64) error {
 	if sh.err != nil {
 		return sh.err
@@ -438,7 +421,7 @@ func (sh *shard) advance(until float64) error {
 		// Next occurrence: the join cursor merges with the heap top. Joins win
 		// ties — they carried the lowest push-sequence ids back when they
 		// lived on the heap, so this keeps the old pop order exactly.
-		ev, hok := sh.peek()
+		ev, hok := sh.heap.Peek()
 		if j := sh.joinPos; j < len(sh.joins) && (!hok || sh.joins[j].time <= ev.Time) {
 			ev = Event{Time: sh.joins[j].time, Kind: KindJoin}
 		} else if !hok {
@@ -447,52 +430,27 @@ func (sh *shard) advance(until float64) error {
 		if ev.Time > until {
 			return nil
 		}
-		if ev.Kind == KindSegmentComplete || ev.Kind == KindJoin {
-			if err := sh.advanceRun(ev.Time, ev.Kind); err != nil {
-				sh.err = fmt.Errorf("fleet: %s run at t=%.3f: %w", ev.Kind, ev.Time, err)
-				return sh.err
-			}
-			continue
-		}
-		sh.heap.Pop()
-		sh.led.Events++
-		sh.led.EventsByKind[ev.Kind]++
-		if err := sh.handle(ev); err != nil {
-			sh.err = fmt.Errorf("fleet: session %d (%s at t=%.3f): %w", ev.Session, ev.Kind, ev.Time, err)
+		if err := sh.advanceRun(ev.Time, ev.Kind); err != nil {
+			sh.err = fmt.Errorf("fleet: %s run at t=%.3f: %w", ev.Kind, ev.Time, err)
 			return sh.err
 		}
 	}
 }
 
-// peek returns the earliest live heap event. A session's pending viewport
-// tick outlives its leave; peek pops and drops such an expired tick before
-// anything counts it, so Events, EventsByKind and ViewportUpdates count only
-// live ticks, and between Advance calls the heap top is live, which keeps
-// NextEventTime exact.
-func (sh *shard) peek() (Event, bool) {
-	for {
-		ev, ok := sh.heap.Peek()
-		if !ok || ev.Kind != KindViewportUpdate || sh.states[sh.slot(ev.Session)] != nil {
-			return ev, ok
-		}
-		sh.heap.Pop()
-	}
-}
-
-// advanceRun processes the maximal run of queued events with timestamp t and
-// the given kind as one batch, in three phases:
+// advanceRun processes the maximal run of events with timestamp t and the
+// given kind as one batch, in three phases:
 //
-//  1. Pop the whole run. Run members were all pushed before anything a
+//  1. Take the whole run. Run members were all pushed before anything a
 //     member's handling could push at time t, so handling them one at a
-//     time would pop exactly this run first; popping it up front changes
-//     nothing. Joins bind their states here; completions classify into
-//     step vs leave.
+//     time would pop exactly this run first; taking it up front changes
+//     nothing. Joins bind their states here; completions book their
+//     segment and stall and classify into step vs leave.
 //  2. Plan every stepping member with one StepBatch call — this is where
 //     decision-identical sessions collapse onto shared work.
-//  3. Walk the run in pop order performing each member's pushes (leave,
-//     viewport tick, stall-resume, segment-complete), so the heap's
-//     insertion sequence, and with it every future tie-break and the
-//     ledger's float summation order, is the one-at-a-time order.
+//  3. Walk the run in pop order, retiring each leaving member and pushing
+//     each stepping member's next completion, so the heap's insertion
+//     sequence, and with it every future tie-break and the ledger's float
+//     summation order, is the one-at-a-time order.
 func (sh *shard) advanceRun(t float64, kind Kind) error {
 	sh.runMembers = sh.runMembers[:0]
 	sh.runStates = sh.runStates[:0]
@@ -506,8 +464,6 @@ func (sh *shard) advanceRun(t float64, kind Kind) error {
 		for sh.joinPos < len(sh.joins) && sh.joins[sh.joinPos].time == t {
 			session := sh.joins[sh.joinPos].session
 			sh.joinPos++
-			sh.led.Events++
-			sh.led.EventsByKind[KindJoin]++
 			slot := sh.slot(session)
 			state, err := sh.join(t, slot, session)
 			if err != nil {
@@ -520,13 +476,11 @@ func (sh *shard) advanceRun(t float64, kind Kind) error {
 		}
 	case KindSegmentComplete:
 		for {
-			ev, ok := sh.peek()
-			if !ok || ev.Time != t || ev.Kind != kind {
+			ev, ok := sh.heap.Peek()
+			if !ok || ev.Time != t {
 				break
 			}
 			sh.heap.Pop()
-			sh.led.Events++
-			sh.led.EventsByKind[kind]++
 			slot := sh.slot(ev.Session)
 			m := runMember{session: ev.Session, slot: slot, stepIdx: -1}
 			if sh.complete(t, slot, ev.Session) {
@@ -552,13 +506,15 @@ func (sh *shard) advanceRun(t float64, kind Kind) error {
 		}
 	}
 
-	// Phase 3: perform each member's pushes in pop order.
+	// Phase 3: retire or reschedule each member in pop order.
 	for _, m := range sh.runMembers {
 		if m.stepIdx < 0 {
-			sh.heap.Push(t, KindLeave, m.session)
+			if err := sh.finish(t, m.slot, m.session); err != nil {
+				return err
+			}
 			continue
 		}
-		sh.schedule(t, m.slot, m.session, kind == KindJoin, sh.runInfos[m.stepIdx])
+		sh.schedule(t, m.slot, m.session, sh.runInfos[m.stepIdx])
 	}
 	return nil
 }
@@ -578,32 +534,27 @@ func (sh *shard) join(t float64, slot, session int) (*sim.State, error) {
 	return state, nil
 }
 
-// complete books a finished segment download and reports whether the
-// session steps again; false means it leaves (catalogue exhausted or its
-// LeaveAfterSegments reached).
+// complete books a finished segment download, its stall included, and
+// reports whether the session steps again; false means it leaves (catalogue
+// exhausted or its LeaveAfterSegments reached).
 func (sh *shard) complete(t float64, slot, session int) bool {
 	sh.led.Segments++
 	info := sh.pending[slot]
+	if info.StallSec > 0 {
+		sh.led.Stalls++
+		sh.led.StallSec += info.StallSec
+	}
 	state := sh.states[slot]
 	sh.reportViewport(session, state)
 	sh.flightDownload(t, slot, state, info)
 	return !info.Done && (sh.leave[slot] == 0 || state.Segments() < int(sh.leave[slot]))
 }
 
-// schedule records a step taken at time t and pushes its events: a joining
-// session's first viewport tick, then the stall-resume event (playback
-// restarting the instant the blocking download delivers), which pops before
-// the completion event at the shared timestamp.
-func (sh *shard) schedule(t float64, slot, session int, joined bool, info sim.StepInfo) {
-	if vp := sh.eng.cfg.ViewportUpdateSec; joined && vp > 0 {
-		sh.heap.Push(t+vp, KindViewportUpdate, session)
-	}
+// schedule records a step taken at time t and pushes the session's one heap
+// event, the completion of the download the step issued.
+func (sh *shard) schedule(t float64, slot, session int, info sim.StepInfo) {
 	sh.pending[slot] = info
-	done := t + info.WaitSec + info.DownloadSec
-	if info.StallSec > 0 {
-		sh.heap.Push(done, KindStallResume, session)
-	}
-	sh.heap.Push(done, KindSegmentComplete, session)
+	sh.heap.Push(t+info.WaitSec+info.DownloadSec, KindSegmentComplete, session)
 }
 
 // flightJoin passes a joining session through the flight recorder's sampling
@@ -651,42 +602,28 @@ func (sh *shard) reportViewport(session int, state *sim.State) {
 	sink(session, seg, c)
 }
 
-// handle processes one stall-resume, viewport-tick or leave event.
-func (sh *shard) handle(ev Event) error {
-	slot := sh.slot(ev.Session)
-	switch ev.Kind {
-	case KindStallResume:
-		sh.led.Stalls++
-		sh.led.StallSec += sh.pending[slot].StallSec
-		return nil
-
-	case KindViewportUpdate:
-		sh.led.ViewportUpdates++
-		sh.heap.Push(ev.Time+sh.eng.cfg.ViewportUpdateSec, KindViewportUpdate, ev.Session)
-		return nil
-
-	case KindLeave:
-		res, err := sh.stepper.Finish(sh.states[slot])
-		if err != nil {
-			return err
-		}
-		// Distinct indices per session: shards never write the same slot.
-		sh.eng.results[ev.Session] = res
-		sh.led.Finished++
-		sh.led.EnergyMJ += res.Energy.Total()
-		sh.led.QoESum += res.QoE.MeanQ
-		sh.led.Bits += res.BitsDownloaded
-		sh.led.Emergencies += res.Emergencies
-		if sh.flight != nil {
-			if fsess := sh.flight[slot]; fsess != nil {
-				fsess.Record(obs.FlightEvent{TimeSec: ev.Time, Kind: obs.FlightLeave, Seg: -1,
-					EnergyMJ: res.Energy.Total(), QoE: res.QoE.MeanQ})
-				fsess.Close()
-				sh.flight[slot] = nil
-			}
-		}
-		sh.states[slot] = nil
-		return nil
+// finish retires a session that leaves at time t and settles its
+// accounting.
+func (sh *shard) finish(t float64, slot, session int) error {
+	res, err := sh.stepper.Finish(sh.states[slot])
+	if err != nil {
+		return fmt.Errorf("session %d: %w", session, err)
 	}
-	return fmt.Errorf("unknown event kind %d", ev.Kind)
+	// Distinct indices per session: shards never write the same slot.
+	sh.eng.results[session] = res
+	sh.led.Finished++
+	sh.led.EnergyMJ += res.Energy.Total()
+	sh.led.QoESum += res.QoE.MeanQ
+	sh.led.Bits += res.BitsDownloaded
+	sh.led.Emergencies += res.Emergencies
+	if sh.flight != nil {
+		if fsess := sh.flight[slot]; fsess != nil {
+			fsess.Record(obs.FlightEvent{TimeSec: t, Kind: obs.FlightLeave, Seg: -1,
+				EnergyMJ: res.Energy.Total(), QoE: res.QoE.MeanQ})
+			fsess.Close()
+			sh.flight[slot] = nil
+		}
+	}
+	sh.states[slot] = nil
+	return nil
 }

@@ -12,39 +12,26 @@ package fleet
 // Kind discriminates virtual-clock events.
 type Kind uint8
 
-// Event kinds.
+// Event kinds. A live session holds exactly one heap event, its next
+// segment completion; a join comes from the shard's static schedule, and a
+// leave settles inline with the completion that ends the session.
 const (
 	// KindJoin starts a session: the first segment request is issued at the
 	// event's time.
 	KindJoin Kind = iota
 	// KindSegmentComplete fires when a segment download finishes; the
-	// session accounts the segment and issues the next request.
+	// session accounts the segment (its stall included) and issues the next
+	// request, or leaves.
 	KindSegmentComplete
-	// KindStallResume fires when playback resumes after a rebuffering stall
-	// (the moment the blocking download delivers the segment).
-	KindStallResume
-	// KindViewportUpdate is the periodic head-pose refresh tick; it is
-	// accounting-only (the planners read the head trace directly, so the
-	// tick cannot perturb the trajectory), and the tick pending when its
-	// session leaves expires uncounted.
-	KindViewportUpdate
-	// KindLeave retires a session and settles its accounting.
-	KindLeave
 )
 
-// String names the kind for logs and metrics labels.
+// String names the kind for logs.
 func (k Kind) String() string {
 	switch k {
 	case KindJoin:
 		return "join"
 	case KindSegmentComplete:
 		return "segment_complete"
-	case KindStallResume:
-		return "stall_resume"
-	case KindViewportUpdate:
-		return "viewport_update"
-	case KindLeave:
-		return "leave"
 	}
 	return "unknown"
 }
@@ -70,7 +57,8 @@ type Heap struct {
 
 // Reserve grows the heap's backing array to hold at least n events without
 // reallocating. Growing a fleet-sized heap by append-doubling memmoves tens
-// of megabytes; the engine knows the steady-state bound up front.
+// of megabytes; the engine knows the bound up front, one pending event per
+// session.
 func (h *Heap) Reserve(n int) {
 	if cap(h.events) >= n {
 		return

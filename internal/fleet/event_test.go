@@ -6,8 +6,8 @@ func TestHeapOrdering(t *testing.T) {
 	var h Heap
 	h.Push(3, KindSegmentComplete, 0)
 	h.Push(1, KindJoin, 1)
-	h.Push(2, KindViewportUpdate, 2)
-	h.Push(1, KindStallResume, 3) // ties with session 1's event; pushed later, pops later
+	h.Push(2, KindSegmentComplete, 2)
+	h.Push(1, KindSegmentComplete, 3) // ties with session 1's event; pushed later, pops later
 	if len(h.events) != 4 {
 		t.Fatalf("heap holds %d events, want 4", len(h.events))
 	}
@@ -98,7 +98,7 @@ func FuzzEventHeapOrdering(f *testing.F) {
 			switch data[i] % 2 {
 			case 0:
 				tm := float64(data[i+1]%32) / 4
-				h.Push(tm, Kind(data[i+2]%5), int(data[i+2]))
+				h.Push(tm, Kind(data[i+2]%2), int(data[i+2]))
 				modelSeq++
 				recs[modelSeq] = &rec{time: tm}
 			case 1:

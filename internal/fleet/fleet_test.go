@@ -173,12 +173,7 @@ func TestFleetMatchesSim(t *testing.T) {
 			net := netFor(t, tc.profile, tc.seed)
 			cfg := simConfig(t, tc.scheme)
 			specs := specsFor(fx, net, tc.sessions)
-			eng, err := New(Config{
-				Catalog:           fx.cat,
-				Sim:               cfg,
-				Shards:            tc.shards,
-				ViewportUpdateSec: 0.5,
-			}, specs)
+			eng, err := New(Config{Catalog: fx.cat, Sim: cfg, Shards: tc.shards}, specs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,23 +200,21 @@ func TestFleetMatchesSim(t *testing.T) {
 			if led.Joined != tc.sessions || led.Finished != tc.sessions || led.Active != 0 {
 				t.Fatalf("ledger session counts off: %+v", led)
 			}
-			wantSegs := 0
+			wantSegs, wantStalls := 0, 0
 			wantStallSec := 0.0
 			for _, spec := range specs {
 				wantSegs += refs[spec.User].Segments
+				wantStalls += refs[spec.User].QoE.Stalls
 				wantStallSec += refs[spec.User].QoE.StallSec
 			}
 			if led.Segments != wantSegs {
 				t.Fatalf("ledger counted %d segments, references streamed %d", led.Segments, wantSegs)
 			}
+			if led.Stalls != wantStalls {
+				t.Fatalf("ledger counted %d stalls, references %d", led.Stalls, wantStalls)
+			}
 			if math.Abs(led.StallSec-wantStallSec) > 1e-9*(1+wantStallSec) {
 				t.Fatalf("ledger stall time %g, references %g", led.StallSec, wantStallSec)
-			}
-			if led.EventsByKind[KindJoin] != tc.sessions || led.EventsByKind[KindLeave] != tc.sessions {
-				t.Fatalf("event counts off: %+v", led.EventsByKind)
-			}
-			if led.EventsByKind[KindSegmentComplete] != wantSegs {
-				t.Fatalf("segment-complete events %d, want %d", led.EventsByKind[KindSegmentComplete], wantSegs)
 			}
 		})
 	}
@@ -238,13 +231,7 @@ func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 	cfg := simConfig(t, sim.SchemePtile)
 	run := func(workers int) (*Engine, Ledger) {
 		t.Helper()
-		eng, err := New(Config{
-			Catalog:           fx.cat,
-			Sim:               cfg,
-			Shards:            8,
-			Workers:           workers,
-			ViewportUpdateSec: 0.5,
-		}, specsFor(fx, net, 400))
+		eng, err := New(Config{Catalog: fx.cat, Sim: cfg, Shards: 8, Workers: workers}, specsFor(fx, net, 400))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,7 +397,7 @@ func TestFleetMetricsMatchLedger(t *testing.T) {
 	net := netFor(t, lte.ProfileWalking, 13)
 	cfg := simConfig(t, sim.SchemePtile)
 	cfg.RecordSegments = false
-	eng, err := New(Config{Catalog: fx.cat, Sim: cfg, Shards: 4, ViewportUpdateSec: 1}, specsFor(fx, net, 60))
+	eng, err := New(Config{Catalog: fx.cat, Sim: cfg, Shards: 4}, specsFor(fx, net, 60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,20 +423,21 @@ func TestFleetMetricsMatchLedger(t *testing.T) {
 	if got := eng.met.active.Value(); got != 0 {
 		t.Fatalf("active gauge %g after drain", got)
 	}
-	for k, c := range eng.met.events {
-		if got := c.Value(); got != float64(led.EventsByKind[k]) {
-			t.Fatalf("%v events counter %g != ledger %d", Kind(k), got, led.EventsByKind[k])
-		}
+	if got := eng.met.joined.Value(); got != float64(led.Joined) {
+		t.Fatalf("joined counter %g != ledger %d", got, led.Joined)
+	}
+	if got := eng.met.finished.Value(); got != float64(led.Finished) {
+		t.Fatalf("finished counter %g != ledger %d", got, led.Finished)
 	}
 }
 
 // TestFleetGoldenLedger pins the whole ledger of one fleet run with early
-// leavers and viewport ticks: integers exactly, floats on Float64bits. Every
-// seventh session leaves after 3–13 segments, so many sessions leave with a
-// viewport tick pending; that tick must expire uncounted, and the ledger's
-// float sums depend on the heap's pop order. The pinned values were read
-// from an engine that cancelled a leaving session's tick; matching them
-// shows that letting the tick expire changes nothing.
+// leavers: integers exactly, floats on Float64bits. Every seventh session
+// leaves after 3–13 segments, and the ledger's float sums depend on the
+// order in which completions book stalls and leaves settle. The floats were
+// pinned on an engine that booked each stall and each leave as a heap event
+// of its own; matching them shows that booking both at the completion
+// changes no sum.
 func TestFleetGoldenLedger(t *testing.T) {
 	fx := fixture(t)
 	cfg := simConfig(t, sim.SchemeCtile)
@@ -460,7 +448,7 @@ func TestFleetGoldenLedger(t *testing.T) {
 			specs[i].LeaveAfterSegments = 3 + i%11
 		}
 	}
-	eng, err := New(Config{Catalog: fx.cat, Sim: cfg, Shards: 1, ViewportUpdateSec: 1}, specs)
+	eng, err := New(Config{Catalog: fx.cat, Sim: cfg, Shards: 1}, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,10 +479,58 @@ func TestFleetGoldenLedger(t *testing.T) {
 	got.StallSec, got.EnergyMJ, got.QoESum, got.Bits = 0, 0, 0, 0
 	want := Ledger{
 		Joined: 500, Finished: 500, Segments: 10846, Stalls: 1323, Emergencies: 500,
-		ViewportUpdates: 10346, Events: 23515, EventsByKind: [5]int{500, 10846, 1323, 10346, 500},
-		BatchLeaders: 2123, BatchReplays: 8723,
+		Events: 11846, BatchLeaders: 936, BatchReplays: 9910,
 	}
 	if got != want {
 		t.Errorf("integer ledger:\ngot:  %+v\nwant: %+v", got, want)
+	}
+}
+
+// TestFleetHeapHoldsOneEventPerSession pins the engine's event budget: a
+// live session holds exactly one heap event, its next segment completion,
+// so at every Advance boundary a shard's heap holds one event per live
+// session, and the one slot per session that New reserves is never
+// outgrown, stalls and early leaves included.
+func TestFleetHeapHoldsOneEventPerSession(t *testing.T) {
+	fx := fixture(t)
+	cfg := simConfig(t, sim.SchemePtile)
+	cfg.RecordSegments = false
+	const sessions = 500
+	for _, prof := range []lte.Profile{lte.ProfileWalking, lte.ProfileDriving} {
+		t.Run(prof.String(), func(t *testing.T) {
+			specs := specsFor(fx, netFor(t, prof, 7), sessions)
+			for i := range specs {
+				if i%7 == 0 {
+					specs[i].LeaveAfterSegments = 3 + i%11
+				}
+			}
+			eng, err := New(Config{Catalog: fx.cat, Sim: cfg, Shards: 1}, specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := &eng.shards[0].heap
+			reserved := cap(h.events)
+			if reserved != sessions {
+				t.Fatalf("New reserved %d heap slots for %d sessions", reserved, sessions)
+			}
+			for until := 1.0; ; until++ {
+				if _, ok := eng.NextEventTime(); !ok {
+					break
+				}
+				if err := eng.Advance(until); err != nil {
+					t.Fatal(err)
+				}
+				led := eng.Ledger()
+				if live := led.Joined - led.Finished; len(h.events) != live {
+					t.Fatalf("t=%g: heap holds %d events for %d live sessions", until, len(h.events), live)
+				}
+			}
+			if led := eng.Ledger(); led.Finished != sessions || led.Stalls == 0 {
+				t.Fatalf("fleet must drain and stall: %+v", led)
+			}
+			if c := cap(h.events); c != reserved {
+				t.Fatalf("heap grew from the %d slots reserved to %d", reserved, c)
+			}
+		})
 	}
 }
