@@ -129,7 +129,6 @@ type shard struct {
 
 	// Per-slot columns. states is nil before join and after leave, so a
 	// retired session costs one pointer.
-	global  []int
 	states  []*sim.State
 	pending []sim.StepInfo
 	leave   []int32
@@ -268,7 +267,6 @@ func New(cfg Config, specs []SessionSpec) (*Engine, error) {
 		sh := &shard{
 			eng:     e,
 			stepper: stepper,
-			global:  make([]int, n),
 			states:  make([]*sim.State, n),
 			pending: make([]sim.StepInfo, n),
 			leave:   make([]int32, n),
@@ -282,7 +280,6 @@ func New(cfg Config, specs []SessionSpec) (*Engine, error) {
 	for i, spec := range specs {
 		sh := e.shards[i%cfg.Shards]
 		slot := i / cfg.Shards
-		sh.global[slot] = i
 		sh.leave[slot] = int32(spec.LeaveAfterSegments)
 		sh.joins = append(sh.joins, joinEv{time: spec.JoinSec, session: i})
 	}

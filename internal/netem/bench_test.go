@@ -1,53 +1,51 @@
 package netem
 
 import (
+	"fmt"
 	"io"
 	"testing"
 )
 
-// BenchmarkNetemDownload measures one 4 Mbit segment through the
-// packet-level path (bufferbloat profile: ~334 MTU packets per download).
+// BenchmarkNetemDownload measures one 4 Mbit segment (334 MTU packets)
+// through the packet-level path on the paths the workloads take: a burst
+// dump, as the HTTP sessions send, and pace 1.25 on 1 s segments, as the
+// netem experiment sends. Each download starts 1 s after the previous one
+// ended, so the loop walks the profile's whole schedule.
 func BenchmarkNetemDownload(b *testing.B) {
-	p, err := Named("bufferbloat")
-	if err != nil {
-		b.Fatal(err)
-	}
-	n, err := NewSessionNet(SessionConfig{Profile: p, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	tWall := 0.0
-	for i := 0; i < b.N; i++ {
-		dur, err := n.Download(4e6, tWall)
-		if err != nil {
-			b.Fatal(err)
+	for _, bc := range []struct {
+		profile string
+		pace    float64
+	}{
+		{"stable", 0},
+		{"crossflow", 0},
+		{"bufferbloat", 0},
+		{"bufferbloat", 1.25},
+		{"suddendrop", 1.25},
+		{"crossflow", 1.25},
+	} {
+		mode := "burst"
+		if bc.pace > 0 {
+			mode = fmt.Sprintf("pace%g", bc.pace)
 		}
-		tWall += dur + 1
-	}
-}
-
-// BenchmarkNetemDownloadPaced is the same segment with the interval-budget
-// paced sender engaged.
-func BenchmarkNetemDownloadPaced(b *testing.B) {
-	p, err := Named("bufferbloat")
-	if err != nil {
-		b.Fatal(err)
-	}
-	n, err := NewSessionNet(SessionConfig{Profile: p, Seed: 1, SegmentSec: 1, PaceFactor: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	tWall := 0.0
-	for i := 0; i < b.N; i++ {
-		dur, err := n.Download(4e6, tWall)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tWall += dur + 1
+		b.Run(bc.profile+"/"+mode, func(b *testing.B) {
+			n, err := NewSessionNet(SessionConfig{Profile: mustProfile(b, bc.profile), Seed: 1, SegmentSec: 1, PaceFactor: bc.pace})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			tWall := 0.0
+			for i := 0; i < b.N; i++ {
+				dur, err := n.Download(4e6, tWall)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tWall += dur + 1
+			}
+			st := n.Stats()
+			b.ReportMetric(float64(st.Packets)/float64(b.N), "packets/op")
+			b.ReportMetric(float64(st.Retransmits)/float64(b.N), "retransmits/op")
+		})
 	}
 }
 

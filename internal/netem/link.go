@@ -29,6 +29,20 @@ type Link struct {
 	// drops counts droptail losses; cross-fluid overflow is not counted
 	// (the competing flow's losses are not our flow's signal).
 	drops int
+
+	// memo holds the two most recent schedule lookups, keyed on the exact
+	// instant, so it is exact by construction: a packet's send looks up at
+	// most two distinct instants, the link's clock and its own send time,
+	// four times in all. memoNext is the entry the next miss overwrites.
+	memo     [2]instant
+	memoNext int
+}
+
+// instant is the schedule at one time: the parameters in force and the
+// first breakpoint strictly after it.
+type instant struct {
+	t, next float64
+	p       Params
 }
 
 // solveHorizonSec bounds the service solver: if a packet would not finish
@@ -41,11 +55,27 @@ func NewLink(p *Profile) (*Link, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Link{sched: p.compile(), mtu: p.MTU()}, nil
+	l := &Link{sched: p.compile(), mtu: p.MTU()}
+	l.memo[0].t, l.memo[1].t = math.NaN(), math.NaN() // NaN matches no instant
+	return l, nil
+}
+
+// at returns the schedule at time t, from the memo when t was one of the
+// last two instants looked up. The entry stays valid until the next call.
+func (l *Link) at(t float64) *instant {
+	for i := range l.memo {
+		if l.memo[i].t == t {
+			return &l.memo[i]
+		}
+	}
+	e := &l.memo[l.memoNext]
+	l.memoNext ^= 1
+	*e = instant{t: t, next: l.sched.nextBoundary(t), p: l.sched.at(t)}
+	return e
 }
 
 // ParamsAt returns the scheduled parameters in force at time t.
-func (l *Link) ParamsAt(t float64) Params { return l.sched.at(t) }
+func (l *Link) ParamsAt(t float64) Params { return l.at(t).p }
 
 // MTU returns the packetization unit.
 func (l *Link) MTU() int { return l.mtu }
@@ -74,17 +104,18 @@ func residualRate(p Params) float64 {
 
 // advance evolves the queue state from l.now to t: the backlog drains at
 // the residual capacity, piecewise-constant interval by interval. Capacity
-// 0 means unlimited: the queue empties instantly.
+// 0 means unlimited: the queue empties instantly. An empty queue stays
+// empty, so the walk stops there and the clock jumps to t.
 func (l *Link) advance(t float64) {
-	for l.now < t {
-		p := l.sched.at(l.now)
-		end := math.Min(t, l.sched.nextBoundary(l.now))
+	for l.now < t && l.queuedBytes > 0 {
+		e := l.at(l.now)
+		end := math.Min(t, e.next)
 		if end <= l.now {
 			// Defensive: a boundary exactly at now must not spin.
 			end = t
 		}
 		dt := end - l.now
-		switch r := residualRate(p); {
+		switch r := residualRate(e.p); {
 		case r < 0:
 			l.queuedBytes = 0
 		case r > 0:
@@ -112,7 +143,7 @@ func (l *Link) Send(bytes int, atSec float64) (deliveredSec float64, dropped boo
 		atSec = l.now
 	}
 	l.advance(atSec)
-	p := l.sched.at(atSec)
+	p := &l.at(atSec).p
 	if p.CapacityBps <= 0 {
 		// Unlimited capacity: no queue, instantaneous service.
 		return atSec, false
@@ -135,12 +166,12 @@ func (l *Link) serviceDone(from, bytes float64) float64 {
 	t := from
 	remaining := bytes
 	for remaining > 0 {
-		p := l.sched.at(t)
-		rate := residualRate(p)
+		e := l.at(t)
+		rate := residualRate(e.p)
 		if rate < 0 {
 			return t
 		}
-		end := l.sched.nextBoundary(t)
+		end := e.next
 		if rate > 0 {
 			need := remaining / rate
 			if math.IsInf(end, 1) || t+need <= end {

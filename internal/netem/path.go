@@ -61,8 +61,12 @@ type SessionNet struct {
 	// packets holds the delivered samples of the most recent Download, in
 	// arrival order, reused across calls.
 	packets []PacketSample
-	// pending is the send-event heap scratch, reused across calls.
-	pending []pendingSend
+	// pending holds the retransmissions a Download has scheduled and not yet
+	// sent: pending[pendHead:] sorted by (atSec, seq), the storage reused
+	// across calls. First transmissions never wait here; they leave in seq
+	// order from a cursor, since their send times already ascend.
+	pending  []pendingSend
+	pendHead int
 }
 
 // pendingSend is one packet awaiting (re)transmission.
@@ -128,66 +132,66 @@ func (n *SessionNet) Packets() []PacketSample { return n.packets }
 // fails only when the link is effectively dead (a packet exceeded the
 // retransmission budget or the service horizon).
 func (n *SessionNet) Download(sizeBits float64, startSec float64) (float64, error) {
+	n.packets = n.packets[:0]
 	if sizeBits <= 0 || math.IsNaN(sizeBits) || math.IsInf(sizeBits, 0) {
 		return 0, fmt.Errorf("netem: bad download size %g bits", sizeBits)
 	}
 	if math.IsNaN(startSec) || math.IsInf(startSec, 0) || startSec < 0 {
 		return 0, fmt.Errorf("netem: bad download start %g", startSec)
 	}
-	n.packets = n.packets[:0]
-	n.pending = n.pending[:0]
+	n.pending, n.pendHead = n.pending[:0], 0
 
 	// The request rides the uplink: half an RTT to reach the server.
 	p0 := n.link.ParamsAt(startSec)
 	sendBase := startSec + p0.RTTSec/2
 
-	// Packetize and schedule first transmissions.
 	mtu := n.link.MTU()
 	totalBytes := int(math.Ceil(sizeBits / 8))
 	var paceRate float64 // bytes/s on the wire when pacing
 	if n.cfg.PaceFactor > 0 {
 		paceRate = n.cfg.PaceFactor * sizeBits / n.cfg.SegmentSec / 8
 	}
-	seq := 0
-	var sentBytes int
-	for off := 0; off < totalBytes; off += mtu {
-		b := mtu
-		if off+b > totalBytes {
-			b = totalBytes - off
-		}
-		at := sendBase
-		if paceRate > 0 {
-			// Interval-budget pacing in closed form: each packet departs
-			// once the budget accrued at paceRate covers the bytes before
-			// it. A burst dump (paceRate 0) sends everything at sendBase.
-			at = sendBase + float64(sentBytes)/paceRate
-		}
-		n.pushPending(pendingSend{atSec: at, seq: seq, bytes: b})
-		seq++
-		sentBytes += b
-	}
+	// first is the next first transmission: packet first.seq carries the
+	// MTU-sized run of bytes from sentBytes on.
+	first := pendingSend{atSec: sendBase, bytes: min(mtu, totalBytes)}
+	sentBytes := 0
 
-	// Drain the send heap in time order so the FIFO link sees monotone
-	// arrivals; retransmissions re-enter the heap at +RTO.
+	// Send in (atSec, seq) order so the FIFO link sees monotone arrivals:
+	// each step takes whichever head comes first, the next first
+	// transmission or the earliest retransmission (every pair is distinct).
 	done := startSec
-	for len(n.pending) > 0 {
-		ps := n.popPending()
+	for sentBytes < totalBytes || n.pendHead < len(n.pending) {
+		var ps pendingSend
+		if sentBytes < totalBytes && (n.pendHead == len(n.pending) || pendingLess(first, n.pending[n.pendHead])) {
+			ps = first
+			sentBytes += ps.bytes
+			first.seq++
+			first.bytes = min(mtu, totalBytes-sentBytes)
+			if paceRate > 0 {
+				// Interval-budget pacing in closed form: each packet departs
+				// once the budget accrued at paceRate covers the bytes before
+				// it. A burst dump (paceRate 0) sends everything at sendBase.
+				first.atSec = sendBase + float64(sentBytes)/paceRate
+			}
+		} else {
+			ps = n.pending[n.pendHead]
+			n.pendHead++
+		}
 		if ps.attempts >= maxSendAttempts {
 			return 0, fmt.Errorf("netem: packet seq %d dropped %d times at t=%.3f: link dead", ps.seq, ps.attempts, ps.atSec)
 		}
 		pAt := n.link.ParamsAt(ps.atSec)
-		rto := math.Max(2*pAt.RTTSec, minRTOSec)
 		if pAt.LossProb > 0 && n.rng.Float64() < pAt.LossProb {
 			n.stats.DropsLoss++
 			n.cfg.Metrics.dropLoss()
-			n.retransmit(ps, rto)
+			n.retransmit(ps, pAt.RTTSec)
 			continue
 		}
 		served, dropped := n.link.Send(ps.bytes, ps.atSec)
 		if dropped {
 			n.stats.DropsTail++
 			n.cfg.Metrics.dropTail()
-			n.retransmit(ps, rto)
+			n.retransmit(ps, pAt.RTTSec)
 			continue
 		}
 		if math.IsInf(served, 1) {
@@ -210,51 +214,26 @@ func (n *SessionNet) Download(sizeBits float64, startSec float64) (float64, erro
 	return dur, nil
 }
 
-func (n *SessionNet) retransmit(ps pendingSend, rto float64) {
+// retransmit schedules a dropped packet again one RTO later, RTO being
+// max(2·RTT, minRTOSec) at the drop. It inserts from the tail of the sorted
+// queue: the packet lands behind every queued one unless the RTT fell since
+// they were dropped.
+func (n *SessionNet) retransmit(ps pendingSend, rttSec float64) {
 	n.stats.Retransmits++
 	n.cfg.Metrics.retransmit()
-	ps.atSec += rto
+	ps.atSec += math.Max(2*rttSec, minRTOSec)
 	ps.attempts++
-	n.pushPending(ps)
-}
-
-// pushPending / popPending implement a binary min-heap over (atSec, seq) so
-// retransmissions interleave deterministically with first transmissions.
-func (n *SessionNet) pushPending(ps pendingSend) {
+	if q := n.pending; len(q) == cap(q) && 2*n.pendHead >= len(q) {
+		// Reclaim the sent prefix instead of growing once it is half the
+		// queue: each copy moves no more entries than were sent before it.
+		n.pending, n.pendHead = q[:copy(q, q[n.pendHead:])], 0
+	}
 	n.pending = append(n.pending, ps)
 	i := len(n.pending) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !pendingLess(n.pending[i], n.pending[parent]) {
-			break
-		}
-		n.pending[i], n.pending[parent] = n.pending[parent], n.pending[i]
-		i = parent
+	for ; i > n.pendHead && pendingLess(ps, n.pending[i-1]); i-- {
+		n.pending[i] = n.pending[i-1]
 	}
-}
-
-func (n *SessionNet) popPending() pendingSend {
-	top := n.pending[0]
-	last := len(n.pending) - 1
-	n.pending[0] = n.pending[last]
-	n.pending = n.pending[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(n.pending) && pendingLess(n.pending[l], n.pending[min]) {
-			min = l
-		}
-		if r < len(n.pending) && pendingLess(n.pending[r], n.pending[min]) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		n.pending[i], n.pending[min] = n.pending[min], n.pending[i]
-		i = min
-	}
-	return top
+	n.pending[i] = ps
 }
 
 func pendingLess(a, b pendingSend) bool {
