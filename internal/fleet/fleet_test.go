@@ -489,7 +489,7 @@ func TestFleetGoldenLedger(t *testing.T) {
 // TestFleetHeapHoldsOneEventPerSession pins the engine's event budget: a
 // live session holds exactly one heap event, its next segment completion,
 // so at every Advance boundary a shard's heap holds one event per live
-// session, and the one slot per session that New reserves is never
+// session, and the node and the run per session that New reserves are never
 // outgrown, stalls and early leaves included.
 func TestFleetHeapHoldsOneEventPerSession(t *testing.T) {
 	fx := fixture(t)
@@ -509,9 +509,9 @@ func TestFleetHeapHoldsOneEventPerSession(t *testing.T) {
 				t.Fatal(err)
 			}
 			h := &eng.shards[0].heap
-			reserved := cap(h.events)
-			if reserved != sessions {
-				t.Fatalf("New reserved %d heap slots for %d sessions", reserved, sessions)
+			reserved, reservedRuns := cap(h.nodes), cap(h.runs)
+			if reserved != sessions || reservedRuns != sessions {
+				t.Fatalf("New reserved %d heap nodes and %d runs for %d sessions", reserved, reservedRuns, sessions)
 			}
 			for until := 1.0; ; until++ {
 				if _, ok := eng.NextEventTime(); !ok {
@@ -521,16 +521,94 @@ func TestFleetHeapHoldsOneEventPerSession(t *testing.T) {
 					t.Fatal(err)
 				}
 				led := eng.Ledger()
-				if live := led.Joined - led.Finished; len(h.events) != live {
-					t.Fatalf("t=%g: heap holds %d events for %d live sessions", until, len(h.events), live)
+				if live := led.Joined - led.Finished; h.n != live {
+					t.Fatalf("t=%g: heap holds %d events for %d live sessions", until, h.n, live)
 				}
 			}
 			if led := eng.Ledger(); led.Finished != sessions || led.Stalls == 0 {
 				t.Fatalf("fleet must drain and stall: %+v", led)
 			}
-			if c := cap(h.events); c != reserved {
-				t.Fatalf("heap grew from the %d slots reserved to %d", reserved, c)
+			if c, cr := cap(h.nodes), cap(h.runs); c != reserved || cr != reservedRuns {
+				t.Fatalf("heap grew from the %d nodes and %d runs reserved to %d and %d", reserved, reservedRuns, c, cr)
 			}
 		})
+	}
+}
+
+// TestFleetHeapOneRunForIdenticalSessions pins the heap's run coalescing on
+// its best case: decision-identical sessions (one viewer, one trace, one
+// join time) complete every segment at one time and are rescheduled
+// together, so after the join wave the shard's heap holds all of them in a
+// single run.
+func TestFleetHeapOneRunForIdenticalSessions(t *testing.T) {
+	fx := fixture(t)
+	cfg := simConfig(t, sim.SchemeOurs)
+	cfg.RecordSegments = false
+	const sessions = 300
+	net := netFor(t, lte.ProfileDriving, 7)
+	specs := make([]SessionSpec, sessions)
+	for i := range specs {
+		specs[i] = SessionSpec{User: fx.eval[0], Net: net}
+	}
+	eng, err := New(Config{Catalog: fx.cat, Sim: cfg, Shards: 1}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &eng.shards[0].heap
+	boundaries := 0
+	for until := 0.0; ; until += 0.5 {
+		if _, ok := eng.NextEventTime(); !ok {
+			break
+		}
+		if err := eng.Advance(until); err != nil {
+			t.Fatal(err)
+		}
+		if led := eng.Ledger(); led.Active > 0 {
+			boundaries++
+			if h.n != sessions || len(h.runs) != 1 {
+				t.Fatalf("t=%g: heap holds %d events in %d runs, want %d in 1", until, h.n, len(h.runs), sessions)
+			}
+		}
+	}
+	if led := eng.Ledger(); led.Finished != sessions || boundaries < 10 {
+		t.Fatalf("fleet must drain after streaming a while: %d boundaries, %+v", boundaries, led)
+	}
+}
+
+// TestFleetHeapRunCount bounds the runs a shard's heap holds on the
+// fixture's mixed fleet: three viewers joining at thirteen offsets, split
+// over two shards. Each shard's pending completions cluster at a handful of
+// timestamps, so each holds at most 13 runs while holding up to 1,000
+// events. A run whose members' next completions differ pushes them
+// interleaved and fragments for a while (the driving trace reaches ~200
+// runs per shard), so this pins the walking trace's steady grouping.
+func TestFleetHeapRunCount(t *testing.T) {
+	fx := fixture(t)
+	cfg := simConfig(t, sim.SchemeOurs)
+	cfg.RecordSegments = false
+	const sessions, shards, maxRuns = 2000, 2, 13
+	eng, err := New(Config{Catalog: fx.cat, Sim: cfg, Shards: shards},
+		specsFor(fx, netFor(t, lte.ProfileWalking, 7), sessions))
+	if err != nil {
+		t.Fatal(err)
+	}
+	peakEvents := 0
+	for until := 0.0; ; until += 0.5 {
+		if _, ok := eng.NextEventTime(); !ok {
+			break
+		}
+		if err := eng.Advance(until); err != nil {
+			t.Fatal(err)
+		}
+		for si, sh := range eng.shards {
+			h := &sh.heap
+			if len(h.runs) > maxRuns {
+				t.Fatalf("t=%g: shard %d holds %d runs for %d events, want at most %d", until, si, len(h.runs), h.n, maxRuns)
+			}
+			peakEvents = max(peakEvents, h.n)
+		}
+	}
+	if peakEvents != sessions/shards {
+		t.Fatalf("a shard held at most %d events, want all %d of its sessions at once", peakEvents, sessions/shards)
 	}
 }

@@ -171,8 +171,10 @@ func writeCached(w http.ResponseWriter, resp *cachedResponse) {
 // captureWriter tees the origin response to the requesting client while
 // buffering up to max bytes for the cache. A 200 that declares a
 // Content-Length within max gets its buffer allocated once, at that size;
-// any other body grows by append. Oversized bodies flip overflow and drop
-// the buffer — the client still gets the full stream.
+// a body that declares more than max flips overflow before its first byte
+// and is never buffered; any other body grows by append. Oversized bodies
+// flip overflow and drop the buffer — the client still gets the full
+// stream.
 type captureWriter struct {
 	dst         http.ResponseWriter
 	status      int
@@ -189,7 +191,12 @@ func (cw *captureWriter) WriteHeader(code int) {
 		cw.status = code
 		cw.wroteHeader = true
 		n, err := strconv.ParseInt(cw.dst.Header().Get("Content-Length"), 10, 64)
-		if code == http.StatusOK && err == nil && n > 0 && n <= int64(cw.max) {
+		switch {
+		case err != nil:
+			// No usable declared length: the body grows by append.
+		case n > int64(cw.max):
+			cw.overflow = true
+		case code == http.StatusOK && n > 0:
 			cw.buf = make([]byte, 0, n)
 		}
 	}

@@ -79,6 +79,33 @@ func TestEdgeCacheDeclaredLengthSizing(t *testing.T) {
 	if calls != 2 || c.Entries() != 0 {
 		t.Fatalf("origin calls %d, entries %d: want 2 calls and nothing stored", calls, c.Entries())
 	}
+
+	// A body declared one byte over the cap and written in full, in the
+	// server's 64 KiB writes, passes through whole without a byte buffered
+	// and is not stored.
+	const over = max + 1
+	writes := 0
+	origin = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		cw := w.(*captureWriter)
+		w.Header().Set("Content-Length", strconv.Itoa(over))
+		for rest := over; rest > 0; {
+			n := min(rest, 64<<10)
+			w.Write(filler[:n])
+			rest -= n
+			writes++
+			if cap(cw.buf) != 0 {
+				t.Fatalf("after write %d: capture buffer cap %d, want 0", writes, cap(cw.buf))
+			}
+		}
+	})
+	c = NewEdgeCache(EdgeCacheConfig{MaxBodyBytes: max})
+	rec, hit := serveCache(c, origin, "/segment?video=2&seg=1&q=1")
+	if hit || rec.Body.Len() != over {
+		t.Fatalf("hit=%v, client got %d bytes, want a miss passing all %d through", hit, rec.Body.Len(), over)
+	}
+	if writes != 17 || c.Entries() != 0 {
+		t.Fatalf("%d writes, %d entries: want 17 writes and nothing stored", writes, c.Entries())
+	}
 }
 
 // discardWriter drops the body, so the cache benches time the cache and

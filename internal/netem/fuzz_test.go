@@ -73,9 +73,10 @@ func FuzzParseProfile(f *testing.F) {
 // spec, seed and pace factor through three downloads of fuzzed sizes,
 // separated by fuzzed gaps. Every call must return an error or a finite
 // positive duration, and its packet samples and Stats must account for
-// each other: no panic, no NaN, no byte lost or invented. Arrival order is
-// not checked: a ramp tick whose start rounds below its schedule boundary
-// can deliver a later packet first.
+// each other: no panic, no NaN, no byte lost or invented. A size whose byte
+// count overflows int and a start the link schedule cannot step past must
+// return an error. Arrival order is not checked: a ramp tick whose start
+// rounds below its schedule boundary can deliver a later packet first.
 func FuzzSessionNetDownload(f *testing.F) {
 	for i, spec := range profileSpecCorpus {
 		f.Add(spec, int64(i), float64(i%3)*0.75, 4e6, 0.5, 2e7, 0.0, 3e5)
@@ -84,6 +85,8 @@ func FuzzSessionNetDownload(f *testing.F) {
 	f.Add("suddendrop,rtt=150,loss=0.01", int64(2), 0.0, 3e7, 19.0, 1e6, 1.0, 1e-3)
 	f.Add("crossflow,cross=40", int64(3), 2.0, 1e6, 1.0, 1e6, -5.0, math.NaN())
 	f.Add("stable", int64(4), 0.0, 1e6, 0.5, math.NaN(), 0.0, 1e6)
+	f.Add("stable", int64(5), 0.0, 1e20, 0.0, 1e6, 0.0, 1e6)
+	f.Add("crossflow,cross=40", int64(6), 0.0, 1e5, 1e300, 1e5, 0.0, 1e5)
 	f.Fuzz(func(t *testing.T, spec string, seed int64, pace, size0, gap0, size1, gap1, size2 float64) {
 		p, err := ParseProfile(spec)
 		if err != nil {
@@ -95,14 +98,19 @@ func FuzzSessionNetDownload(f *testing.F) {
 		}
 		start := 0.0
 		for i, c := range []struct{ size, gap float64 }{{size0, gap0}, {size1, gap1}, {size2, 0}} {
-			// A download's work and memory grow with its packet count, and
-			// a send's work with the schedule periods it skips, so both stay
-			// in realistic ranges.
-			if math.Abs(c.size)/8 > 2e4*float64(p.MTU()) || start > 1e6 {
+			// A download's work and memory grow with its packet count, so
+			// sizes stay in realistic ranges, apart from those whose byte
+			// count overflows int: Download rejects them up front.
+			overflows := math.Ceil(c.size/8) >= float64(math.MaxInt)
+			if math.Abs(c.size)/8 > 2e4*float64(p.MTU()) && !overflows {
 				return
 			}
+			stuck := n.link.at(start).next <= start
 			before := n.Stats()
 			dur, err := n.Download(c.size, start)
+			if (overflows || stuck) && err == nil {
+				t.Fatalf("download %d (%g bits at %g) accepted: byte count overflows %v, schedule stuck %v", i, c.size, start, overflows, stuck)
+			}
 			after := n.Stats()
 			pkts := n.Packets()
 			if err == nil && (math.IsNaN(dur) || math.IsInf(dur, 0) || dur <= 0) {

@@ -182,6 +182,11 @@ func (l *Link) serviceDone(from, bytes float64) float64 {
 			// Cross traffic saturates the link forever: never serviced.
 			return math.Inf(1)
 		}
+		if end <= t {
+			// The schedule can no longer step past t (ulp(t) exceeds its
+			// steps), so the clock cannot move: never serviced.
+			return math.Inf(1)
+		}
 		t = end
 		if t-from > solveHorizonSec {
 			return math.Inf(1)

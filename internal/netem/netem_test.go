@@ -1,9 +1,11 @@
 package netem
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 func mustProfile(t testing.TB, name string) *Profile {
@@ -412,7 +414,9 @@ func TestSessionNetRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sz := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+	// A byte count that overflows int used to convert to a negative count
+	// and "download" in 1 ns.
+	for _, sz := range []float64{0, -1, math.NaN(), math.Inf(1), 1e20, 8 * float64(math.MaxInt)} {
 		if _, err := n.Download(sz, 0); err == nil {
 			t.Fatalf("Download(%g, 0) accepted", sz)
 		}
@@ -427,6 +431,54 @@ func TestSessionNetRejectsBadInput(t *testing.T) {
 	}
 	if _, err := NewSessionNet(SessionConfig{}); err == nil {
 		t.Fatal("nil profile accepted")
+	}
+}
+
+// TestSessionNetRejectsStuckStart: at a start so late that ulp(t) exceeds
+// the link schedule's steps, the schedule cannot step past t. Such a start
+// used to spin forever on a saturated link, and to "download" in 1 ns on a
+// serving one; Download now rejects it, and the link's service solver
+// reports such a time as never serviced.
+func TestSessionNetRejectsStuckStart(t *testing.T) {
+	serving, err := NewSessionNet(SessionConfig{Profile: mustProfile(t, "bufferbloat"), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dur, err := serving.Download(1e5, 1e300); err == nil {
+		t.Fatalf("Download(1e5, 1e300) on bufferbloat = %g, nil; want an error", dur)
+	}
+	p, err := ParseProfile("crossflow,cross=40")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewSessionNet(SessionConfig{Profile: p, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	link, err := NewLink(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both calls used to spin; a regression must fail, not hang the suite.
+	done := make(chan error, 1)
+	go func() {
+		if _, err := n.Download(1e5, 1e300); err == nil {
+			done <- fmt.Errorf("Download(1e5, 1e300) accepted")
+			return
+		}
+		if served, dropped := link.Send(1500, 1e300); dropped || !math.IsInf(served, 1) {
+			done <- fmt.Errorf("Send at 1e300 = %g, dropped %v; want never serviced", served, dropped)
+			return
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a download or send at t = 1e300 did not return within 10 s")
 	}
 }
 

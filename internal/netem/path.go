@@ -129,24 +129,33 @@ func (n *SessionNet) Packets() []PacketSample { return n.packets }
 // Download transfers sizeBits starting at startSec and returns the transfer
 // duration in seconds: request propagation, per-MTU packetization, paced or
 // burst sending through the droptail queue, loss, and retransmission. It
-// fails only when the link is effectively dead (a packet exceeded the
-// retransmission budget or the service horizon).
+// rejects a size whose byte count overflows int and a start so late that
+// the link schedule can no longer step past it; otherwise it fails only
+// when the link is effectively dead (a packet exceeded the retransmission
+// budget or the service horizon).
 func (n *SessionNet) Download(sizeBits float64, startSec float64) (float64, error) {
 	n.packets = n.packets[:0]
 	if sizeBits <= 0 || math.IsNaN(sizeBits) || math.IsInf(sizeBits, 0) {
 		return 0, fmt.Errorf("netem: bad download size %g bits", sizeBits)
 	}
+	sizeBytes := math.Ceil(sizeBits / 8)
+	if sizeBytes >= float64(math.MaxInt) {
+		return 0, fmt.Errorf("netem: download size %g bits overflows the byte count", sizeBits)
+	}
 	if math.IsNaN(startSec) || math.IsInf(startSec, 0) || startSec < 0 {
 		return 0, fmt.Errorf("netem: bad download start %g", startSec)
+	}
+	s0 := n.link.at(startSec)
+	if s0.next <= startSec {
+		return 0, fmt.Errorf("netem: download start %g is past the link schedule's time resolution", startSec)
 	}
 	n.pending, n.pendHead = n.pending[:0], 0
 
 	// The request rides the uplink: half an RTT to reach the server.
-	p0 := n.link.ParamsAt(startSec)
-	sendBase := startSec + p0.RTTSec/2
+	sendBase := startSec + s0.p.RTTSec/2
 
 	mtu := n.link.MTU()
-	totalBytes := int(math.Ceil(sizeBits / 8))
+	totalBytes := int(sizeBytes)
 	var paceRate float64 // bytes/s on the wire when pacing
 	if n.cfg.PaceFactor > 0 {
 		paceRate = n.cfg.PaceFactor * sizeBits / n.cfg.SegmentSec / 8
