@@ -8,6 +8,7 @@
 //
 //	repro -exp fig9            # one experiment at full scale
 //	repro -exp all -scale quick -metrics-addr 127.0.0.1:9361
+//	repro -exp netem -net netem:bufferbloat,capacity=8 -csvdir out
 //	repro -list
 package main
 
@@ -69,13 +70,30 @@ func run() int {
 
 	ptile360.SetMaxWorkers(*workers)
 
+	var scale ptile360.Scale
+	switch strings.ToLower(*scaleName) {
+	case "full":
+		scale = ptile360.FullScale()
+	case "quick":
+		scale = ptile360.QuickScale()
+	default:
+		logger.Error("unknown scale", "scale", *scaleName, "want", "full or quick")
+		return 2
+	}
+	scale.Seed = *seed
+
 	if *netSpec != "" {
 		spec, ok := strings.CutPrefix(*netSpec, "netem:")
 		if !ok {
 			logger.Error("bad -net value: want netem:<profile[,key=val...]>", "net", *netSpec)
 			return 2
 		}
-		if err := ptile360.SetNetemProfile(spec); err != nil {
+		if *expName != "netem" && *expName != "all" {
+			logger.Error("-net restricts only the netem experiment: run it with -exp netem or -exp all", "exp", *expName)
+			return 2
+		}
+		scale.NetemProfile = spec
+		if err := scale.Validate(); err != nil {
 			logger.Error("bad netem profile", "net", spec, "err", err)
 			return 2
 		}
@@ -137,18 +155,6 @@ func run() int {
 			}
 		}()
 	}
-
-	var scale ptile360.Scale
-	switch strings.ToLower(*scaleName) {
-	case "full":
-		scale = ptile360.FullScale()
-	case "quick":
-		scale = ptile360.QuickScale()
-	default:
-		logger.Error("unknown scale", "scale", *scaleName, "want", "full or quick")
-		return 2
-	}
-	scale.Seed = *seed
 
 	start := time.Now()
 	// Periodic sweep progress, so -exp all at full scale isn't a silent

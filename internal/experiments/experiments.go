@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"ptile360/internal/headtrace"
+	"ptile360/internal/netem"
 	"ptile360/internal/parallel"
 	"ptile360/internal/sim"
 	"ptile360/internal/video"
@@ -29,6 +30,10 @@ type Scale struct {
 	TraceSamples int
 	// Seed drives every stochastic component.
 	Seed int64
+	// NetemProfile, when non-empty, restricts the netem experiment to one
+	// link profile spec of the netem.ParseProfile form
+	// "name[,key=val,...]"; empty sweeps the default profiles.
+	NetemProfile string
 }
 
 // FullScale returns the paper's evaluation scale: 48 users per video with a
@@ -77,6 +82,11 @@ func (s Scale) Validate() error {
 	}
 	if s.TraceSamples <= 0 {
 		return fmt.Errorf("experiments: non-positive trace length %d", s.TraceSamples)
+	}
+	if s.NetemProfile != "" {
+		if _, err := netem.ParseProfile(s.NetemProfile); err != nil {
+			return fmt.Errorf("experiments: netem profile: %w", err)
+		}
 	}
 	return nil
 }

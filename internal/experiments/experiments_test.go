@@ -25,6 +25,11 @@ func TestScaleValidate(t *testing.T) {
 	if err := QuickScale().Validate(); err != nil {
 		t.Fatal(err)
 	}
+	withNetem := QuickScale()
+	withNetem.NetemProfile = "bufferbloat,capacity=8"
+	if err := withNetem.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	muts := []func(*Scale){
 		func(s *Scale) { s.UsersPerVideo = 1 },
 		func(s *Scale) { s.TrainUsers = 0 },
@@ -40,6 +45,16 @@ func TestScaleValidate(t *testing.T) {
 		mutate(&s)
 		if err := s.Validate(); err == nil {
 			t.Fatalf("mutation %d accepted", i)
+		}
+	}
+}
+
+func TestScaleValidateRejectsBadNetemSpec(t *testing.T) {
+	for _, spec := range []string{"nosuch", "stable,capacity=-1"} {
+		s := QuickScale()
+		s.NetemProfile = spec
+		if err := s.Validate(); err == nil {
+			t.Fatalf("NetemProfile %q accepted", spec)
 		}
 	}
 }

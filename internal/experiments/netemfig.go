@@ -23,28 +23,11 @@ import (
 // reading congestion from packet timing pays.
 const netemPaceFactor = 1.25
 
-// netemProfileOverride, when non-empty, restricts NetemFig to a single
-// parsed profile spec (see SetNetemProfile).
-var netemProfileOverride string
-
-// SetNetemProfile restricts the netem experiment to one profile spec of the
-// ParseProfile form "name[,key=val,...]"; the empty string restores the
-// default three-profile sweep. It returns an error if the spec does not
-// parse. Not safe to call concurrently with NetemFig.
-func SetNetemProfile(spec string) error {
-	if spec != "" {
-		if _, err := netem.ParseProfile(spec); err != nil {
-			return err
-		}
-	}
-	netemProfileOverride = spec
-	return nil
-}
-
-// netemProfiles returns the profile specs the experiment sweeps.
-func netemProfiles() []string {
-	if netemProfileOverride != "" {
-		return []string{netemProfileOverride}
+// netemProfiles returns the profile specs the experiment sweeps: the
+// scale's one profile, or the default three.
+func netemProfiles(scale Scale) []string {
+	if scale.NetemProfile != "" {
+		return []string{scale.NetemProfile}
 	}
 	return []string{"bufferbloat", "suddendrop", "crossflow"}
 }
@@ -87,11 +70,11 @@ type NetemResult struct {
 
 // NetemFig compares MPC outcomes under the segment-level fluid bandwidth
 // model against the packet-level emulator, for the harmonic-mean and
-// delay-gradient estimators, across the adversarial link profiles. The
-// segment model samples the same capacity schedule at 1 s granularity, so
-// any divergence between the two models is purely packet dynamics: queueing
-// delay, loss, retransmission, and the timing signal the delay-gradient
-// estimator feeds on.
+// delay-gradient estimators, across the adversarial link profiles (or the
+// one scale.NetemProfile names). The segment model samples the same
+// capacity schedule at 1 s granularity, so any divergence between the two
+// models is purely packet dynamics: queueing delay, loss, retransmission,
+// and the timing signal the delay-gradient estimator feeds on.
 //
 // Every (profile, estimator, model) cell streams each evaluation user as one
 // job of a single pooled sweep; each cell then aggregates its users in
@@ -119,7 +102,7 @@ func NetemFig(videoID int, scale Scale) (*NetemResult, error) {
 		segTrace *lte.Trace
 	}
 	var cells []netemJob
-	for _, spec := range netemProfiles() {
+	for _, spec := range netemProfiles(scale) {
 		prof, err := netem.ParseProfile(spec)
 		if err != nil {
 			return nil, err

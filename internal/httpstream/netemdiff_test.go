@@ -1,13 +1,7 @@
 package httpstream
 
 import (
-	"bytes"
-	"context"
 	"fmt"
-	"io"
-	"math"
-	"net"
-	"net/http"
 	"reflect"
 	"testing"
 
@@ -16,109 +10,6 @@ import (
 	"ptile360/internal/power"
 	"ptile360/internal/sim"
 )
-
-// streamOverTransport runs one full client session against the shared
-// harness server, optionally through a custom transport.
-func streamOverTransport(t *testing.T, rt http.RoundTripper, baseURL string) *SessionReport {
-	t.Helper()
-	client, err := NewClient(ClientConfig{
-		BaseURL:     baseURL,
-		Phone:       power.Pixel3,
-		MaxSegments: 30,
-		UseMPC:      true,
-		Transport:   rt,
-		ClientID:    "netem-diff",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := newHarness(t)
-	report, err := client.Stream(2, h.eval[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	return report
-}
-
-// TestNetemIdealConnMatchesDirectTransport is the shim's differential
-// guarantee: the ideal profile (unlimited capacity, zero latency, zero loss)
-// must be invisible — a full client session routed through a netem.Listener
-// makes byte-for-byte the same decisions, downloads the same payloads, and
-// reports bit-identical (Float64bits) values for every field that does not
-// measure wall time. Wall-derived fields (throughput, energy, stall) carry
-// scheduler noise on BOTH transports and are excluded.
-func TestNetemIdealConnMatchesDirectTransport(t *testing.T) {
-	h := newHarness(t)
-
-	direct := streamOverTransport(t, nil, h.server.URL)
-
-	prof, err := netem.Named("ideal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := netem.Listen(prof, 1, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	srv := &http.Server{Handler: h.server.Config.Handler}
-	go srv.Serve(l)
-	defer srv.Close()
-	rt := &http.Transport{
-		DialContext: func(context.Context, string, string) (net.Conn, error) { return l.Dial() },
-	}
-	emulated := streamOverTransport(t, rt, "http://netem")
-
-	if len(direct.Segments) != len(emulated.Segments) {
-		t.Fatalf("segment counts diverge: direct %d, netem %d", len(direct.Segments), len(emulated.Segments))
-	}
-	for i := range direct.Segments {
-		d, e := direct.Segments[i], emulated.Segments[i]
-		if d.Segment != e.Segment || d.Quality != e.Quality || d.Bytes != e.Bytes ||
-			d.FromPtile != e.FromPtile || d.Emergency != e.Emergency ||
-			d.Retries != e.Retries || d.DegradeSteps != e.DegradeSteps || d.Abandoned != e.Abandoned {
-			t.Fatalf("segment %d decisions diverge:\ndirect  %+v\nnetem   %+v", i, d, e)
-		}
-		for _, f := range [][2]float64{
-			{d.FrameRate, e.FrameRate},
-			{d.PerceivedQuality, e.PerceivedQuality},
-			{d.BestPerceivedQuality, e.BestPerceivedQuality},
-			{d.Center.X, e.Center.X},
-			{d.Center.Y, e.Center.Y},
-		} {
-			if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
-				t.Fatalf("segment %d float diverges: %x vs %x (%g vs %g)",
-					i, math.Float64bits(f[0]), math.Float64bits(f[1]), f[0], f[1])
-			}
-		}
-	}
-	if direct.TotalBytes != emulated.TotalBytes || direct.PtileSegments != emulated.PtileSegments ||
-		direct.TotalRetries != emulated.TotalRetries || direct.AbandonedSegments != emulated.AbandonedSegments {
-		t.Fatalf("session totals diverge:\ndirect  %+v\nnetem   %+v", direct, emulated)
-	}
-
-	// Raw payloads are byte-identical too: same segment fetched over both
-	// transports yields the same body.
-	directBody := fetchBody(t, http.DefaultClient, h.server.URL+"/manifest?video=2")
-	netemBody := fetchBody(t, &http.Client{Transport: rt}, "http://netem/manifest?video=2")
-	if !bytes.Equal(directBody, netemBody) {
-		t.Fatalf("manifest bodies diverge: %d vs %d bytes", len(directBody), len(netemBody))
-	}
-}
-
-func fetchBody(t *testing.T, c *http.Client, url string) []byte {
-	t.Helper()
-	resp, err := c.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return body
-}
 
 // sessionNet is a fresh emulated path on the named profile.
 func sessionNet(t *testing.T, profile string, seed int64) *netem.SessionNet {

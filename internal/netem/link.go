@@ -1,9 +1,6 @@
 package netem
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Link is the bottleneck: a droptail FIFO queue of app packets drained at
 // the residual capacity the competing fluid flow leaves over
@@ -13,8 +10,8 @@ import (
 // no wall clock, no goroutines — so a Link is bit-deterministic and can be
 // driven in pure virtual time.
 //
-// A Link is single-flow and not safe for concurrent use; SessionNet and
-// Conn each own one per direction and serialize access.
+// A Link is single-flow and not safe for concurrent use; a SessionNet owns
+// one and serializes access.
 type Link struct {
 	sched *schedule
 	mtu   int
@@ -79,9 +76,6 @@ func (l *Link) ParamsAt(t float64) Params { return l.at(t).p }
 
 // MTU returns the packetization unit.
 func (l *Link) MTU() int { return l.mtu }
-
-// Now returns the time the queue state was last advanced to.
-func (l *Link) Now() float64 { return l.now }
 
 // QueuedBytes returns the current bottleneck backlog.
 func (l *Link) QueuedBytes() float64 { return l.queuedBytes }
@@ -193,16 +187,4 @@ func (l *Link) serviceDone(from, bytes float64) float64 {
 		}
 	}
 	return t
-}
-
-// Reset rewinds the link to an empty queue at time 0, keeping the schedule.
-func (l *Link) Reset() {
-	l.now = 0
-	l.queuedBytes = 0
-	l.drops = 0
-}
-
-// String describes the link state for logs and test failures.
-func (l *Link) String() string {
-	return fmt.Sprintf("netem.Link{t=%.3f queued=%.0fB drops=%d}", l.now, l.queuedBytes, l.drops)
 }

@@ -14,16 +14,18 @@
 // the signal a delay-gradient bandwidth estimator (predict.DelayGradient)
 // needs, which segment-level traces cannot provide.
 //
-// Three integration surfaces share the same Link core:
+// One surface shapes bytes, plus a pacer:
 //
-//   - SessionNet: a virtual-time download path for the simulator and the
-//     httpstream client — bit-deterministic for a fixed (profile, seed),
-//     independent of wall clock, goroutine scheduling, and worker counts.
-//   - Conn/Listener/Dialer: a net.Conn shim that runs a real HTTP
-//     client/server pair over the emulated link in (compressed) real time,
-//     composing with internal/faultinject above it.
+//   - SessionNet: a virtual-time download path over the Link, for the
+//     simulator and the httpstream client — bit-deterministic for a fixed
+//     (profile, seed), independent of wall clock, goroutine scheduling, and
+//     worker counts.
 //   - Pacer/PacedWriter: an interval-budget paced sender for the server
 //     path, so segment bursts stop building their own bottleneck queue.
+//
+// Listen is an unshaped in-memory transport (net.Pipe behind a
+// net.Listener) that carries an HTTP client/server pair in process; it
+// accepts only profiles that shape nothing.
 package netem
 
 import (

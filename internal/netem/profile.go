@@ -12,8 +12,8 @@ func Mbps(m float64) float64 { return m * 1e6 }
 
 // Named builds one of the built-in link profiles:
 //
-//   - ideal: unlimited capacity, zero delay, zero loss — the differential
-//     baseline that must match the direct transport bit-for-bit.
+//   - ideal: unlimited capacity, zero delay, zero loss — downloads complete
+//     instantly; the only named profile Listen accepts.
 //   - stable: a steady 40 Mbps LTE-class link, 40 ms RTT, sane queue.
 //   - bufferbloat: same capacity but an unbounded bottleneck queue and no
 //     pacing discipline below us — self-inflicted standing queues.

@@ -23,10 +23,6 @@ func QuickScale() Scale { return experiments.QuickScale() }
 // deterministic regardless of the setting.
 func SetMaxWorkers(n int) int { return experiments.SetMaxWorkers(n) }
 
-// SetNetemProfile restricts the "netem" experiment to a single profile spec
-// ("name[,key=val,...]"); the empty string restores the default sweep.
-func SetNetemProfile(spec string) error { return experiments.SetNetemProfile(spec) }
-
 // ExperimentNames lists the table/figure identifiers accepted by
 // RunExperiment, in presentation order.
 func ExperimentNames() []string {
