@@ -29,7 +29,7 @@ func run() int {
 		users   = flag.Int("users", 48, "number of viewers (head traces)")
 		samples = flag.Int("samples", 400, "trace length in seconds (lte traces)")
 		traceID = flag.Int("trace", 2, "network condition 1 or 2 (lte traces)")
-		seed    = flag.Int64("seed", 42, "random seed")
+		seed    = flag.Int64("seed", 42, "random seed; lte traces use seed+99, as the evaluation does")
 		out     = flag.String("out", "", "output file (default stdout)")
 		doStats = flag.Bool("stats", false, "print dataset statistics instead of the trace (head traces)")
 	)
@@ -82,7 +82,7 @@ func run() int {
 			return 1
 		}
 	case "lte":
-		tr1, tr2, err := lte.StandardTraces(*samples, *seed)
+		tr1, tr2, err := lte.StandardTraces(*samples, *seed+99)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
 			return 1

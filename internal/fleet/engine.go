@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 
-	"ptile360/internal/geom"
 	"ptile360/internal/headtrace"
 	"ptile360/internal/lte"
 	"ptile360/internal/obs"
@@ -52,13 +51,6 @@ type Config struct {
 	ViewportUpdateSec float64
 	// Registry receives the fleet metrics; nil creates a private registry.
 	Registry *obs.Registry
-	// ViewportSink, when set, receives one viewport report per completed
-	// segment download: the session's trace viewing center for the segment
-	// it just finished. This is the fleet-side feed of the online Ptile
-	// pipeline (ptilelive.Pipeline.Ingest). Shards invoke it concurrently,
-	// so the sink must be safe for concurrent use; it runs inline on the
-	// event loop and must be cheap. Simulation results are unaffected.
-	ViewportSink func(session, segment int, center geom.Point)
 	// Flight, when set, black-boxes 1-in-SampleEvery sessions (the
 	// recorder's SessionN gate): join/download/stall/leave events land in
 	// per-session rings that dump on anomaly triggers. Unsampled sessions
@@ -542,7 +534,6 @@ func (sh *shard) complete(t float64, slot, session int) bool {
 		sh.led.StallSec += info.StallSec
 	}
 	state := sh.states[slot]
-	sh.reportViewport(session, state)
 	sh.flightDownload(t, slot, state, info)
 	return !info.Done && (sh.leave[slot] == 0 || state.Segments() < int(sh.leave[slot]))
 }
@@ -579,24 +570,6 @@ func (sh *shard) flightDownload(t float64, slot int, state *sim.State, info sim.
 		return
 	}
 	fsess.RecordSegment(t, info.Segment, info.DownloadSec, info.StallSec, state.EstimateBps(), false)
-}
-
-// reportViewport feeds the just-completed segment's trace viewing center to
-// the configured ViewportSink (a no-op without one).
-func (sh *shard) reportViewport(session int, state *sim.State) {
-	sink := sh.eng.cfg.ViewportSink
-	if sink == nil || state == nil {
-		return
-	}
-	seg := state.Segments() - 1
-	if seg < 0 {
-		return
-	}
-	c, err := sh.eng.specs[session].User.ViewingCenter(seg, sh.eng.cfg.Catalog.SegmentSec)
-	if err != nil {
-		return
-	}
-	sink(session, seg, c)
 }
 
 // finish retires a session that leaves at time t and settles its

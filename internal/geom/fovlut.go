@@ -33,13 +33,6 @@ func (l *FoVLUT) SetAt(center Point) TileSet {
 	return l.sets[l.grid.Index(l.grid.TileAt(center))]
 }
 
-// TilesOf and SetOf are the tile-indexed forms for callers that already
-// quantized the center.
-func (l *FoVLUT) TilesOf(c TileID) []TileID { return l.tiles[l.grid.Index(c)] }
-
-// SetOf returns the coverage mask for center tile c.
-func (l *FoVLUT) SetOf(c TileID) TileSet { return l.sets[l.grid.Index(c)] }
-
 type fovLUTKey struct {
 	rows, cols int
 	hFoV, vFoV float64
@@ -63,10 +56,9 @@ var fovLUTCache = struct {
 const maxFoVLUTEntries = 64
 
 // FoVLUTFor returns the shared coverage LUT for (g, hFoV, vFoV), building it
-// on first use. Grids with more than MaxTileSetTiles tiles return nil and
-// callers must keep the direct FoVTiles path.
+// on first use. An invalid grid (Grid.Validate) returns nil.
 func FoVLUTFor(g Grid, hFoV, vFoV float64) *FoVLUT {
-	if !g.SetSupported() || g.Rows <= 0 || g.Cols <= 0 {
+	if g.Validate() != nil {
 		return nil
 	}
 	key := fovLUTKey{rows: g.Rows, cols: g.Cols, hFoV: hFoV, vFoV: vFoV}

@@ -23,15 +23,12 @@ func TestFoVLUTMatchesFoVTiles(t *testing.T) {
 				c := g.TileOfIndex(i)
 				center := g.TileRect(c).Center()
 				want := g.FoVTiles(center, fov[0], fov[1])
-				if got := lut.TilesOf(c); !reflect.DeepEqual(got, want) {
+				if got := lut.TilesAt(center); !reflect.DeepEqual(got, want) {
 					t.Fatalf("grid %dx%d fov %v tile %v: LUT %v, FoVTiles %v",
 						g.Rows, g.Cols, fov, c, got, want)
 				}
-				if got := lut.TilesAt(center); !reflect.DeepEqual(got, want) {
-					t.Fatalf("TilesAt(%v) differs from FoVTiles", center)
-				}
 				wantSet, _ := tileSetAndMap(g, want)
-				if lut.SetOf(c) != wantSet || lut.SetAt(center) != wantSet {
+				if lut.SetAt(center) != wantSet {
 					t.Fatalf("grid %dx%d fov %v tile %v: mask differs from tile list",
 						g.Rows, g.Cols, fov, c)
 				}

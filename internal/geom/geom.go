@@ -1,7 +1,7 @@
 // Package geom implements the spherical and equirectangular geometry layer
 // for 360° video: viewing orientations, panorama coordinates with longitude
-// wrap-around, great-circle distances, view-switching speed (paper Eq. 5),
-// field-of-view rectangles, and tile-grid coverage.
+// wrap-around, great-circle distances (the angle of the paper's Eq. 5
+// view-switching speed), panorama rectangles, and tile-grid coverage.
 //
 // Conventions:
 //   - Yaw ∈ [0, 360) degrees increases eastward; pitch ∈ [−90, +90] degrees
@@ -97,15 +97,6 @@ func AngleBetweenVectors(va, vb [3]float64) float64 {
 	return math.Acos(dot) * DegPerRad
 }
 
-// SwitchingSpeed returns the view-switching speed in degrees per second when
-// the orientation moves from a to b over dt seconds (paper Eq. 5).
-func SwitchingSpeed(a, b Orientation, dt float64) (float64, error) {
-	if dt <= 0 {
-		return 0, fmt.Errorf("geom: non-positive time delta %g", dt)
-	}
-	return AngleBetween(a, b) / dt, nil
-}
-
 // Point is a position on the equirectangular panorama, in degrees.
 type Point struct {
 	// X is the horizontal coordinate in [0, 360), wrapping at the seam.
@@ -193,31 +184,4 @@ func (r Rect) Contains(p Point) bool {
 // Center returns the center point of r.
 func (r Rect) Center() Point {
 	return Point{X: NormalizeYaw(r.X0 + r.W/2), Y: r.Y0 + r.H/2}
-}
-
-// FoVRect returns the field-of-view rectangle centered on orientation o for
-// a device with the given horizontal and vertical FoV in degrees. The paper
-// uses 100°×100° (Section II). Vertical extent is clipped to the panorama.
-func FoVRect(o Orientation, hFoV, vFoV float64) (Rect, error) {
-	if hFoV <= 0 || hFoV > 360 {
-		return Rect{}, fmt.Errorf("geom: horizontal FoV %g outside (0, 360]", hFoV)
-	}
-	if vFoV <= 0 || vFoV > 180 {
-		return Rect{}, fmt.Errorf("geom: vertical FoV %g outside (0, 180]", vFoV)
-	}
-	c := PointOf(o)
-	y0 := c.Y - vFoV/2
-	y1 := c.Y + vFoV/2
-	if y0 < 0 {
-		y0 = 0
-	}
-	if y1 > 180 {
-		y1 = 180
-	}
-	return Rect{
-		X0: NormalizeYaw(c.X - hFoV/2),
-		Y0: y0,
-		W:  hFoV,
-		H:  y1 - y0,
-	}, nil
 }

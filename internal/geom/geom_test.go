@@ -68,21 +68,6 @@ func TestAngleBetweenProperties(t *testing.T) {
 	}
 }
 
-func TestSwitchingSpeed(t *testing.T) {
-	a := Orientation{Yaw: 0, Pitch: 0}
-	b := Orientation{Yaw: 20, Pitch: 0}
-	sp, err := SwitchingSpeed(a, b, 2)
-	if err != nil {
-		t.Fatalf("SwitchingSpeed: %v", err)
-	}
-	if !almostEqual(sp, 10, 1e-9) {
-		t.Fatalf("speed = %g, want 10", sp)
-	}
-	if _, err := SwitchingSpeed(a, b, 0); err == nil {
-		t.Fatal("want error for dt = 0")
-	}
-}
-
 func TestPointRoundTrip(t *testing.T) {
 	check := func(yaw, pitch float64) bool {
 		o := Orientation{Yaw: math.Mod(math.Abs(yaw), 360), Pitch: math.Mod(pitch, 89)}.Normalize()
@@ -176,43 +161,5 @@ func TestRectCenterWrap(t *testing.T) {
 	c := r.Center()
 	if !almostEqual(c.X, 0, 1e-9) || !almostEqual(c.Y, 90, 1e-9) {
 		t.Fatalf("Center = %+v, want (0, 90)", c)
-	}
-}
-
-func TestFoVRect(t *testing.T) {
-	r, err := FoVRect(Orientation{Yaw: 180, Pitch: 0}, 100, 100)
-	if err != nil {
-		t.Fatalf("FoVRect: %v", err)
-	}
-	if !almostEqual(r.X0, 130, 1e-9) || !almostEqual(r.W, 100, 1e-9) {
-		t.Fatalf("horizontal span = [%g, +%g]", r.X0, r.W)
-	}
-	if !almostEqual(r.Y0, 40, 1e-9) || !almostEqual(r.H, 100, 1e-9) {
-		t.Fatalf("vertical span = [%g, +%g]", r.Y0, r.H)
-	}
-}
-
-func TestFoVRectClipsAtPoles(t *testing.T) {
-	r, err := FoVRect(Orientation{Yaw: 0, Pitch: 80}, 100, 100)
-	if err != nil {
-		t.Fatalf("FoVRect: %v", err)
-	}
-	if r.Y0 != 0 {
-		t.Fatalf("Y0 = %g, want clipped to 0", r.Y0)
-	}
-	if !almostEqual(r.H, 60, 1e-9) {
-		t.Fatalf("H = %g, want 60 (clipped)", r.H)
-	}
-	if err := r.Validate(); err != nil {
-		t.Fatalf("clipped rect invalid: %v", err)
-	}
-}
-
-func TestFoVRectErrors(t *testing.T) {
-	if _, err := FoVRect(Orientation{}, 0, 100); err == nil {
-		t.Fatal("want error for zero hFoV")
-	}
-	if _, err := FoVRect(Orientation{}, 100, 200); err == nil {
-		t.Fatal("want error for vFoV > 180")
 	}
 }

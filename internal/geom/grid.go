@@ -13,10 +13,24 @@ type Grid struct {
 
 // NewGrid validates and returns a tile grid.
 func NewGrid(rows, cols int) (Grid, error) {
-	if rows <= 0 || cols <= 0 {
-		return Grid{}, fmt.Errorf("geom: invalid grid %dx%d", rows, cols)
+	g := Grid{Rows: rows, Cols: cols}
+	if err := g.Validate(); err != nil {
+		return Grid{}, err
 	}
-	return Grid{Rows: rows, Cols: cols}, nil
+	return g, nil
+}
+
+// Validate reports whether g is usable: both dimensions positive and at
+// most MaxTileSetTiles tiles, so that every tile set over g fits a TileSet.
+func (g Grid) Validate() error {
+	if g.Rows <= 0 || g.Cols <= 0 {
+		return fmt.Errorf("geom: invalid grid %dx%d", g.Rows, g.Cols)
+	}
+	// Rows > Max/Cols is Rows·Cols > Max without the product overflowing.
+	if g.Rows > MaxTileSetTiles/g.Cols {
+		return fmt.Errorf("geom: grid %dx%d has more than %d tiles", g.Rows, g.Cols, MaxTileSetTiles)
+	}
+	return nil
 }
 
 // TileW returns the tile width in degrees.

@@ -15,12 +15,29 @@ func mustGrid(t *testing.T, rows, cols int) Grid {
 	return g
 }
 
+// TestNewGridValidation holds Grid.Validate, the one grid check, and NewGrid
+// to positive dimensions; TestGridSetSupported holds them to the tile bound.
 func TestNewGridValidation(t *testing.T) {
-	if _, err := NewGrid(0, 8); err == nil {
-		t.Fatal("want error for zero rows")
-	}
-	if _, err := NewGrid(4, -1); err == nil {
-		t.Fatal("want error for negative cols")
+	for _, tc := range []struct {
+		rows, cols int
+		ok         bool
+	}{
+		{4, 8, true},
+		{0, 8, false},  // no rows
+		{4, -1, false}, // negative columns
+		{-4, -8, false},
+	} {
+		err := Grid{Rows: tc.rows, Cols: tc.cols}.Validate()
+		if (err == nil) != tc.ok {
+			t.Fatalf("Validate(%dx%d) = %v, want ok %v", tc.rows, tc.cols, err, tc.ok)
+		}
+		g, err := NewGrid(tc.rows, tc.cols)
+		if (err == nil) != tc.ok {
+			t.Fatalf("NewGrid(%d, %d) = %v, want ok %v", tc.rows, tc.cols, err, tc.ok)
+		}
+		if tc.ok && g != (Grid{Rows: tc.rows, Cols: tc.cols}) {
+			t.Fatalf("NewGrid(%d, %d) = %+v", tc.rows, tc.cols, g)
+		}
 	}
 }
 
@@ -74,13 +91,9 @@ func TestIndexRowMajor(t *testing.T) {
 
 func TestCoveringTilesFoV(t *testing.T) {
 	g := mustGrid(t, 4, 8)
-	// Exact cover of a misaligned 100x100 FoV at the equator touches a 4x4
-	// block of 45° tiles.
-	r, err := FoVRect(Orientation{Yaw: 180, Pitch: 0}, 100, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiles := g.CoveringTiles(r)
+	// Exact cover of a misaligned 100x100 FoV centered at the equator
+	// touches a 4x4 block of 45° tiles.
+	tiles := g.CoveringTiles(Rect{X0: 130, Y0: 40, W: 100, H: 100})
 	if len(tiles) != 16 {
 		t.Fatalf("covering tiles = %d, want 16 (got %v)", len(tiles), tiles)
 	}

@@ -3,10 +3,8 @@ package geom
 import "math/bits"
 
 // MaxTileSetTiles is the largest tile count (Grid.NumTiles) a TileSet can
-// represent. The paper's grids are far below this — the default 4×8 grid
-// needs one word, the 12×24 projection grid needs five sixty-fourths of the
-// budget — so every hot path fits; callers must check Grid.SetSupported and
-// fall back to map sets for exotic grids.
+// represent, and so the largest grid Grid.Validate accepts. The paper's 4×8
+// grid needs one word.
 const MaxTileSetTiles = 256
 
 const tileSetWords = MaxTileSetTiles / 64
@@ -93,21 +91,14 @@ func (s *TileSet) ForEach(fn func(i int)) {
 	}
 }
 
-// SetSupported reports whether this grid's tiles fit in a TileSet.
-func (g Grid) SetSupported() bool { return g.NumTiles() <= MaxTileSetTiles }
-
 // TileOfIndex is the inverse of Index: the TileID at linear index i.
 func (g Grid) TileOfIndex(i int) TileID { return TileID{Row: i / g.Cols, Col: i % g.Cols} }
 
 // RectCoverSet returns the set of tiles whose centers fall inside r, the
 // exact set predicate the Ptile coverage tests use (Rect.Contains over
-// TileRect centers). Grids beyond MaxTileSetTiles return the empty set;
-// callers on such grids must keep the per-tile predicate path.
+// TileRect centers). g must be valid (Grid.Validate).
 func (g Grid) RectCoverSet(r Rect) TileSet {
 	var s TileSet
-	if !g.SetSupported() {
-		return s
-	}
 	for row := 0; row < g.Rows; row++ {
 		for col := 0; col < g.Cols; col++ {
 			id := TileID{Row: row, Col: col}

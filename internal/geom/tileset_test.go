@@ -115,6 +115,8 @@ func TestTileSetZeroValueEmpty(t *testing.T) {
 	}
 }
 
+// TestGridSetSupported holds Grid.Validate and NewGrid to the TileSet bound:
+// a grid of at most MaxTileSetTiles tiles is accepted, a larger one refused.
 func TestGridSetSupported(t *testing.T) {
 	for _, tc := range []struct {
 		g    Grid
@@ -124,9 +126,17 @@ func TestGridSetSupported(t *testing.T) {
 		{Grid{Rows: 12, Cols: 24}, false}, // 288 tiles > 256
 		{Grid{Rows: 16, Cols: 16}, true},
 		{Grid{Rows: 32, Cols: 32}, false},
+		{Grid{Rows: 1 << 40, Cols: 1 << 40}, false}, // the tile count overflows int
 	} {
-		if got := tc.g.SetSupported(); got != tc.want {
-			t.Fatalf("SetSupported(%dx%d) = %v, want %v", tc.g.Rows, tc.g.Cols, got, tc.want)
+		if got := tc.g.Validate() == nil; got != tc.want {
+			t.Fatalf("Validate(%dx%d) ok = %v, want %v", tc.g.Rows, tc.g.Cols, got, tc.want)
+		}
+		g, err := NewGrid(tc.g.Rows, tc.g.Cols)
+		if (err == nil) != tc.want {
+			t.Fatalf("NewGrid(%d, %d) = %v, want ok %v", tc.g.Rows, tc.g.Cols, err, tc.want)
+		}
+		if tc.want && g != tc.g {
+			t.Fatalf("NewGrid(%d, %d) = %+v", tc.g.Rows, tc.g.Cols, g)
 		}
 	}
 }
@@ -177,9 +187,6 @@ func FuzzTileSetVsMap(f *testing.F) {
 			}
 		}
 		g := Grid{Rows: int(rows8)%16 + 1, Cols: int(cols8)%16 + 1}
-		if !g.SetSupported() {
-			t.Skip("grid outside TileSet capacity")
-		}
 		// Clamp the FoV into the domain FoVTiles is defined on; the y
 		// coordinates just need to be finite (TileAt clamps rows).
 		hFoV = math.Mod(math.Abs(hFoV), 361)

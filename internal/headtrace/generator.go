@@ -290,16 +290,3 @@ func targetY(trajs []trajectory, j, i int, off, roamY float64, wanderer bool) fl
 	}
 	return trajs[j].y[i] + off
 }
-
-// GenerateAll produces datasets for every video in the catalog.
-func GenerateAll(cfg GeneratorConfig, seed int64) (map[int]*Dataset, error) {
-	out := make(map[int]*Dataset)
-	for _, p := range video.Catalog() {
-		ds, err := Generate(p, cfg, seed)
-		if err != nil {
-			return nil, fmt.Errorf("headtrace: video %d: %w", p.ID, err)
-		}
-		out[p.ID] = ds
-	}
-	return out, nil
-}

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-
-	"ptile360/internal/geom"
 )
 
 // WriteCSV serializes traces in the dataset layout of the MMSys'17 dataset:
@@ -39,66 +37,4 @@ func WriteCSV(w io.Writer, traces []*Trace) error {
 		return fmt.Errorf("headtrace: flush: %w", err)
 	}
 	return bw.Flush()
-}
-
-// ReadCSV parses traces written by WriteCSV, reassembling per-(user, video)
-// sample streams in row order.
-func ReadCSV(r io.Reader) ([]*Trace, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 5
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("headtrace: read header: %w", err)
-	}
-	if header[0] != "user" || header[2] != "t" {
-		return nil, fmt.Errorf("headtrace: unexpected header %v", header)
-	}
-	type key struct{ user, video int }
-	order := make([]key, 0)
-	byKey := make(map[key]*Trace)
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("headtrace: line %d: %w", line, err)
-		}
-		user, err := strconv.Atoi(rec[0])
-		if err != nil {
-			return nil, fmt.Errorf("headtrace: line %d: bad user %q", line, rec[0])
-		}
-		vid, err := strconv.Atoi(rec[1])
-		if err != nil {
-			return nil, fmt.Errorf("headtrace: line %d: bad video %q", line, rec[1])
-		}
-		t, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("headtrace: line %d: bad timestamp %q", line, rec[2])
-		}
-		yaw, err := strconv.ParseFloat(rec[3], 64)
-		if err != nil {
-			return nil, fmt.Errorf("headtrace: line %d: bad yaw %q", line, rec[3])
-		}
-		pitch, err := strconv.ParseFloat(rec[4], 64)
-		if err != nil {
-			return nil, fmt.Errorf("headtrace: line %d: bad pitch %q", line, rec[4])
-		}
-		k := key{user, vid}
-		tr, ok := byKey[k]
-		if !ok {
-			tr = &Trace{UserID: user, VideoID: vid}
-			byKey[k] = tr
-			order = append(order, k)
-		}
-		tr.Samples = append(tr.Samples, Sample{
-			T: t,
-			O: geom.Orientation{Yaw: yaw, Pitch: pitch}.Normalize(),
-		})
-	}
-	out := make([]*Trace, 0, len(order))
-	for _, k := range order {
-		out = append(out, byKey[k])
-	}
-	return out, nil
 }

@@ -182,19 +182,6 @@ func (tr *Trace) segmentSpeedsInto(dst []float64, segIdx int, segSec float64) ([
 	return speeds, nil
 }
 
-// SegmentSwitchingSpeed returns the mean switching speed during segment
-// segIdx.
-func (tr *Trace) SegmentSwitchingSpeed(segIdx int, segSec float64) (float64, error) {
-	speeds, err := tr.segmentSpeeds(segIdx, segSec)
-	if err != nil {
-		return 0, err
-	}
-	if len(speeds) == 0 {
-		return 0, nil
-	}
-	return stats.Mean(speeds), nil
-}
-
 // SegmentPeakSpeed returns the peak (98th-percentile) switching speed within
 // segment segIdx — the S_fov fed into the Eq. 4 sensitivity α. The peak
 // (rather than the mean) captures whether the segment contains a fast view

@@ -244,45 +244,6 @@ func WriteCSV(w io.Writer, t *Trace) error {
 	return bw.Flush()
 }
 
-// ReadCSV parses a trace written by WriteCSV.
-func ReadCSV(r io.Reader) (*Trace, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 2
-	if _, err := cr.Read(); err != nil {
-		return nil, fmt.Errorf("lte: read header: %w", err)
-	}
-	out := &Trace{IntervalSec: 1}
-	var prevT float64
-	first := true
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("lte: line %d: %w", line, err)
-		}
-		ts, err := strconv.ParseFloat(rec[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("lte: line %d: bad timestamp %q", line, rec[0])
-		}
-		b, err := strconv.ParseFloat(rec[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("lte: line %d: bad bandwidth %q", line, rec[1])
-		}
-		if !first && ts > prevT {
-			out.IntervalSec = ts - prevT
-		}
-		prevT = ts
-		first = false
-		out.Bps = append(out.Bps, b)
-	}
-	if err := out.Validate(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Profile names a mobility scenario with distinct LTE dynamics, following
 // the drive-test taxonomy of the 4G dataset the paper's trace descends
 // from [27].

@@ -2,8 +2,10 @@ package lte
 
 import (
 	"bytes"
+	"encoding/csv"
 	"math"
-	"strings"
+	"slices"
+	"strconv"
 	"testing"
 )
 
@@ -189,6 +191,8 @@ func TestTraceValidate(t *testing.T) {
 	}
 }
 
+// TestCSVRoundTrip checks WriteCSV's layout: a t,bps header, then one row
+// per interval, its start time at three decimals and its rate in whole bit/s.
 func TestCSVRoundTrip(t *testing.T) {
 	tr, err := Generate(50, DefaultGeneratorConfig(), 3)
 	if err != nil {
@@ -198,30 +202,21 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(&buf)
+	rows, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Bps) != len(tr.Bps) || back.IntervalSec != tr.IntervalSec {
-		t.Fatalf("round trip shape: %d/%g vs %d/%g", len(back.Bps), back.IntervalSec, len(tr.Bps), tr.IntervalSec)
+	if len(rows) != 1+len(tr.Bps) || !slices.Equal(rows[0], []string{"t", "bps"}) {
+		t.Fatalf("%d rows under header %v, want %d under [t bps]", len(rows)-1, rows[0], len(tr.Bps))
 	}
-	for i := range tr.Bps {
-		if math.Abs(back.Bps[i]-tr.Bps[i]) > 1 {
-			t.Fatalf("sample %d: %g vs %g", i, back.Bps[i], tr.Bps[i])
+	for i, b := range tr.Bps {
+		row := rows[1+i]
+		if want := strconv.FormatFloat(float64(i)*tr.IntervalSec, 'f', 3, 64); row[0] != want {
+			t.Fatalf("row %d time %q, want %q", i, row[0], want)
 		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"t,bps\nbad,100\n",
-		"t,bps\n0,bad\n",
-		"t,bps\n0,0\n", // non-positive bandwidth fails Validate
-	}
-	for i, c := range cases {
-		if _, err := ReadCSV(strings.NewReader(c)); err == nil {
-			t.Fatalf("case %d accepted", i)
+		got, err := strconv.ParseFloat(row[1], 64)
+		if err != nil || math.Abs(got-b) > 0.5 {
+			t.Fatalf("row %d rate %q, want %.0f", i, row[1], b)
 		}
 	}
 }

@@ -140,28 +140,18 @@ func (v View) CoveredTiles(grid geom.Grid, stride int) ([]geom.TileID, error) {
 	if stride <= 0 {
 		return nil, fmt.Errorf("projection: non-positive stride %d", stride)
 	}
-	m := v.mapper()
-	var out []geom.TileID
-	if grid.SetSupported() {
-		// Bitset dedup: first-seen append order, no per-view map.
-		var seen geom.TileSet
-		for py := 0; py < v.Height; py += stride {
-			for px := 0; px < v.Width; px += stride {
-				id := grid.TileAt(m.coord(px, py))
-				if idx := grid.Index(id); !seen.Contains(idx) {
-					seen.Add(idx)
-					out = append(out, id)
-				}
-			}
-		}
-		return out, nil
+	if err := grid.Validate(); err != nil {
+		return nil, err
 	}
-	seen := make(map[geom.TileID]bool)
+	m := v.mapper()
+	// Bitset dedup: first-seen append order, no per-view map.
+	var out []geom.TileID
+	var seen geom.TileSet
 	for py := 0; py < v.Height; py += stride {
 		for px := 0; px < v.Width; px += stride {
 			id := grid.TileAt(m.coord(px, py))
-			if !seen[id] {
-				seen[id] = true
+			if idx := grid.Index(id); !seen.Contains(idx) {
+				seen.Add(idx)
 				out = append(out, id)
 			}
 		}

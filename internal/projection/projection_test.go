@@ -176,6 +176,9 @@ func TestCoveredTilesValidation(t *testing.T) {
 	if _, err := bad.CoveredTiles(grid, 1); err == nil {
 		t.Fatal("want view validation error")
 	}
+	if _, err := v.CoveredTiles(geom.Grid{Rows: 12, Cols: 24}, 1); err == nil {
+		t.Fatal("want error for a 288-tile grid")
+	}
 }
 
 func TestOversamplingRatio(t *testing.T) {

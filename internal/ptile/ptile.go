@@ -46,8 +46,8 @@ func DefaultConfig() (Config, error) {
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
-	if c.Grid.Rows <= 0 || c.Grid.Cols <= 0 {
-		return fmt.Errorf("ptile: invalid grid %dx%d", c.Grid.Rows, c.Grid.Cols)
+	if err := c.Grid.Validate(); err != nil {
+		return err
 	}
 	if c.FoVDeg <= 0 || c.FoVDeg > 180 {
 		return fmt.Errorf("ptile: FoV %g outside (0, 180]", c.FoVDeg)
@@ -69,18 +69,13 @@ type Ptile struct {
 
 // Covers reports whether the viewer's snapped FoV tile block lies entirely
 // within the Ptile, i.e. whether downloading this Ptile serves the viewer.
+// An invalid grid (geom.Grid.Validate) covers nothing.
 func (p Ptile) Covers(g geom.Grid, center geom.Point, fovDeg float64) bool {
-	if lut := geom.FoVLUTFor(g, fovDeg, fovDeg); lut != nil {
-		// Same per-tile predicate, but the FoV block comes from the shared
-		// LUT instead of an allocating FoVTiles call.
-		for _, id := range lut.TilesAt(center) {
-			if !rectContainsTile(p.Rect, g, id) {
-				return false
-			}
-		}
-		return true
+	lut := geom.FoVLUTFor(g, fovDeg, fovDeg)
+	if lut == nil {
+		return false
 	}
-	for _, id := range g.FoVTiles(center, fovDeg, fovDeg) {
+	for _, id := range lut.TilesAt(center) {
 		if !rectContainsTile(p.Rect, g, id) {
 			return false
 		}
@@ -151,31 +146,14 @@ func BuildSegmentClusters(centers []geom.Point, clusters []cluster.Cluster, cfg 
 }
 
 // buildPtile encodes the conventional tiles covering the cluster members'
-// FoV blocks as one large tile. With a LUT the tile union is a few word-ORs
-// and the bounding rect is computed from the mask; the result is identical
-// because BoundingRect depends only on the tile membership, not its order.
+// FoV blocks as one large tile: their union is a few word-ORs of the LUT's
+// masks, and the bounding rect is computed from the union.
 func buildPtile(centers []geom.Point, members []int, cfg Config, lut *geom.FoVLUT) (Ptile, error) {
-	var rect geom.Rect
-	var err error
-	if lut != nil {
-		var union geom.TileSet
-		for _, m := range members {
-			union.Union(lut.SetAt(centers[m]))
-		}
-		rect, err = cfg.Grid.BoundingRectOfSet(union)
-	} else {
-		seen := make(map[geom.TileID]bool)
-		var tiles []geom.TileID
-		for _, m := range members {
-			for _, id := range cfg.Grid.FoVTiles(centers[m], cfg.FoVDeg, cfg.FoVDeg) {
-				if !seen[id] {
-					seen[id] = true
-					tiles = append(tiles, id)
-				}
-			}
-		}
-		rect, err = cfg.Grid.BoundingRect(tiles)
+	var union geom.TileSet
+	for _, m := range members {
+		union.Union(lut.SetAt(centers[m]))
 	}
+	rect, err := cfg.Grid.BoundingRectOfSet(union)
 	if err != nil {
 		return Ptile{}, fmt.Errorf("ptile: bounding cluster of %d users: %w", len(members), err)
 	}

@@ -30,6 +30,7 @@ func TestDefaultConfig(t *testing.T) {
 func TestConfigValidate(t *testing.T) {
 	muts := []func(*Config){
 		func(c *Config) { c.Grid.Rows = 0 },
+		func(c *Config) { c.Grid = geom.Grid{Rows: 12, Cols: 24} }, // 288 tiles
 		func(c *Config) { c.FoVDeg = 0 },
 		func(c *Config) { c.FoVDeg = 200 },
 		func(c *Config) { c.MinUsers = 0 },
@@ -170,6 +171,11 @@ func TestCoversRejectsOutsideViewer(t *testing.T) {
 	pt := res.Ptiles[0]
 	if pt.Covers(cfg.Grid, geom.Point{X: 280, Y: 90}, cfg.FoVDeg) {
 		t.Fatal("Ptile should not cover a viewer on the opposite side")
+	}
+	// An invalid grid has no FoV LUT, so nothing on it covers a viewer.
+	whole := Ptile{Rect: geom.Rect{W: 360, H: 180}}
+	if whole.Covers(geom.Grid{Rows: 12, Cols: 24}, geom.Point{X: 90, Y: 90}, cfg.FoVDeg) {
+		t.Fatal("a Ptile on a 288-tile grid covers a viewer")
 	}
 }
 

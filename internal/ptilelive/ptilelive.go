@@ -268,16 +268,6 @@ func (p *Pipeline) Rebuild(video int) (Build, error) {
 	return b, nil
 }
 
-// LastRebuild returns the wall time of the most recent Rebuild pass and
-// whether one has run yet.
-func (p *Pipeline) LastRebuild() (time.Time, bool) {
-	ns := p.lastRebuild.Load()
-	if ns == 0 {
-		return time.Time{}, false
-	}
-	return time.Unix(0, ns), true
-}
-
 // RebuildAge returns the time since the last Rebuild pass, or -1 before the
 // first one — the /healthz rebuild-staleness field.
 func (p *Pipeline) RebuildAge() time.Duration {

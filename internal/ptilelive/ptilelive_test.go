@@ -6,12 +6,9 @@ import (
 	"testing"
 
 	"ptile360/internal/cluster"
-	"ptile360/internal/fleet"
 	"ptile360/internal/geom"
 	"ptile360/internal/headtrace"
-	"ptile360/internal/lte"
 	"ptile360/internal/obs"
-	"ptile360/internal/power"
 	"ptile360/internal/ptile"
 	"ptile360/internal/ptilelive"
 	"ptile360/internal/sim"
@@ -269,63 +266,5 @@ func TestApplyToCatalog(t *testing.T) {
 	}
 	if !reflect.DeepEqual(next.Content, base.Content) || !reflect.DeepEqual(next.Ftiles, base.Ftiles) {
 		t.Fatal("content/Ftiles must be shared with the base")
-	}
-}
-
-// TestFleetFeedsPipeline: the fleet engine's ViewportSink is the ingest
-// path — every completed segment reports exactly one viewing center.
-func TestFleetFeedsPipeline(t *testing.T) {
-	cat, eval := catalogFixture(t)
-	scfg, err := sim.DefaultConfig(sim.SchemeOurs, power.Pixel3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lcfg, err := lte.ProfileConfig(lte.ProfileStationary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := lte.Generate(120, lcfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := ptilelive.New(pipeConfig(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := make([]fleet.SessionSpec, 12)
-	for i := range specs {
-		specs[i] = fleet.SessionSpec{
-			User:    eval[i%len(eval)],
-			Net:     net,
-			JoinSec: 0.25 * float64(i%5),
-		}
-	}
-	eng, err := fleet.New(fleet.Config{
-		Catalog: cat,
-		Sim:     scfg,
-		Shards:  3,
-		ViewportSink: func(session, segment int, center geom.Point) {
-			p.Ingest(ptilelive.Report{Video: cat.Video.ID, Segment: segment, Center: center})
-		},
-	}, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	led := eng.Ledger()
-	if led.Segments == 0 {
-		t.Fatal("fleet completed no segments")
-	}
-	b, err := p.Rebuild(cat.Video.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Reports != int64(led.Segments) {
-		t.Fatalf("pipeline saw %d reports, fleet completed %d segments", b.Reports, led.Segments)
-	}
-	if len(b.Segments) == 0 {
-		t.Fatal("no segment windows built from fleet telemetry")
 	}
 }

@@ -25,13 +25,8 @@ type segmentPlan struct {
 	// without one).
 	chosenPtile *ptile.Ptile
 	ptile       int
-	// hqTiles is the high-quality grid-tile set (Ctile and fallback). On the
-	// LUT path it aliases the shared FoVLUT slice — read-only.
-	hqTiles []geom.TileID
-	// hqSet is the bitset form of hqTiles, valid when hasHQSet (grids that
-	// fit a TileSet); coverage is then counted with popcounts.
-	hqSet    geom.TileSet
-	hasHQSet bool
+	// hqSet is the high-quality grid-tile set (Ctile and fallback).
+	hqSet geom.TileSet
 	// hqGroups marks the high-quality Ftile groups by index, valid when
 	// hasHQGroups. The slice is recycled across plans.
 	hqGroups    []bool
@@ -96,9 +91,7 @@ func (s *session) planBuf(slot int) *segmentPlan {
 	p.options = nil
 	p.chosenPtile = nil
 	p.ptile = -1
-	p.hqTiles = nil
 	p.hqSet = geom.TileSet{}
-	p.hasHQSet = false
 	p.hqGroups = p.hqGroups[:0]
 	p.hasHQGroups = false
 	p.fallback = false
@@ -181,10 +174,8 @@ func (s *session) procPower(scheme power.Scheme, f float64) (float64, error) {
 // quality, one option per v at the source frame rate.
 func (s *session) ctilePlan(k, slot int, predCenter geom.Point, speedEst float64, sc video.SegmentContent) (*segmentPlan, error) {
 	plan := s.planBuf(slot)
-	plan.hqTiles = s.fovTiles(predCenter)
-	if s.lut != nil {
-		plan.hqSet, plan.hasHQSet = s.lut.SetAt(predCenter), true
-	}
+	plan.hqSet = s.lut.SetAt(predCenter)
+	nHQ := plan.hqSet.Count()
 	proc, err := s.procPower(power.Ctile, s.fm)
 	if err != nil {
 		return nil, err
@@ -195,7 +186,7 @@ func (s *session) ctilePlan(k, slot int, predCenter geom.Point, speedEst float64
 	}
 	plan.options = s.optionBuf(slot, numQualities)
 	for v := video.MinQuality; v <= video.MaxQuality; v++ {
-		bits, err := s.ctileBits(k, v, len(plan.hqTiles))
+		bits, err := s.ctileBits(k, v, nHQ)
 		if err != nil {
 			return nil, err
 		}
@@ -214,29 +205,10 @@ func (s *session) ftilePlan(k, slot int, predCenter geom.Point, speedEst float64
 	groups := s.cat.Ftiles[k]
 	plan := s.planBuf(slot)
 	hq := plan.hqGroups
-	if s.lut != nil && s.tab != nil && s.tab.setsOK {
-		// Mask path: a group is high-quality iff its tile mask meets the
-		// FoV mask — the same membership test as the map loop below.
-		fovSet := s.lut.SetAt(predCenter)
-		for gi := range groups {
-			hq = append(hq, s.tab.ftileSets[k][gi].Intersects(fovSet))
-		}
-	} else {
-		fov := s.fovTiles(predCenter)
-		inFoV := make(map[geom.TileID]bool, len(fov))
-		for _, id := range fov {
-			inFoV[id] = true
-		}
-		for _, g := range groups {
-			in := false
-			for _, id := range g.Tiles {
-				if inFoV[id] {
-					in = true
-					break
-				}
-			}
-			hq = append(hq, in)
-		}
+	// A group is high-quality iff its tile mask meets the FoV mask.
+	fovSet := s.lut.SetAt(predCenter)
+	for gi := range groups {
+		hq = append(hq, fovSet.Intersects(s.ftileSet(k, gi)))
 	}
 	plan.hqGroups = hq
 	plan.hasHQGroups = true
@@ -374,22 +346,12 @@ func (s *session) coveringPtile(k int, center geom.Point) (*ptile.Ptile, int) {
 	var best *ptile.Ptile
 	bestIdx := -1
 	bestArea := math.Inf(1)
-	// Mask path: "every FoV tile center inside the rect" is exactly
-	// "FoV mask ⊆ rect-coverage mask", with both masks precomputed.
-	useSets := s.lut != nil && s.tab != nil && s.tab.setsOK
-	var fovSet geom.TileSet
-	if useSets {
-		fovSet = s.lut.SetAt(center)
-	}
+	// "Every FoV tile center inside the rect" is exactly "FoV mask ⊆
+	// rect-coverage mask".
+	fovSet := s.lut.SetAt(center)
 	for i := range s.cat.Ptiles[k] {
 		pt := &s.cat.Ptiles[k][i]
-		var covers bool
-		if useSets {
-			covers = s.tab.ptileSets[k][i].ContainsAll(fovSet)
-		} else {
-			covers = pt.Covers(s.cfg.Grid, center, s.cfg.FoVDeg)
-		}
-		if covers && pt.Rect.Area() < bestArea {
+		if mask := s.ptileSet(k, i); mask.ContainsAll(fovSet) && pt.Rect.Area() < bestArea {
 			best, bestIdx, bestArea = pt, i, pt.Rect.Area()
 		}
 	}
@@ -461,56 +423,19 @@ func (s *session) coverageFraction(k int, plan *segmentPlan, actual geom.Point) 
 	if s.cfg.Scheme == SchemeNontile {
 		return 1
 	}
-	fov := s.fovTiles(actual)
-	if len(fov) == 0 {
-		return 0
-	}
-	covered := 0
+	fov := s.lut.SetAt(actual)
+	var hq geom.TileSet
 	switch {
 	case plan.chosenPtile != nil:
-		for _, id := range fov {
-			if plan.chosenPtile.Rect.Contains(s.cfg.Grid.TileRect(id).Center()) {
-				covered++
-			}
-		}
+		hq = s.ptileSet(k, plan.ptile)
 	case plan.hasHQGroups:
-		if s.lut != nil && s.tab != nil && s.tab.setsOK {
-			var inHQ geom.TileSet
-			for gi := range s.cat.Ftiles[k] {
-				if plan.hqGroups[gi] {
-					inHQ.Union(s.tab.ftileSets[k][gi])
-				}
-			}
-			covered = inHQ.CountIn(s.lut.SetAt(actual))
-		} else {
-			inHQ := make(map[geom.TileID]bool)
-			for gi, g := range s.cat.Ftiles[k] {
-				if plan.hqGroups[gi] {
-					for _, id := range g.Tiles {
-						inHQ[id] = true
-					}
-				}
-			}
-			for _, id := range fov {
-				if inHQ[id] {
-					covered++
-				}
+		for gi := range s.cat.Ftiles[k] {
+			if plan.hqGroups[gi] {
+				hq.Union(s.ftileSet(k, gi))
 			}
 		}
 	default:
-		if plan.hasHQSet {
-			covered = plan.hqSet.CountIn(s.lut.SetAt(actual))
-		} else {
-			have := make(map[geom.TileID]bool, len(plan.hqTiles))
-			for _, id := range plan.hqTiles {
-				have[id] = true
-			}
-			for _, id := range fov {
-				if have[id] {
-					covered++
-				}
-			}
-		}
+		hq = plan.hqSet
 	}
-	return float64(covered) / float64(len(fov))
+	return float64(hq.CountIn(fov)) / float64(fov.Count())
 }

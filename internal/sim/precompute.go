@@ -68,10 +68,6 @@ type planTables struct {
 	// ptiles[k][i][v-1][fi] is Ptile i's version size at quality v and frame
 	// rate FrameRates[fi]: its rect's encode plus its background blocks.
 	ptiles [][][numQualities][]float64
-	// setsOK reports that the coverage masks below were built: the grid fits
-	// a geom.TileSet and every catalogue Ftile tile lies on it. When false
-	// the planners keep the per-tile predicate paths.
-	setsOK bool
 	// ptileSets[k][i] is Ptile i's rect-coverage mask (tiles whose centers
 	// the rect contains), so the covering-Ptile test is a subset check.
 	ptileSets [][]geom.TileSet
@@ -121,26 +117,8 @@ func (c *Catalog) buildPlanTables(cfg *Config) (*planTables, error) {
 		panoramaBits: make([][numQualities]float64, nSeg),
 		ftileBits:    make([][][numQualities]float64, nSeg),
 		ptiles:       make([][][numQualities][]float64, nSeg),
-	}
-	t.setsOK = cfg.Grid.SetSupported()
-	if t.setsOK {
-		// Guard against a catalogue built on a different grid: an out-of-range
-		// tile index would corrupt the masks, so any stray tile disables them.
-	rangeCheck:
-		for k := 0; k < nSeg; k++ {
-			for _, g := range c.Ftiles[k] {
-				for _, id := range g.Tiles {
-					if id.Row < 0 || id.Row >= cfg.Grid.Rows || id.Col < 0 || id.Col >= cfg.Grid.Cols {
-						t.setsOK = false
-						break rangeCheck
-					}
-				}
-			}
-		}
-	}
-	if t.setsOK {
-		t.ptileSets = make([][]geom.TileSet, nSeg)
-		t.ftileSets = make([][]geom.TileSet, nSeg)
+		ptileSets:    make([][]geom.TileSet, nSeg),
+		ftileSets:    make([][]geom.TileSet, nSeg),
 	}
 	for k := 0; k < nSeg; k++ {
 		sc := c.Content[k]
@@ -164,19 +142,9 @@ func (c *Catalog) buildPlanTables(cfg *Config) (*planTables, error) {
 
 		groups := c.Ftiles[k]
 		t.ftileBits[k] = make([][numQualities]float64, len(groups))
-		if t.setsOK {
-			t.ftileSets[k] = make([]geom.TileSet, len(groups))
-			for gi, g := range groups {
-				for _, id := range g.Tiles {
-					t.ftileSets[k][gi].Add(cfg.Grid.Index(id))
-				}
-			}
-			t.ptileSets[k] = make([]geom.TileSet, len(c.Ptiles[k]))
-			for pi := range c.Ptiles[k] {
-				t.ptileSets[k][pi] = cfg.Grid.RectCoverSet(c.Ptiles[k][pi].Rect)
-			}
-		}
+		t.ftileSets[k] = make([]geom.TileSet, len(groups))
 		for gi, g := range groups {
+			t.ftileSets[k][gi] = ftileMask(cfg.Grid, g)
 			for v := video.MinQuality; v <= video.MaxQuality; v++ {
 				fb, err := enc.RegionBits(g.AreaFrac, v, fm, video.KindFtile, cfg.SegmentSec, sc)
 				if err != nil {
@@ -187,12 +155,14 @@ func (c *Catalog) buildPlanTables(cfg *Config) (*planTables, error) {
 		}
 
 		t.ptiles[k] = make([][numQualities][]float64, len(c.Ptiles[k]))
+		t.ptileSets[k] = make([]geom.TileSet, len(c.Ptiles[k]))
 		for pi := range c.Ptiles[k] {
 			sizes, err := ptileVersionSizes(cfg, &c.Ptiles[k][pi], sc)
 			if err != nil {
 				return nil, err
 			}
 			t.ptiles[k][pi] = sizes
+			t.ptileSets[k][pi] = cfg.Grid.RectCoverSet(c.Ptiles[k][pi].Rect)
 		}
 	}
 	return t, nil

@@ -26,13 +26,14 @@ type Pricer struct {
 	cfg Config
 	cat *Catalog
 	tab *planTables
-	lut *geom.FoVLUT // nil on grids too large for a TileSet
+	lut *geom.FoVLUT
 	fm  float64
 }
 
 // NewPricer prices cat under cfg at the catalogue's own segment duration
 // (cfg.SegmentSec is replaced by cat.SegmentSec), resolving the plan tables
-// once and building them on first use.
+// once and building them on first use. Every Ftile tile of cat must lie on
+// cfg.Grid.
 func NewPricer(cat *Catalog, cfg Config) (*Pricer, error) {
 	if cat == nil || len(cat.Content) == 0 {
 		return nil, fmt.Errorf("sim: empty catalogue")
@@ -41,9 +42,18 @@ func NewPricer(cat *Catalog, cfg Config) (*Pricer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	for k, groups := range cat.Ftiles {
+		for _, g := range groups {
+			for _, id := range g.Tiles {
+				if id.Row < 0 || id.Row >= cfg.Grid.Rows || id.Col < 0 || id.Col >= cfg.Grid.Cols {
+					return nil, fmt.Errorf("sim: segment %d Ftile tile %+v off the %dx%d grid", k, id, cfg.Grid.Rows, cfg.Grid.Cols)
+				}
+			}
+		}
+	}
 	p := &Pricer{cfg: cfg, cat: cat, fm: cfg.Encoder.FrameRate, lut: geom.FoVLUTFor(cfg.Grid, cfg.FoVDeg, cfg.FoVDeg)}
-	// Without tables (determinism tests) every size is computed directly:
-	// the bit-identical serial reference path.
+	// Without tables (determinism tests) every size and coverage mask is
+	// computed directly: the bit-identical serial reference path.
 	if !disablePlanTables {
 		var err error
 		if p.tab, err = cat.tablesFor(&p.cfg); err != nil {
@@ -80,7 +90,8 @@ func (p *Pricer) Bits(k int, v video.Quality, f float64, pi int, center geom.Poi
 	case pi == -1 && !(math.Abs(center.X) <= maxCenterDeg && math.Abs(center.Y) <= maxCenterDeg):
 		return 0, fmt.Errorf("sim: viewport center (%g, %g) outside ±%g°", center.X, center.Y, float64(maxCenterDeg))
 	case pi == -1:
-		return p.ctileBits(k, v, len(p.fovTiles(center)))
+		fov := p.lut.SetAt(center)
+		return p.ctileBits(k, v, fov.Count())
 	case pi < 0 || pi >= len(p.cat.Ptiles[k]):
 		return 0, fmt.Errorf("sim: segment %d has no Ptile %d", k, pi)
 	case fi < 0:
@@ -91,15 +102,6 @@ func (p *Pricer) Bits(k int, v video.Quality, f float64, pi int, center geom.Poi
 		return 0, err
 	}
 	return sizes[int(v)-1][fi], nil
-}
-
-// fovTiles returns the conventional FoV tile block for a viewer at center.
-// On the LUT path the slice is shared: read-only.
-func (p *Pricer) fovTiles(center geom.Point) []geom.TileID {
-	if p.lut != nil {
-		return p.lut.TilesAt(center)
-	}
-	return p.cfg.Grid.FoVTiles(center, p.cfg.FoVDeg, p.cfg.FoVDeg)
 }
 
 // ctileBits is a conventional version of segment k: nHQ FoV grid tiles at
@@ -128,6 +130,34 @@ func (p *Pricer) ptileSizes(k, pi int) (*[numQualities][]float64, error) {
 	}
 	sizes, err := ptileVersionSizes(&p.cfg, &p.cat.Ptiles[k][pi], p.cat.Content[k])
 	return &sizes, err
+}
+
+// ptileSet returns Ptile pi of segment k's rect-coverage mask, the tiles
+// whose centers its rect contains: the table row, or, on the reference path,
+// computed directly.
+func (p *Pricer) ptileSet(k, pi int) geom.TileSet {
+	if p.tab != nil {
+		return p.tab.ptileSets[k][pi]
+	}
+	return p.cfg.Grid.RectCoverSet(p.cat.Ptiles[k][pi].Rect)
+}
+
+// ftileSet returns Ftile group gi of segment k's tile mask: the table row,
+// or, on the reference path, computed directly.
+func (p *Pricer) ftileSet(k, gi int) geom.TileSet {
+	if p.tab != nil {
+		return p.tab.ftileSets[k][gi]
+	}
+	return ftileMask(p.cfg.Grid, p.cat.Ftiles[k][gi])
+}
+
+// ftileMask is the mask of group g's tiles on grid.
+func ftileMask(grid geom.Grid, g FtileGroup) geom.TileSet {
+	var s geom.TileSet
+	for _, id := range g.Tiles {
+		s.Add(grid.Index(id))
+	}
+	return s
 }
 
 // ptileVersionSizes computes a Ptile's version sizes, sizes[v-1][fi] at

@@ -2,12 +2,14 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"ptile360/internal/geom"
 	"ptile360/internal/lte"
 	"ptile360/internal/netem"
 	"ptile360/internal/power"
+	"ptile360/internal/ptile"
 	"ptile360/internal/video"
 )
 
@@ -103,6 +105,75 @@ func TestPricerMatchesPlan(t *testing.T) {
 				if fallbacks == 0 || fallbacks == fetches {
 					t.Fatalf("%v: %d fallbacks of %d fetches; the sessions must price both kinds", scheme, fallbacks, fetches)
 				}
+			}
+		}
+	}
+}
+
+// TestPricerRejectsOffGridCatalogue: a catalogue with an Ftile tile off the
+// configured grid is an error when pricing or stepping starts, since that
+// tile's mask bit would name another tile or none.
+func TestPricerRejectsOffGridCatalogue(t *testing.T) {
+	fx := fixture(t)
+	ftiles := slices.Clone(fx.cat.Ftiles)
+	ftiles[0] = slices.Clone(ftiles[0])
+	ftiles[0][0].Tiles = append(slices.Clone(ftiles[0][0].Tiles), geom.TileID{Row: 4, Col: 0})
+	cat := &Catalog{
+		Video: fx.cat.Video, SegmentSec: fx.cat.SegmentSec, Content: fx.cat.Content,
+		Ptiles: fx.cat.Ptiles, Ftiles: ftiles, Coverage: fx.cat.Coverage,
+	}
+	cfg, err := DefaultConfig(SchemeFtile, power.Pixel3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewPricer(cat, cfg); err == nil {
+		t.Fatal("NewPricer accepted an Ftile tile in row 4 of a 4x8 grid")
+	}
+	if _, err := NewStepper(cat, cfg); err == nil {
+		t.Fatal("NewStepper accepted an Ftile tile in row 4 of a 4x8 grid")
+	}
+}
+
+// TestPlanTableMasksMatchDirect pins the tables' coverage masks to the ones
+// the direct reference path computes per call, for every Ptile and Ftile
+// group of every segment. The fixture holds one Ptile per segment, so two
+// more are added to each: a reference path reading another Ptile's mask
+// then shows.
+func TestPlanTableMasksMatchDirect(t *testing.T) {
+	fx := fixture(t)
+	ptiles := make([][]ptile.Ptile, len(fx.cat.Ptiles))
+	for k, pts := range fx.cat.Ptiles {
+		ptiles[k] = append(slices.Clone(pts),
+			ptile.Ptile{Rect: geom.Rect{X0: 315, Y0: 45, W: 135, H: 90}},
+			ptile.Ptile{Rect: geom.Rect{X0: 90, Y0: 0, W: 180, H: 135}})
+	}
+	cat := &Catalog{
+		Video: fx.cat.Video, SegmentSec: fx.cat.SegmentSec, Content: fx.cat.Content,
+		Ptiles: ptiles, Ftiles: fx.cat.Ftiles, Coverage: fx.cat.Coverage,
+	}
+	cfg, err := DefaultConfig(SchemeOurs, power.Pixel3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := NewPricer(cat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disablePlanTables = true
+	direct, err := NewPricer(cat, cfg)
+	disablePlanTables = false
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range cat.Content {
+		for i := range cat.Ptiles[k] {
+			if got, want := direct.ptileSet(k, i), tab.ptileSet(k, i); got != want {
+				t.Fatalf("segment %d Ptile %d: direct mask %v, table %v", k, i, got, want)
+			}
+		}
+		for gi := range cat.Ftiles[k] {
+			if got, want := direct.ftileSet(k, gi), tab.ftileSet(k, gi); got != want {
+				t.Fatalf("segment %d Ftile group %d: direct mask %v, table %v", k, gi, got, want)
 			}
 		}
 	}

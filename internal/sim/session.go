@@ -176,8 +176,8 @@ func (c Config) Validate() error {
 	if err := c.Encoder.Validate(); err != nil {
 		return err
 	}
-	if c.Grid.Rows <= 0 || c.Grid.Cols <= 0 {
-		return fmt.Errorf("sim: invalid grid")
+	if err := c.Grid.Validate(); err != nil {
+		return err
 	}
 	if c.FoVDeg <= 0 || c.FoVDeg > 180 {
 		return fmt.Errorf("sim: FoV %g outside (0, 180]", c.FoVDeg)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"ptile360/internal/geom"
 	"ptile360/internal/headtrace"
 	"ptile360/internal/lte"
 	"ptile360/internal/power"
@@ -147,6 +148,7 @@ func TestConfigValidateRejects(t *testing.T) {
 		func(c *Config) { c.Scheme = Scheme(99) },
 		func(c *Config) { c.Encoder.BaseDensity = 0 },
 		func(c *Config) { c.Grid.Rows = 0 },
+		func(c *Config) { c.Grid = geom.Grid{Rows: 12, Cols: 24} }, // 288 tiles
 		func(c *Config) { c.FoVDeg = 0 },
 		func(c *Config) { c.SegmentSec = 0 },
 		func(c *Config) { c.Horizon = 0 },

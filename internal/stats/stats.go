@@ -257,39 +257,6 @@ func FractionAbove(xs []float64, threshold float64) float64 {
 	return float64(n) / float64(len(xs))
 }
 
-// Histogram bins xs into nbins equal-width bins over [min, max] and returns
-// per-bin counts along with the bin edges (nbins+1 values).
-func Histogram(xs []float64, nbins int) (counts []int, edges []float64, err error) {
-	if len(xs) == 0 {
-		return nil, nil, ErrEmpty
-	}
-	if nbins <= 0 {
-		return nil, nil, fmt.Errorf("stats: nbins %d must be positive", nbins)
-	}
-	lo, _ := Min(xs)
-	hi, _ := Max(xs)
-	if lo == hi {
-		hi = lo + 1
-	}
-	counts = make([]int, nbins)
-	edges = make([]float64, nbins+1)
-	width := (hi - lo) / float64(nbins)
-	for i := range edges {
-		edges[i] = lo + float64(i)*width
-	}
-	for _, x := range xs {
-		b := int((x - lo) / width)
-		if b >= nbins {
-			b = nbins - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		counts[b]++
-	}
-	return counts, edges, nil
-}
-
 // Summary bundles descriptive statistics of one sample set.
 type Summary struct {
 	N              int

@@ -213,46 +213,6 @@ func TestFractionAbove(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	counts, edges, err := Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if err != nil {
-		t.Fatalf("Histogram: %v", err)
-	}
-	if len(counts) != 5 || len(edges) != 6 {
-		t.Fatalf("shapes: %d counts, %d edges", len(counts), len(edges))
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 10 {
-		t.Fatalf("histogram loses samples: total %d", total)
-	}
-	if edges[0] != 0 || edges[5] != 9 {
-		t.Fatalf("edges = %v", edges)
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	counts, _, err := Histogram([]float64{5, 5, 5}, 3)
-	if err != nil {
-		t.Fatalf("Histogram: %v", err)
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 3 {
-		t.Fatalf("constant-input histogram total = %d, want 3", total)
-	}
-	if _, _, err := Histogram(nil, 3); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("want ErrEmpty, got %v", err)
-	}
-	if _, _, err := Histogram([]float64{1}, 0); err == nil {
-		t.Fatal("want error for nbins = 0")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s, err := Summarize([]float64{1, 2, 3, 4, 5})
 	if err != nil {

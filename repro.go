@@ -24,7 +24,7 @@ func QuickScale() Scale { return experiments.QuickScale() }
 func SetMaxWorkers(n int) int { return experiments.SetMaxWorkers(n) }
 
 // ExperimentNames lists the table/figure identifiers accepted by
-// RunExperiment, in presentation order.
+// RunExperiment, sorted by name: the order "all" runs them in.
 func ExperimentNames() []string {
 	names := make([]string, 0, len(registry))
 	for name := range registry {
