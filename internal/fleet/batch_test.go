@@ -66,11 +66,12 @@ func TestBatchedPlannerMatchesSim(t *testing.T) {
 				}
 				led := eng.Ledger()
 				// Every join steps once and every segment completion
-				// steps again unless it retires the session instead.
+				// steps again unless it retires the session instead. Every
+				// session streams over a trace, so none steps scalar.
 				want := led.Joined + led.Segments - led.Finished
-				if steps := led.BatchLeaders + led.BatchReplays + led.BatchFallbacks; steps != want {
-					t.Fatalf("%s: batch counters %d don't cover the %d steps taken",
-						label, steps, want)
+				if steps := led.BatchLeaders + led.BatchReplays; steps != want || led.BatchFallbacks != 0 {
+					t.Fatalf("%s: batch counters %d (+%d fallbacks) don't cover the %d steps taken",
+						label, steps, led.BatchFallbacks, want)
 				}
 				if led.BatchReplays == 0 {
 					t.Fatalf("%s: batched planner never shared work: %+v", label, led)

@@ -83,12 +83,14 @@ type Ledger struct {
 	// Events counts every join, segment completion and leave:
 	// Joined + Segments + Finished.
 	Events int
-	// BatchLeaders, BatchReplays, and BatchFallbacks decompose the steps
-	// taken: full plans computed on behalf of a group, steps resolved by
-	// applying a leader's plan, and steps that could not be fingerprinted.
-	// Every join steps once and every segment completion steps again unless
-	// the session leaves, so between Advance calls Leaders + Replays +
-	// Fallbacks = Joined + Segments − Finished.
+	// BatchLeaders and BatchReplays decompose the steps taken: full plans
+	// computed on behalf of a (viewer, trace, segment) group, and steps
+	// resolved by applying a leader's plan. Every join steps once and every
+	// segment completion steps again unless the session leaves, so between
+	// Advance calls Leaders + Replays = Joined + Segments − Finished.
+	// BatchFallbacks counts scalar steps, which only a non-trace link takes;
+	// every fleet session is bound to a bandwidth trace, so it reads 0. It
+	// stays because the benchmark harness reads it.
 	BatchLeaders   int
 	BatchReplays   int
 	BatchFallbacks int
@@ -144,9 +146,8 @@ type shard struct {
 	arena    []sim.State
 	arenaPos int
 
-	// The run of same-(time, kind) events being processed and the
-	// StepBatch workspace. Reused across runs.
-	scratch    *sim.BatchScratch
+	// The run of same-(time, kind) events being processed. Reused across
+	// runs.
 	runMembers []runMember
 	runStates  []*sim.State
 	runInfos   []sim.StepInfo
@@ -262,7 +263,6 @@ func New(cfg Config, specs []SessionSpec) (*Engine, error) {
 			states:  make([]*sim.State, n),
 			pending: make([]sim.StepInfo, n),
 			leave:   make([]int32, n),
-			scratch: sim.NewBatchScratch(),
 		}
 		if cfg.Flight != nil {
 			sh.flight = make([]*obs.FlightSession, n)
@@ -486,7 +486,7 @@ func (sh *shard) advanceRun(t float64, kind Kind) error {
 			sh.runInfos = make([]sim.StepInfo, len(sh.runStates))
 		}
 		sh.runInfos = sh.runInfos[:len(sh.runStates)]
-		stats, err := sh.stepper.StepBatch(sh.scratch, sh.runStates, sh.runInfos)
+		stats, err := sh.stepper.StepBatch(sh.runStates, sh.runInfos)
 		sh.led.BatchLeaders += stats.Leaders
 		sh.led.BatchReplays += stats.Replays
 		sh.led.BatchFallbacks += stats.Fallbacks

@@ -155,24 +155,42 @@ func TestFleetMatchesSim(t *testing.T) {
 		shards   int
 		profile  lte.Profile
 		seed     int64
+		// twoTraces replays the first half of the sessions on a second
+		// trace (seed+1): session i+n/2 has session i's viewer and join
+		// time. n/2 is a multiple of the shard count, so each such pair
+		// steps in one shard's batches, sharing viewer and segment and
+		// differing only in trace.
+		twoTraces bool
 	}{
 		// The ≤1k headline case at full scale, plus smaller scales covering
 		// the remaining seeds, mobility profiles, and controller families
 		// (rate-based Ptile/Ctile and the MPC-driven Ours).
-		{sim.SchemePtile, 1000, 8, lte.ProfileWalking, 11},
-		{sim.SchemePtile, 250, 4, lte.ProfileStationary, 23},
-		{sim.SchemePtile, 250, 3, lte.ProfileDriving, 37},
-		{sim.SchemeCtile, 120, 5, lte.ProfileStationary, 37},
-		{sim.SchemeOurs, 48, 4, lte.ProfileWalking, 11},
-		{sim.SchemeOurs, 48, 2, lte.ProfileDriving, 23},
+		{sim.SchemePtile, 1000, 8, lte.ProfileWalking, 11, false},
+		{sim.SchemePtile, 250, 4, lte.ProfileStationary, 23, false},
+		{sim.SchemePtile, 250, 3, lte.ProfileDriving, 37, false},
+		{sim.SchemeCtile, 120, 5, lte.ProfileStationary, 37, false},
+		{sim.SchemeOurs, 48, 4, lte.ProfileWalking, 11, false},
+		{sim.SchemeOurs, 48, 2, lte.ProfileDriving, 23, false},
+		{sim.SchemeOurs, 96, 2, lte.ProfileWalking, 29, true},
 	}
 	for _, tc := range cases {
 		name := fmt.Sprintf("%v/%v/seed=%d/n=%d", tc.scheme, tc.profile, tc.seed, tc.sessions)
+		if tc.twoTraces {
+			name += "/two-traces"
+		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			net := netFor(t, tc.profile, tc.seed)
+			nets := []*lte.Trace{netFor(t, tc.profile, tc.seed)}
 			cfg := simConfig(t, tc.scheme)
-			specs := specsFor(fx, net, tc.sessions)
+			specs := specsFor(fx, nets[0], tc.sessions)
+			if tc.twoTraces {
+				nets = append(nets, netFor(t, tc.profile, tc.seed+1))
+				half := tc.sessions / 2
+				for i := half; i < tc.sessions; i++ {
+					specs[i] = specs[i-half]
+					specs[i].Net = nets[1]
+				}
+			}
 			eng, err := New(Config{Catalog: fx.cat, Sim: cfg, Shards: tc.shards}, specs)
 			if err != nil {
 				t.Fatal(err)
@@ -181,19 +199,29 @@ func TestFleetMatchesSim(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// One blocking-loop reference per distinct viewer (the pool is
-			// tiny, every session cycling it must match its viewer's run).
-			refs := make(map[*headtrace.Trace]*sim.Result)
-			for _, u := range fx.eval {
-				ref, err := sim.Run(fx.cat, u, net, cfg)
-				if err != nil {
-					t.Fatal(err)
+			// One blocking-loop reference per distinct (viewer, trace) pair
+			// (the pool is tiny, every session cycling it must match its
+			// pair's run).
+			type pair struct {
+				user *headtrace.Trace
+				net  *lte.Trace
+			}
+			refs := make(map[pair]*sim.Result)
+			for _, net := range nets {
+				for _, u := range fx.eval {
+					ref, err := sim.Run(fx.cat, u, net, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					refs[pair{u, net}] = ref
 				}
-				refs[u] = ref
+			}
+			if len(nets) > 1 && reflect.DeepEqual(refs[pair{fx.eval[0], nets[0]}], refs[pair{fx.eval[0], nets[1]}]) {
+				t.Fatal("the two traces give one viewer identical sessions")
 			}
 			results := eng.Results()
 			for i, spec := range specs {
-				requireSameResult(t, fmt.Sprintf("session %d", i), results[i], refs[spec.User])
+				requireSameResult(t, fmt.Sprintf("session %d", i), results[i], refs[pair{spec.User, spec.Net}])
 			}
 
 			led := eng.Ledger()
@@ -203,9 +231,10 @@ func TestFleetMatchesSim(t *testing.T) {
 			wantSegs, wantStalls := 0, 0
 			wantStallSec := 0.0
 			for _, spec := range specs {
-				wantSegs += refs[spec.User].Segments
-				wantStalls += refs[spec.User].QoE.Stalls
-				wantStallSec += refs[spec.User].QoE.StallSec
+				ref := refs[pair{spec.User, spec.Net}]
+				wantSegs += ref.Segments
+				wantStalls += ref.QoE.Stalls
+				wantStallSec += ref.QoE.StallSec
 			}
 			if led.Segments != wantSegs {
 				t.Fatalf("ledger counted %d segments, references streamed %d", led.Segments, wantSegs)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"sync"
 	"testing"
@@ -13,12 +14,14 @@ import (
 	"ptile360/internal/headtrace"
 	"ptile360/internal/lte"
 	"ptile360/internal/power"
+	"ptile360/internal/ptilelive"
 	"ptile360/internal/sim"
 	"ptile360/internal/video"
 )
 
 type harness struct {
 	server *httptest.Server
+	srv    *Server
 	cat    *sim.Catalog
 	eval   []*headtrace.Trace
 }
@@ -68,7 +71,7 @@ func buildHarness() (*harness, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &harness{server: httptest.NewServer(srv), cat: cat, eval: eval}, nil
+	return &harness{server: httptest.NewServer(srv), srv: srv, cat: cat, eval: eval}, nil
 }
 
 func TestNewServerValidation(t *testing.T) {
@@ -200,6 +203,10 @@ func TestSegmentEndpointPtile(t *testing.T) {
 	if seg < 0 {
 		t.Fatal("no segment with a Ptile")
 	}
+	// A Ptile fetch reports the served Ptile's rect center.
+	rect := h.cat.Ptiles[seg][0].Rect
+	want := viewportReport{video: 2, segment: seg, x: rect.X0 + rect.W/2, y: rect.Y0 + rect.H/2}
+	rec := recordViewports(t, h)
 	resp, err := http.Get(h.server.URL + "/segment?video=2&seg=" + strconv.Itoa(seg) + "&q=4&f=27&ptile=0")
 	if err != nil {
 		t.Fatal(err)
@@ -226,6 +233,7 @@ func TestSegmentEndpointPtile(t *testing.T) {
 			t.Fatalf("body byte %d is %d, want %d", k, b, byte(k))
 		}
 	}
+	rec.require(t, want)
 
 	// A lower quality must be smaller.
 	resp2, err := http.Get(h.server.URL + "/segment?video=2&seg=" + strconv.Itoa(seg) + "&q=1&f=27&ptile=0")
@@ -240,10 +248,13 @@ func TestSegmentEndpointPtile(t *testing.T) {
 	if len(body2) >= len(body) {
 		t.Fatalf("q1 payload (%d) not smaller than q4 (%d)", len(body2), len(body))
 	}
+	rec.require(t, want, want)
+	rec.requireStopped(t, h, "/segment?video=2&seg="+strconv.Itoa(seg)+"&q=1&f=27&ptile=0")
 }
 
 func TestSegmentEndpointConventional(t *testing.T) {
 	h := newHarness(t)
+	rec := recordViewports(t, h)
 	resp, err := http.Get(h.server.URL + "/segment?video=2&seg=0&q=3&cx=180&cy=90")
 	if err != nil {
 		t.Fatal(err)
@@ -258,6 +269,116 @@ func TestSegmentEndpointConventional(t *testing.T) {
 	}
 	if n < 100_000 {
 		t.Fatalf("conventional segment too small: %d bytes", n)
+	}
+	// A conventional fetch reports the requested center.
+	rec.require(t, viewportReport{video: 2, segment: 0, x: 180, y: 90})
+	rec.requireStopped(t, h, "/segment?video=2&seg=0&q=3&cx=180&cy=90")
+}
+
+// viewportReport is one call of a ViewportSink.
+type viewportReport struct {
+	video, segment int
+	x, y           float64
+}
+
+// viewportRecorder is a ViewportSink that keeps every report. The server
+// calls it on request goroutines, so it locks.
+type viewportRecorder struct {
+	mu      sync.Mutex
+	reports []viewportReport
+}
+
+// recordViewports installs a fresh recorder as the harness server's sink
+// until the test ends.
+func recordViewports(t *testing.T, h *harness) *viewportRecorder {
+	t.Helper()
+	rec := &viewportRecorder{}
+	h.srv.SetViewportSink(func(video, segment int, x, y float64) {
+		rec.mu.Lock()
+		rec.reports = append(rec.reports, viewportReport{video, segment, x, y})
+		rec.mu.Unlock()
+	})
+	t.Cleanup(func() { h.srv.SetViewportSink(nil) })
+	return rec
+}
+
+// require checks the reports received so far, floats by exact equality.
+func (rec *viewportRecorder) require(t *testing.T, want ...viewportReport) {
+	t.Helper()
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if !reflect.DeepEqual(rec.reports, want) {
+		t.Fatalf("viewport reports %+v, want %+v", rec.reports, want)
+	}
+}
+
+// requireStopped clears the server's sink, fetches path once more, and
+// checks the recorder received nothing from it.
+func (rec *viewportRecorder) requireStopped(t *testing.T, h *harness, path string) {
+	t.Helper()
+	rec.mu.Lock()
+	before := len(rec.reports)
+	rec.mu.Unlock()
+	h.srv.SetViewportSink(nil)
+	resp, err := http.Get(h.server.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("fetch after clearing the sink: status %s, %v", resp.Status, err)
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if len(rec.reports) != before {
+		t.Fatalf("a cleared sink still received %+v", rec.reports[before:])
+	}
+}
+
+// TestViewportSinkFeedsPipeline wires the online Ptile pipeline in as the
+// server's sink, as cmd/ptileserver does, and streams one client session:
+// the pipeline must have ingested one report per segment served, and
+// rebuild exactly those segments.
+func TestViewportSinkFeedsPipeline(t *testing.T) {
+	h := newHarness(t)
+	pcfg, err := ptilelive.DefaultConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := ptilelive.New(pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.srv.SetViewportSink(pipe.IngestTelemetry)
+	t.Cleanup(func() { h.srv.SetViewportSink(nil) })
+	client, err := NewClient(ClientConfig{BaseURL: h.server.URL, Phone: power.Pixel3, MaxSegments: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := client.Stream(2, h.eval[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Without retries or abandons, the server served each segment once.
+	if report.TotalRetries != 0 || report.AbandonedSegments != 0 || len(report.Segments) != 8 {
+		t.Fatalf("session not clean: %d segments, %d retries, %d abandoned",
+			len(report.Segments), report.TotalRetries, report.AbandonedSegments)
+	}
+	b, err := pipe.Rebuild(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Reports != int64(len(report.Segments)) {
+		t.Fatalf("pipeline ingested %d reports for %d segments served", b.Reports, len(report.Segments))
+	}
+	// Each served segment's window was re-clustered from its report.
+	served := make([]int, len(report.Segments))
+	for i, ev := range report.Segments {
+		served[i] = ev.Segment
+	}
+	if !reflect.DeepEqual(b.Rebuilt, served) {
+		t.Fatalf("rebuild re-clustered segments %v, served %v", b.Rebuilt, served)
 	}
 }
 

@@ -104,7 +104,6 @@ func NewDelayGradient() *DelayGradient { return &DelayGradient{} }
 var (
 	_ Estimator      = (*DelayGradient)(nil)
 	_ PacketObserver = (*DelayGradient)(nil)
-	_ StateBits      = (*DelayGradient)(nil)
 )
 
 // ObservePacket implements PacketObserver: coalesce into arrival groups and
@@ -236,26 +235,3 @@ func (e *DelayGradient) Estimate() (float64, error) {
 
 // Ready implements Estimator.
 func (e *DelayGradient) Ready() bool { return e.ready }
-
-// AppendStateBits implements StateBits: every field that influences future
-// Estimate/Observe results, in fixed order.
-func (e *DelayGradient) AppendStateBits(dst []uint64) []uint64 {
-	b := func(v bool) uint64 {
-		if v {
-			return 1
-		}
-		return 0
-	}
-	dst = append(dst, uint64(EstimatorDelayGradient),
-		b(e.ready), b(e.overuse), b(e.groupOpen), b(e.havePrev),
-		math.Float64bits(e.rateBps),
-		math.Float64bits(e.groupFirstSend), math.Float64bits(e.groupLastSend), math.Float64bits(e.groupLastRecv),
-		math.Float64bits(e.prevLastSend), math.Float64bits(e.prevLastRecv),
-		math.Float64bits(e.accumDelay), math.Float64bits(e.smoothedDelay), math.Float64bits(e.firstArrival),
-		uint64(e.count), uint64(e.head), uint64(e.overruns))
-	for i := 0; i < e.count; i++ {
-		p := e.points[(e.head+trendWindow-e.count+i)%trendWindow]
-		dst = append(dst, math.Float64bits(p.arrival), math.Float64bits(p.delay))
-	}
-	return dst
-}

@@ -163,44 +163,58 @@ func TestDelayGradientIgnoresBadPackets(t *testing.T) {
 	}
 }
 
-// TestDelayGradientStateBitsDeterminism pins the fingerprint contract:
-// identical feeds produce identical words, and the words change when the
-// observable state changes.
-func TestDelayGradientStateBitsDeterminism(t *testing.T) {
-	mk := func() *DelayGradient {
-		e := NewDelayGradient()
-		e.Observe(10e6)
-		feedBloat(e, 1, 12)
-		return e
-	}
-	a, b := mk(), mk()
-	wa := a.AppendStateBits(nil)
-	wb := b.AppendStateBits(nil)
-	if len(wa) != len(wb) {
-		t.Fatalf("word counts diverge: %d vs %d", len(wa), len(wb))
-	}
-	for i := range wa {
-		if wa[i] != wb[i] {
-			t.Fatalf("word %d diverges: %x vs %x", i, wa[i], wb[i])
-		}
-	}
-	if wa[0] != uint64(EstimatorDelayGradient) {
-		t.Fatalf("first word %d, want kind %d", wa[0], EstimatorDelayGradient)
-	}
-	// Advancing one copy must change the fingerprint.
-	feedBloat(a, 5, 3)
-	wa2 := a.AppendStateBits(nil)
-	same := len(wa2) == len(wb)
-	if same {
-		for i := range wa2 {
-			if wa2[i] != wb[i] {
-				same = false
-				break
+// TestEstimatorsDeterministic pins the property sim.StepBatch groups on:
+// an estimator is a function of the calls it was fed. For every kind, two
+// estimators fed the same throughput samples — and, for a PacketObserver,
+// the same packets, flat-delay and bloating in turn — return
+// Float64bits-equal estimates after every call.
+func TestEstimatorsDeterministic(t *testing.T) {
+	rates := []float64{8e6, 12e6, 3e6, 10e6, 25e6, 1e300, 7e6, 9e6}
+	for _, kind := range allEstimatorKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			var pair [2]Estimator
+			for i := range pair {
+				e, err := NewEstimator(kind, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pair[i] = e
 			}
-		}
-	}
-	if same {
-		t.Fatal("fingerprint unchanged after new packet groups")
+			calls := 0
+			requireSame := func() {
+				t.Helper()
+				calls++
+				a, errA := pair[0].Estimate()
+				b, errB := pair[1].Estimate()
+				if (errA == nil) != (errB == nil) || math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("call %d: estimates diverge: %g (%v) vs %g (%v)", calls, a, errA, b, errB)
+				}
+			}
+			requireSame()
+			for seg, r := range rates {
+				if _, ok := pair[0].(PacketObserver); ok {
+					for g := 0; g < 10; g++ {
+						delay := 0.020
+						if seg%2 == 1 {
+							delay += 0.008 * float64(g)
+						}
+						for k := 0; k < 3; k++ {
+							ts := float64(seg) + float64(g)*0.010 + float64(k)*0.001
+							for _, e := range pair {
+								e.(PacketObserver).ObservePacket(ts, ts+delay, 1500)
+							}
+							requireSame()
+						}
+					}
+				}
+				for _, e := range pair {
+					if err := e.Observe(r); err != nil {
+						t.Fatal(err)
+					}
+				}
+				requireSame()
+			}
+		})
 	}
 }
 

@@ -21,29 +21,12 @@ type Estimator interface {
 	Ready() bool
 }
 
-// StateBits exposes an estimator's complete observable state as raw words,
-// for exact-equality fingerprinting: two estimators of the same kind whose
-// appended words are identical return bit-identical Estimate() values and
-// evolve bit-identically under the same Observe inputs. Batch planners
-// (internal/sim) group sessions by these words to share one decision across
-// provably identical residual states. The first appended word is the
-// EstimatorKind, so fingerprints of different families never collide.
-type StateBits interface {
-	// AppendStateBits appends the state fingerprint to dst and returns it.
-	AppendStateBits(dst []uint64) []uint64
-}
-
 // Compile-time interface checks.
 var (
 	_ Estimator = (*Bandwidth)(nil)
 	_ Estimator = (*LastSample)(nil)
 	_ Estimator = (*EWMA)(nil)
 	_ Estimator = (*MovingAverage)(nil)
-
-	_ StateBits = (*Bandwidth)(nil)
-	_ StateBits = (*LastSample)(nil)
-	_ StateBits = (*EWMA)(nil)
-	_ StateBits = (*MovingAverage)(nil)
 )
 
 // maxSaneRateBps caps believable throughput samples at 10 Tbit/s. Samples
@@ -100,15 +83,6 @@ func (e *LastSample) Estimate() (float64, error) {
 // Ready implements Estimator.
 func (e *LastSample) Ready() bool { return e.ready }
 
-// AppendStateBits implements StateBits.
-func (e *LastSample) AppendStateBits(dst []uint64) []uint64 {
-	r := uint64(0)
-	if e.ready {
-		r = 1
-	}
-	return append(dst, uint64(EstimatorLastSample), r, math.Float64bits(e.last))
-}
-
 // EWMA predicts with an exponentially weighted moving average, the classic
 // TCP-style smoother.
 type EWMA struct {
@@ -150,15 +124,6 @@ func (e *EWMA) Estimate() (float64, error) {
 
 // Ready implements Estimator.
 func (e *EWMA) Ready() bool { return e.ready }
-
-// AppendStateBits implements StateBits.
-func (e *EWMA) AppendStateBits(dst []uint64) []uint64 {
-	r := uint64(0)
-	if e.ready {
-		r = 1
-	}
-	return append(dst, uint64(EstimatorEWMA), r, math.Float64bits(e.alpha), math.Float64bits(e.value))
-}
 
 // MovingAverage predicts with the arithmetic mean over a sliding window —
 // smoother than last-sample but, unlike the harmonic mean, biased upward by
@@ -203,15 +168,6 @@ func (e *MovingAverage) Estimate() (float64, error) {
 
 // Ready implements Estimator.
 func (e *MovingAverage) Ready() bool { return len(e.samples) > 0 }
-
-// AppendStateBits implements StateBits.
-func (e *MovingAverage) AppendStateBits(dst []uint64) []uint64 {
-	dst = append(dst, uint64(EstimatorMovingAverage), uint64(e.window), uint64(len(e.samples)))
-	for _, s := range e.samples {
-		dst = append(dst, math.Float64bits(s))
-	}
-	return dst
-}
 
 // EstimatorKind names a bandwidth-estimator family for configuration.
 type EstimatorKind int

@@ -6,7 +6,6 @@ package predict
 
 import (
 	"fmt"
-	"math"
 
 	"ptile360/internal/geom"
 	"ptile360/internal/mat"
@@ -230,13 +229,3 @@ func (b *Bandwidth) Estimate() (float64, error) {
 
 // Ready reports whether at least one sample has been observed.
 func (b *Bandwidth) Ready() bool { return len(b.samples) > 0 }
-
-// AppendStateBits implements StateBits: the window plus every sample, in
-// window order.
-func (b *Bandwidth) AppendStateBits(dst []uint64) []uint64 {
-	dst = append(dst, uint64(EstimatorHarmonic), uint64(b.window), uint64(len(b.samples)))
-	for _, s := range b.samples {
-		dst = append(dst, math.Float64bits(s))
-	}
-	return dst
-}

@@ -8,17 +8,23 @@ import (
 )
 
 // newBatchDiffStates builds a mixed fleet of session states over the shared
-// fixture: three replicas of each eval viewer (replicas are the lockstep
-// groups the batch planner should collapse) with the replicas staggered to
-// different segment offsets so the batch always holds heterogeneous
-// progress.
+// fixture: four replicas of each eval viewer. Replicas 0 and 1 are the
+// lockstep groups the batch planner should collapse. Replica 2 is staggered
+// one segment ahead, so the batch always holds heterogeneous progress, and
+// replica 3 streams over the fixture's other trace, so every part of the
+// (viewer, trace, segment) group key separates some pair of sessions that
+// share the other two.
 func newBatchDiffStates(t *testing.T, st *Stepper) []*State {
 	t.Helper()
 	fx := fixture(t)
 	var states []*State
 	for _, user := range fx.eval[:4] {
-		for rep := 0; rep < 3; rep++ {
-			state, err := st.NewState(user, fx.trace)
+		for rep := 0; rep < 4; rep++ {
+			net := fx.trace
+			if rep == 3 {
+				net = fx.other
+			}
+			state, err := st.NewState(user, net)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,9 +69,7 @@ func TestStepBatchMatchesStep(t *testing.T) {
 		{"ours-qoe", SchemeOurs, true},
 	}
 	for _, tc := range cases {
-		// Groups rendezvous on a hash of the full signature words: the
-		// unquantized grouping this subtest's label has always named.
-		t.Run(tc.name+"/quant=false", func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := batchDiffConfig(t, tc.scheme, tc.qoeMPC)
 			batched, err := NewStepper(fx.cat, cfg)
 			if err != nil {
@@ -78,7 +82,6 @@ func TestStepBatchMatchesStep(t *testing.T) {
 			bStates := newBatchDiffStates(t, batched)
 			sStates := newBatchDiffStates(t, scalar)
 
-			sc := NewBatchScratch()
 			var total BatchStats
 			bInfos := make([]StepInfo, len(bStates))
 			for tick := 0; ; tick++ {
@@ -93,7 +96,7 @@ func TestStepBatchMatchesStep(t *testing.T) {
 				if len(live) == 0 {
 					break
 				}
-				stats, err := batched.StepBatch(sc, live, bInfos[:len(live)])
+				stats, err := batched.StepBatch(live, bInfos[:len(live)])
 				if err != nil {
 					t.Fatalf("tick %d: StepBatch: %v", tick, err)
 				}
@@ -135,11 +138,29 @@ func TestStepBatchMatchesStep(t *testing.T) {
 	}
 }
 
-// TestStepBatchFallback forces the no-fingerprint fallback and checks the
-// batch still advances every session bit-identically through scalar steps.
+// TestStepBatchFallback mixes sessions on netem paths, which step scalar,
+// into a batch of trace sessions: every session, fallback or grouped, must
+// advance bit-identically to a scalar Step, and the fallbacks must neither
+// join nor split the trace groups.
 func TestStepBatchFallback(t *testing.T) {
 	fx := fixture(t)
 	cfg := batchDiffConfig(t, SchemeOurs, false)
+	newStates := func(st *Stepper) []*State {
+		var states []*State
+		for i, state := range newBatchDiffStates(t, st) {
+			states = append(states, state)
+			if i%4 != 0 {
+				continue
+			}
+			// One netem session per viewer, right after its first replica.
+			ns, err := st.NewStateNetem(fx.eval[i/4], netemPath(t, "stable", int64(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			states = append(states, ns)
+		}
+		return states
+	}
 	batched, err := NewStepper(fx.cat, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -148,28 +169,29 @@ func TestStepBatchFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bStates := newBatchDiffStates(t, batched)
-	sStates := newBatchDiffStates(t, scalar)
+	bStates := newStates(batched)
+	sStates := newStates(scalar)
 
-	batchFingerprintDisabled = true
-	defer func() { batchFingerprintDisabled = false }()
-
-	sc := NewBatchScratch()
+	// Per viewer: replicas 0 and 1 share a group, replicas 2 and 3 lead
+	// their own, and the netem session falls back.
+	want := BatchStats{Leaders: 12, Replays: 4, Fallbacks: 4}
 	infos := make([]StepInfo, len(bStates))
-	stats, err := batched.StepBatch(sc, bStates, infos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Fallbacks != len(bStates) || stats.Leaders != 0 || stats.Replays != 0 {
-		t.Fatalf("want all-fallback stats, got %+v", stats)
-	}
-	for i, rs := range sStates {
-		want, err := scalar.Step(rs)
+	for tick := 0; tick < 4; tick++ {
+		stats, err := batched.StepBatch(bStates, infos)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("tick %d: StepBatch: %v", tick, err)
 		}
-		if infos[i] != want {
-			t.Fatalf("session %d: fallback StepInfo diverged: %+v vs %+v", i, infos[i], want)
+		if stats != want {
+			t.Fatalf("tick %d: stats %+v, want %+v", tick, stats, want)
+		}
+		for i, rs := range sStates {
+			ref, err := scalar.Step(rs)
+			if err != nil {
+				t.Fatalf("tick %d: scalar Step: %v", tick, err)
+			}
+			if infos[i] != ref {
+				t.Fatalf("tick %d session %d: StepInfo diverged\nbatch:  %+v\nscalar: %+v", tick, i, infos[i], ref)
+			}
 		}
 	}
 }
@@ -186,10 +208,7 @@ func TestStepBatchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.StepBatch(NewBatchScratch(), []*State{state}, nil); err == nil {
+	if _, err := st.StepBatch([]*State{state}, nil); err == nil {
 		t.Fatal("want error for mismatched infos length")
-	}
-	if _, err := st.StepBatch(nil, []*State{state}, make([]StepInfo, 1)); err == nil {
-		t.Fatal("want error for nil scratch")
 	}
 }

@@ -90,7 +90,6 @@ func BenchmarkStepBatch(b *testing.B) {
 			states := make([]State, stepBatchN)
 			batch := make([]*State, stepBatchN)
 			infos := make([]StepInfo, stepBatchN)
-			sc := NewBatchScratch()
 			restart := func() {
 				for i := range states {
 					user, net := bc.bind(i)
@@ -103,7 +102,7 @@ func BenchmarkStepBatch(b *testing.B) {
 			// Every session of the batch is at the same segment, so all
 			// finish together. A warm-up session grows the recycled buffers.
 			stepAll := func() {
-				if _, err := st.StepBatch(sc, batch, infos); err != nil {
+				if _, err := st.StepBatch(batch, infos); err != nil {
 					b.Fatal(err)
 				}
 				if infos[0].Done {

@@ -16,9 +16,11 @@ import (
 // session tests: video 2 (shortest focused video), 16 users, a 300 s LTE
 // trace.
 type testFixture struct {
-	cat   *Catalog
-	eval  []*headtrace.Trace
-	trace *lte.Trace
+	cat  *Catalog
+	eval []*headtrace.Trace
+	// trace is trace 2 of lte.StandardTraces(300, 99), and other is its
+	// trace 1.
+	trace, other *lte.Trace
 }
 
 // The fixture is shared package-wide (notably by the stress tests); build
@@ -62,11 +64,11 @@ func buildFixture() (*testFixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, tr2, err := lte.StandardTraces(300, 99)
+	tr1, tr2, err := lte.StandardTraces(300, 99)
 	if err != nil {
 		return nil, err
 	}
-	return &testFixture{cat: cat, eval: eval, trace: tr2}, nil
+	return &testFixture{cat: cat, eval: eval, trace: tr2, other: tr1}, nil
 }
 
 func TestBuildCatalogShape(t *testing.T) {

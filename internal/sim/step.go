@@ -21,9 +21,9 @@ import (
 //
 //   - Stepper carries everything shared by sessions of one
 //     (catalogue, config) pair — power model, controllers, plan tables, FoV
-//     LUT — plus the recycled planning scratch. It is the expensive part
-//     (kilobytes of DP and plan buffers) and exists once per worker, not
-//     once per session.
+//     LUT — plus the recycled planning scratch and StepBatch's group table.
+//     It is the expensive part (kilobytes of DP and plan buffers) and exists
+//     once per worker, not once per session.
 //   - State is the compact persistent state of one viewer: clocks, buffer,
 //     download link, bandwidth-estimator window, previous-choice memory, and
 //     the running accounting sums. It is a few hundred bytes, so a million
@@ -34,9 +34,10 @@ import (
 // controller decision, the download, and the segment's Eq. 1 energy and
 // Eq. 2 QoE. apply writes a delta into a State and is the only code that
 // mutates a bound State. Step is compute followed by apply; StepBatch
-// (batch.go) computes once per group of identical states and applies the
-// group's delta to every member. Run is NewStepper + NewState + a Step loop,
-// so the blocking path and the event-driven path execute the same code.
+// (batch.go) computes once per group of sessions with the same (viewer,
+// bandwidth trace, next segment) and applies the group's delta to every
+// member. Run is NewStepper + NewState + a Step loop, so the blocking path
+// and the event-driven path execute the same code.
 
 // Stepper advances resumable sessions of one (catalogue, config) pair. It
 // owns mutable planning scratch, so it must not be shared by concurrent
@@ -50,6 +51,10 @@ type Stepper struct {
 	// fleet joining many sessions onto a shared trace scans it once, not
 	// once per join. Traces are immutable by contract after first use.
 	netSeen map[*lte.Trace]struct{}
+	// groups maps each StepBatch group key to its delta in deltas; both are
+	// recycled from one StepBatch call to the next.
+	groups map[batchKey]int32
+	deltas []stepDelta
 }
 
 // State is the compact persistent state of one resumable session. Create
@@ -60,8 +65,9 @@ type State struct {
 	user *headtrace.Trace
 	// link is the download path: a bandwidth trace (InitState), a
 	// packet-level emulated path (NewStateNetem) or any other Link
-	// (NewStateLink). Only trace links take part in StepBatch grouping: any
-	// other link may carry state outside the fingerprint.
+	// (NewStateLink). Only trace links take part in StepBatch grouping: on a
+	// trace the State is a function of (user, trace, steps taken), while
+	// any other link carries state of its own.
 	link Link
 	bw   predict.Estimator
 	// bwStore is the in-struct home of the default harmonic estimator, so a
@@ -270,6 +276,7 @@ func NewStepper(cat *Catalog, cfg Config) (*Stepper, error) {
 		},
 		estKind: estKind,
 		netSeen: make(map[*lte.Trace]struct{}),
+		groups:  make(map[batchKey]int32),
 	}
 	for _, f := range cfg.FrameRates {
 		proc, err := st.s.procPower(power.PtileScheme, f)
