@@ -2,8 +2,9 @@
 // -sessions concurrent viewers advanced on per-shard virtual clocks by
 // O(shards) goroutines — session count and goroutine count are independent,
 // which is what lets one process push 100k–1M sessions. Each shard owns a
-// private planning workspace (sim.Stepper); per-session state is a compact
-// sim.State allocated when the session's join event fires.
+// private planning workspace (sim.Stepper); session state is a compact
+// sim.State allocated when a session joins, one per cohort: the sessions of
+// a shard with the same viewer, trace and join time share it and step once.
 //
 // The engine executes exactly the code path of the blocking per-goroutine
 // simulator (sim.Run), so results are bit-identical to it — the fleet
@@ -74,7 +75,8 @@ func main() {
 // core count. Finer shards keep each shard's event heap shallow and its
 // advance working set cache-sized (and, on multi-core hosts, balance the
 // per-advance barrier); oversharding a small fleet just multiplies
-// planning-scratch copies and batch-leader overhead. Measured on the fleet
+// planning-scratch copies and cohort steps, since every shard steps its own
+// copy of each cohort. Measured on the fleet
 // bench: 4×-oversharding is +30–45 % events/sec on a 1M-session fleet and
 // −53 % on a 10k one — see EXPERIMENTS.md ("Fleet shard sizing").
 func autoShards(procs, sessions int) int {
@@ -186,7 +188,8 @@ func run() int {
 		return 1
 	}
 	// Sessions cycle the eval viewers with staggered joins so the event
-	// queues interleave instead of marching in lockstep.
+	// queues interleave instead of marching in lockstep; the 13 join times
+	// and the eval viewers bound the cohorts each shard steps.
 	specs := make([]fleet.SessionSpec, *sessions)
 	for i := range specs {
 		specs[i] = fleet.SessionSpec{

@@ -15,17 +15,19 @@ import (
 
 // SessionSpec describes one viewer the engine should simulate. Traces may be
 // shared freely between specs (and with other engines): both trace types are
-// read-only or internally locked, and per-session mutable state lives in the
-// sim.State the engine creates at join time.
+// read-only or internally locked, and mutable session state lives in the
+// sim.State the engine creates at join time. Specs of one shard with the same
+// User, Net and JoinSec form a cohort and share that State.
 type SessionSpec struct {
 	// User is the head-movement trace.
 	User *headtrace.Trace
 	// Net is the bandwidth trace.
 	Net *lte.Trace
-	// JoinSec is the virtual time at which the session joins the fleet.
+	// JoinSec is the virtual time at which the session joins the fleet;
+	// finite and not negative.
 	JoinSec float64
 	// LeaveAfterSegments truncates the session after this many segments;
-	// zero streams the whole catalogue.
+	// zero streams the whole catalogue. At most math.MaxInt32.
 	LeaveAfterSegments int
 }
 
@@ -83,14 +85,13 @@ type Ledger struct {
 	// Events counts every join, segment completion and leave:
 	// Joined + Segments + Finished.
 	Events int
-	// BatchLeaders and BatchReplays decompose the steps taken: full plans
-	// computed on behalf of a (viewer, trace, segment) group, and steps
-	// resolved by applying a leader's plan. Every join steps once and every
-	// segment completion steps again unless the session leaves, so between
-	// Advance calls Leaders + Replays = Joined + Segments − Finished.
-	// BatchFallbacks counts scalar steps, which only a non-trace link takes;
-	// every fleet session is bound to a bandwidth trace, so it reads 0. It
-	// stays because the benchmark harness reads it.
+	// BatchLeaders and BatchReplays decompose the member steps taken:
+	// cohort steps, each one Stepper.Step of a cohort's shared State, and
+	// the further member steps each such step served. Every join steps once
+	// and every segment completion steps again unless the session leaves,
+	// so between Advance calls Leaders + Replays = Joined + Segments −
+	// Finished. BatchFallbacks reads 0: every step is a cohort step or
+	// served by one. It stays because the benchmark harness reads it.
 	BatchLeaders   int
 	BatchReplays   int
 	BatchFallbacks int
@@ -121,14 +122,16 @@ type shard struct {
 	stepper *sim.Stepper
 	heap    Heap
 
-	// Per-slot columns. states is nil before join and after leave, so a
-	// retired session costs one pointer.
-	states  []*sim.State
-	pending []sim.StepInfo
-	leave   []int32
+	// Per-slot columns. cohort indexes the slot's cohort in cohorts.
+	cohort []int32
+	leave  []int32
 	// flight is the per-slot black-box column, nil when Config.Flight is
 	// unset; unsampled slots hold nil sessions.
 	flight []*obs.FlightSession
+
+	// cohorts holds one entry per distinct (User, Net, JoinSec) among the
+	// shard's sessions.
+	cohorts []cohort
 
 	// joins is the shard's join schedule, sorted by (time, spec order), and
 	// joinPos the next unjoined session. The whole wave is known at
@@ -140,29 +143,46 @@ type shard struct {
 	joins   []joinEv
 	joinPos int
 
-	// arena bump-allocates session states in chunks, so a join costs 1/256th
-	// of an allocation instead of one. Chunks are reclaimed wholesale once
-	// every session living in them has left.
+	// arena bump-allocates cohort states in chunks, so binding one costs
+	// 1/256th of an allocation instead of one. Chunks are reclaimed
+	// wholesale once every cohort living in them has left.
 	arena    []sim.State
 	arenaPos int
 
-	// The run of same-(time, kind) events being processed. Reused across
-	// runs.
+	// run numbers the same-(time, kind) runs advanceRun has processed, and
+	// runMembers holds the stepping members of the current one in pop
+	// order. Reused across runs.
+	run        uint64
 	runMembers []runMember
-	runStates  []*sim.State
-	runInfos   []sim.StepInfo
 
 	led Ledger
 	err error
 }
 
-// runMember is one event of a same-(time, kind) run: its session/slot and,
-// for members that step, the index of their state in the batch (stepIdx < 0
-// marks a segment-complete member that leaves instead of stepping).
+// cohort is the shared state of a shard's sessions with one (User, Net,
+// JoinSec). On a bandwidth trace a sim.State is a deterministic function of
+// its viewer, its trace and the steps it has taken: binding seeds it from
+// the trace alone, a step reads only the State, the stepper's (catalogue,
+// config) and those traces, and only a step writes it. Members join in one
+// run and take their steps at the same virtual times, so each member's own
+// State would equal the cohort's, and one State stepped once per run serves
+// them all, bit for bit. A member that leaves settles from the State before
+// the cohort steps on.
+type cohort struct {
+	// state is nil before the first member joins and after the last leaves.
+	state *sim.State
+	// live counts the members that have joined and not yet left.
+	live int
+	// run is the run in which state last stepped, and info that step: the
+	// download every live member has pending.
+	run  uint64
+	info sim.StepInfo
+}
+
+// runMember is a stepping member of a same-(time, kind) run.
 type runMember struct {
 	session int
 	slot    int
-	stepIdx int32
 }
 
 // joinEv is one entry of a shard's static join schedule.
@@ -171,7 +191,7 @@ type joinEv struct {
 	session int
 }
 
-// stateChunk is the arena chunk size in sessions.
+// stateChunk is the arena chunk size in cohort states.
 const stateChunk = 256
 
 // allocState returns a fresh uninitialized State from the shard's arena.
@@ -216,8 +236,8 @@ type fleetMetrics struct {
 }
 
 // New builds an engine over the given session population. Construction is
-// cheap per session (join events only); per-session state is allocated when
-// the join event fires.
+// cheap per session (join events only); a cohort's state is allocated when
+// its first member joins.
 func New(cfg Config, specs []SessionSpec) (*Engine, error) {
 	if cfg.Shards <= 0 {
 		return nil, fmt.Errorf("fleet: need at least one shard, got %d", cfg.Shards)
@@ -226,11 +246,15 @@ func New(cfg Config, specs []SessionSpec) (*Engine, error) {
 		return nil, fmt.Errorf("fleet: no sessions")
 	}
 	for i, spec := range specs {
+		if math.IsNaN(spec.JoinSec) || math.IsInf(spec.JoinSec, 0) {
+			return nil, fmt.Errorf("fleet: session %d joins at non-finite time %g", i, spec.JoinSec)
+		}
 		if spec.JoinSec < 0 {
 			return nil, fmt.Errorf("fleet: session %d joins at negative time %g", i, spec.JoinSec)
 		}
-		if spec.LeaveAfterSegments < 0 {
-			return nil, fmt.Errorf("fleet: session %d has negative leave count", i)
+		if spec.LeaveAfterSegments < 0 || spec.LeaveAfterSegments > math.MaxInt32 {
+			return nil, fmt.Errorf("fleet: session %d has leave count %d outside [0, %d]",
+				i, spec.LeaveAfterSegments, math.MaxInt32)
 		}
 	}
 	if cfg.Shards > len(specs) {
@@ -260,8 +284,7 @@ func New(cfg Config, specs []SessionSpec) (*Engine, error) {
 		sh := &shard{
 			eng:     e,
 			stepper: stepper,
-			states:  make([]*sim.State, n),
-			pending: make([]sim.StepInfo, n),
+			cohort:  make([]int32, n),
 			leave:   make([]int32, n),
 		}
 		if cfg.Flight != nil {
@@ -269,9 +292,25 @@ func New(cfg Config, specs []SessionSpec) (*Engine, error) {
 		}
 		e.shards[si] = sh
 	}
+	// JoinSec compares by value: +0 and −0 join in one run.
+	type cohortKey struct {
+		shard int
+		user  *headtrace.Trace
+		net   *lte.Trace
+		join  float64
+	}
+	cohorts := make(map[cohortKey]int32)
 	for i, spec := range specs {
 		sh := e.shards[i%cfg.Shards]
 		slot := i / cfg.Shards
+		key := cohortKey{i % cfg.Shards, spec.User, spec.Net, spec.JoinSec}
+		id, ok := cohorts[key]
+		if !ok {
+			id = int32(len(sh.cohorts))
+			sh.cohorts = append(sh.cohorts, cohort{})
+			cohorts[key] = id
+		}
+		sh.cohort[slot] = id
 		sh.leave[slot] = int32(spec.LeaveAfterSegments)
 		sh.joins = append(sh.joins, joinEv{time: spec.JoinSec, session: i})
 	}
@@ -307,11 +346,11 @@ func (e *Engine) registerMetrics() {
 	m.shardsG = e.reg.Gauge("fleet_shards", "Configured shard count.")
 	m.sessionsG = e.reg.Gauge("fleet_sessions_total", "Configured session count.")
 	m.batchLeaders = e.reg.Counter("fleet_batch_leaders_total",
-		"Batched-planner steps that ran a full plan on behalf of a group.")
+		"Cohort steps: one session step of a cohort's shared state.")
 	m.batchReplays = e.reg.Counter("fleet_batch_replays_total",
-		"Batched-planner steps resolved by replaying a group leader's plan.")
+		"Further member steps served by a cohort step.")
 	m.batchFallbacks = e.reg.Counter("fleet_batch_fallbacks_total",
-		"Batched-planner steps that fell back to scalar planning.")
+		"Steps outside any cohort; always 0.")
 }
 
 // Registry returns the registry carrying the fleet metrics.
@@ -370,7 +409,9 @@ func (e *Engine) Ledger() Ledger {
 }
 
 // Results returns the per-session results in spec order. Sessions that have
-// not yet left are nil.
+// not yet left are nil. The members of a cohort share the array behind
+// their Result.PerSegment rows: appending to a Result's rows is safe, but
+// writing a row in place writes it for every member.
 func (e *Engine) Results() []*sim.Result { return e.results }
 
 // publish pushes the aggregate ledger into the obs registry. Counters
@@ -400,8 +441,8 @@ func (e *Engine) publish() {
 
 // advance drains the shard's queue up to the time horizon. Every event is a
 // join from the static schedule or a segment completion from the heap, and
-// the events sharing one virtual timestamp and kind are planned together as
-// one StepBatch.
+// the events sharing one virtual timestamp and kind are processed together
+// as one run.
 func (sh *shard) advance(until float64) error {
 	if sh.err != nil {
 		return sh.err
@@ -427,41 +468,35 @@ func (sh *shard) advance(until float64) error {
 }
 
 // advanceRun processes the maximal run of events with timestamp t and the
-// given kind as one batch, in three phases:
+// given kind, in two phases:
 //
 //  1. Take the whole run. Run members were all pushed before anything a
 //     member's handling could push at time t, so handling them one at a
 //     time would pop exactly this run first; taking it up front changes
-//     nothing. Joins bind their states here; completions book their
-//     segment and stall and classify into step vs leave.
-//  2. Plan every stepping member with one StepBatch call — this is where
-//     decision-identical sessions collapse onto shared work.
-//  3. Walk the run in pop order, retiring each leaving member and pushing
-//     each stepping member's next completion, so the heap's insertion
-//     sequence, and with it every future tie-break and the ledger's float
-//     summation order, is the one-at-a-time order.
+//     nothing. Joins bind their cohort's state on its first member;
+//     completions book their segment and stall, and a member that leaves
+//     settles here, before its cohort's state steps on.
+//  2. Walk the stepping members in pop order. A member's cohort steps at its
+//     first member of the run, and every member pushes its next completion,
+//     so the heap's insertion sequence, and with it every future tie-break
+//     and the ledger's float summation order, is the one-at-a-time order.
 func (sh *shard) advanceRun(t float64, kind Kind) error {
+	sh.run++
 	sh.runMembers = sh.runMembers[:0]
-	sh.runStates = sh.runStates[:0]
 
-	// Phase 1: pop the run and bind/classify members. Joins drain from the
-	// static schedule cursor (all same-time joins precede any heap event at
-	// that time, so the run is exactly the cursor's same-time prefix);
-	// completions pop from the heap.
+	// Phase 1: pop the run. Joins drain from the static schedule cursor (all
+	// same-time joins precede any heap event at that time, so the run is
+	// exactly the cursor's same-time prefix); completions pop from the heap.
 	switch kind {
 	case KindJoin:
 		for sh.joinPos < len(sh.joins) && sh.joins[sh.joinPos].time == t {
 			session := sh.joins[sh.joinPos].session
 			sh.joinPos++
 			slot := sh.slot(session)
-			state, err := sh.join(t, slot, session)
-			if err != nil {
+			if err := sh.join(t, slot, session); err != nil {
 				return err
 			}
-			sh.runMembers = append(sh.runMembers, runMember{
-				session: session, slot: slot, stepIdx: int32(len(sh.runStates)),
-			})
-			sh.runStates = append(sh.runStates, state)
+			sh.runMembers = append(sh.runMembers, runMember{session: session, slot: slot})
 		}
 	case KindSegmentComplete:
 		for {
@@ -471,56 +506,50 @@ func (sh *shard) advanceRun(t float64, kind Kind) error {
 			}
 			sh.heap.Pop()
 			slot := sh.slot(ev.Session)
-			m := runMember{session: ev.Session, slot: slot, stepIdx: -1}
 			if sh.complete(t, slot, ev.Session) {
-				m.stepIdx = int32(len(sh.runStates))
-				sh.runStates = append(sh.runStates, sh.states[slot])
-			}
-			sh.runMembers = append(sh.runMembers, m)
-		}
-	}
-
-	// Phase 2: one batched plan for every stepping member.
-	if len(sh.runStates) > 0 {
-		if cap(sh.runInfos) < len(sh.runStates) {
-			sh.runInfos = make([]sim.StepInfo, len(sh.runStates))
-		}
-		sh.runInfos = sh.runInfos[:len(sh.runStates)]
-		stats, err := sh.stepper.StepBatch(sh.runStates, sh.runInfos)
-		sh.led.BatchLeaders += stats.Leaders
-		sh.led.BatchReplays += stats.Replays
-		sh.led.BatchFallbacks += stats.Fallbacks
-		if err != nil {
-			return err
-		}
-	}
-
-	// Phase 3: retire or reschedule each member in pop order.
-	for _, m := range sh.runMembers {
-		if m.stepIdx < 0 {
-			if err := sh.finish(t, m.slot, m.session); err != nil {
+				sh.runMembers = append(sh.runMembers, runMember{session: ev.Session, slot: slot})
+			} else if err := sh.finish(t, slot, ev.Session); err != nil {
 				return err
 			}
-			continue
 		}
-		sh.schedule(t, m.slot, m.session, sh.runInfos[m.stepIdx])
+	}
+
+	// Phase 2: step each cohort once and reschedule every member.
+	for _, m := range sh.runMembers {
+		c := &sh.cohorts[sh.cohort[m.slot]]
+		if c.run == sh.run {
+			sh.led.BatchReplays++
+		} else {
+			info, err := sh.stepper.Step(c.state)
+			if err != nil {
+				return fmt.Errorf("session %d: %w", m.session, err)
+			}
+			c.run, c.info = sh.run, info
+			sh.led.BatchLeaders++
+		}
+		sh.heap.Push(t+c.info.WaitSec+c.info.DownloadSec, KindSegmentComplete, m.session)
 	}
 	return nil
 }
 
 func (sh *shard) slot(session int) int { return session / len(sh.eng.shards) }
 
-// join binds a joining session's state into its slot and books the join.
-func (sh *shard) join(t float64, slot, session int) (*sim.State, error) {
-	spec := sh.eng.specs[session]
-	state := sh.allocState()
-	if err := sh.stepper.InitState(state, spec.User, spec.Net); err != nil {
-		return nil, err
+// join adds a joining session to its cohort, binding the cohort's state on
+// its first member, and books the join.
+func (sh *shard) join(t float64, slot, session int) error {
+	c := &sh.cohorts[sh.cohort[slot]]
+	if c.state == nil {
+		spec := sh.eng.specs[session]
+		state := sh.allocState()
+		if err := sh.stepper.InitState(state, spec.User, spec.Net); err != nil {
+			return err
+		}
+		c.state = state
 	}
-	sh.states[slot] = state
+	c.live++
 	sh.led.Joined++
 	sh.flightJoin(t, slot, session)
-	return state, nil
+	return nil
 }
 
 // complete books a finished segment download, its stall included, and
@@ -528,21 +557,14 @@ func (sh *shard) join(t float64, slot, session int) (*sim.State, error) {
 // exhausted or its LeaveAfterSegments reached).
 func (sh *shard) complete(t float64, slot, session int) bool {
 	sh.led.Segments++
-	info := sh.pending[slot]
+	c := &sh.cohorts[sh.cohort[slot]]
+	info := c.info
 	if info.StallSec > 0 {
 		sh.led.Stalls++
 		sh.led.StallSec += info.StallSec
 	}
-	state := sh.states[slot]
-	sh.flightDownload(t, slot, state, info)
-	return !info.Done && (sh.leave[slot] == 0 || state.Segments() < int(sh.leave[slot]))
-}
-
-// schedule records a step taken at time t and pushes the session's one heap
-// event, the completion of the download the step issued.
-func (sh *shard) schedule(t float64, slot, session int, info sim.StepInfo) {
-	sh.pending[slot] = info
-	sh.heap.Push(t+info.WaitSec+info.DownloadSec, KindSegmentComplete, session)
+	sh.flightDownload(t, slot, c.state, info)
+	return !info.Done && (sh.leave[slot] == 0 || c.state.Segments() < int(sh.leave[slot]))
 }
 
 // flightJoin passes a joining session through the flight recorder's sampling
@@ -573,9 +595,11 @@ func (sh *shard) flightDownload(t float64, slot int, state *sim.State, info sim.
 }
 
 // finish retires a session that leaves at time t and settles its
-// accounting.
+// accounting from its cohort's state, which it releases with the last
+// member.
 func (sh *shard) finish(t float64, slot, session int) error {
-	res, err := sh.stepper.Finish(sh.states[slot])
+	c := &sh.cohorts[sh.cohort[slot]]
+	res, err := sh.stepper.Finish(c.state)
 	if err != nil {
 		return fmt.Errorf("session %d: %w", session, err)
 	}
@@ -594,6 +618,9 @@ func (sh *shard) finish(t float64, slot, session int) error {
 			sh.flight[slot] = nil
 		}
 	}
-	sh.states[slot] = nil
+	c.live--
+	if c.live == 0 {
+		c.state = nil
+	}
 	return nil
 }

@@ -17,44 +17,60 @@ import (
 	"ptile360/internal/video"
 )
 
-// testFixture is a deliberately short synthetic video (24 s, so 24 one-
-// second segments) with a small viewer pool: the differential suite runs
-// hundreds of full sessions per case, and trajectory equivalence does not
-// depend on the video length.
+// testFixture is a video catalogue with its pool of evaluation viewers.
 type testFixture struct {
 	profile video.Profile
 	cat     *sim.Catalog
 	eval    []*headtrace.Trace
 }
 
-var (
-	fixtureOnce  sync.Once
-	fixtureCache *testFixture
-	fixtureErr   error
-)
-
-func fixture(t testing.TB) *testFixture {
-	t.Helper()
-	fixtureOnce.Do(func() { fixtureCache, fixtureErr = buildFixture() })
-	if fixtureErr != nil {
-		t.Fatal(fixtureErr)
-	}
-	return fixtureCache
+// fixtureMemo builds one fixture once per test binary.
+type fixtureMemo struct {
+	once sync.Once
+	fx   *testFixture
+	err  error
 }
 
-func buildFixture() (*testFixture, error) {
-	p, err := video.ProfileByID(2)
+func (m *fixtureMemo) get(t testing.TB, videoID, users, train, durationSec int) *testFixture {
+	t.Helper()
+	m.once.Do(func() { m.fx, m.err = buildFixture(videoID, users, train, durationSec) })
+	if m.err != nil {
+		t.Fatal(m.err)
+	}
+	return m.fx
+}
+
+var shortFixture, ptileFixture fixtureMemo
+
+// fixture is a deliberately short synthetic video (24 s, so 24 one-second
+// segments) with a small viewer pool: the differential suite runs hundreds
+// of full sessions per case, and trajectory equivalence does not depend on
+// the video length. It has one Ptile per segment.
+func fixture(t testing.TB) *testFixture { return shortFixture.get(t, 2, 8, 5, 24) }
+
+// multiPtileFixture is video 8 at full length (201 segments) with 18 of 24
+// users training, so most segments offer two Ptiles and sessions choose
+// among them.
+func multiPtileFixture(t testing.TB) *testFixture { return ptileFixture.get(t, 8, 24, 18, 0) }
+
+// buildFixture generates users for a video (traces at seed 42, split at
+// seed 7) and builds the catalogue from the training users; a positive
+// durationSec shortens the video.
+func buildFixture(videoID, users, train, durationSec int) (*testFixture, error) {
+	p, err := video.ProfileByID(videoID)
 	if err != nil {
 		return nil, err
 	}
-	p.DurationSec = 24
+	if durationSec > 0 {
+		p.DurationSec = durationSec
+	}
 	gcfg := headtrace.DefaultGeneratorConfig()
-	gcfg.NumUsers = 8
+	gcfg.NumUsers = users
 	ds, err := headtrace.Generate(p, gcfg, 42)
 	if err != nil {
 		return nil, err
 	}
-	train, eval, err := ds.SplitTrainEval(5, 7)
+	trainUsers, eval, err := ds.SplitTrainEval(train, 7)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +78,7 @@ func buildFixture() (*testFixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	cat, err := sim.BuildCatalog(p, train, ccfg)
+	cat, err := sim.BuildCatalog(p, trainUsers, ccfg)
 	if err != nil {
 		return nil, err
 	}

@@ -163,8 +163,8 @@ func TestDelayGradientIgnoresBadPackets(t *testing.T) {
 	}
 }
 
-// TestEstimatorsDeterministic pins the property sim.StepBatch groups on:
-// an estimator is a function of the calls it was fed. For every kind, two
+// TestEstimatorsDeterministic pins the property the fleet's cohorts share a
+// session state on: an estimator is a function of the calls it was fed. For every kind, two
 // estimators fed the same throughput samples — and, for a PacketObserver,
 // the same packets, flat-delay and bloating in turn — return
 // Float64bits-equal estimates after every call.

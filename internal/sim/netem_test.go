@@ -171,60 +171,6 @@ func TestRunNetemDelayGradientGetsPacketFeed(t *testing.T) {
 	}
 }
 
-// TestStepBatchSkipsNetemStates pins the trace-only grouping: a netem
-// path carries queue state and a loss RNG of its own, outside the
-// (viewer, trace, segment) key, so netem sessions must take the scalar
-// fallback and never group, and every fallback StepInfo must equal a scalar
-// Step over an identically seeded path.
-func TestStepBatchSkipsNetemStates(t *testing.T) {
-	cat, eval := netemSetup(t)
-	cfg, err := DefaultConfig(SchemeOurs, power.Pixel3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newStates := func() (*Stepper, []*State) {
-		st, err := NewStepper(cat, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var states []*State
-		for u := 0; u < 3; u++ {
-			pn := netemPath(t, "stable", 50) // same seed: states look identical
-			state, err := st.NewStateNetem(eval[0], pn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			states = append(states, state)
-		}
-		return st, states
-	}
-	batched, states := newStates()
-	scalar, ref := newStates()
-	infos := make([]StepInfo, len(states))
-	for tick := 0; tick < 4; tick++ {
-		stats, err := batched.StepBatch(states, infos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Leaders != 0 || stats.Replays != 0 || stats.Fallbacks != len(states) {
-			t.Fatalf("tick %d: want %d scalar fallbacks, got %+v", tick, len(states), stats)
-		}
-		for i, rs := range ref {
-			want, err := scalar.Step(rs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if infos[i] != want {
-				t.Fatalf("tick %d session %d: fallback StepInfo diverged\nbatch:  %+v\nscalar: %+v", tick, i, infos[i], want)
-			}
-		}
-		// Identically seeded paths give identical sessions.
-		if infos[0] != infos[1] || infos[1] != infos[2] {
-			t.Fatalf("tick %d: identical netem sessions diverged: %+v", tick, infos)
-		}
-	}
-}
-
 // TestRunNetemIdealMatchesUnlimitedTrace sanity-checks the ideal profile:
 // downloads complete (effectively) instantly, so the session never stalls
 // after startup.

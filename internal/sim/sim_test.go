@@ -18,9 +18,8 @@ import (
 type testFixture struct {
 	cat  *Catalog
 	eval []*headtrace.Trace
-	// trace is trace 2 of lte.StandardTraces(300, 99), and other is its
-	// trace 1.
-	trace, other *lte.Trace
+	// trace is trace 2 of lte.StandardTraces(300, 99).
+	trace *lte.Trace
 }
 
 // The fixture is shared package-wide (notably by the stress tests); build
@@ -64,11 +63,11 @@ func buildFixture() (*testFixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr1, tr2, err := lte.StandardTraces(300, 99)
+	_, tr2, err := lte.StandardTraces(300, 99)
 	if err != nil {
 		return nil, err
 	}
-	return &testFixture{cat: cat, eval: eval, trace: tr2, other: tr1}, nil
+	return &testFixture{cat: cat, eval: eval, trace: tr2}, nil
 }
 
 func TestBuildCatalogShape(t *testing.T) {

@@ -21,9 +21,9 @@ import (
 //
 //   - Stepper carries everything shared by sessions of one
 //     (catalogue, config) pair — power model, controllers, plan tables, FoV
-//     LUT — plus the recycled planning scratch and StepBatch's group table.
-//     It is the expensive part (kilobytes of DP and plan buffers) and exists
-//     once per worker, not once per session.
+//     LUT — plus the recycled planning scratch. It is the expensive part
+//     (kilobytes of DP and plan buffers) and exists once per worker, not
+//     once per session.
 //   - State is the compact persistent state of one viewer: clocks, buffer,
 //     download link, bandwidth-estimator window, previous-choice memory, and
 //     the running accounting sums. It is a few hundred bytes, so a million
@@ -33,11 +33,10 @@ import (
 // stepDelta: the wait rule, the viewport prediction, the plan, the
 // controller decision, the download, and the segment's Eq. 1 energy and
 // Eq. 2 QoE. apply writes a delta into a State and is the only code that
-// mutates a bound State. Step is compute followed by apply; StepBatch
-// (batch.go) computes once per group of sessions with the same (viewer,
-// bandwidth trace, next segment) and applies the group's delta to every
-// member. Run is NewStepper + NewState + a Step loop, so the blocking path
-// and the event-driven path execute the same code.
+// mutates a bound State, so a failed compute leaves the State as it was.
+// Step is compute followed by apply. Run is NewStepper + NewState + a Step
+// loop, and the fleet, the packet-level path and the HTTP client step with
+// Step too, so every path executes the same code.
 
 // Stepper advances resumable sessions of one (catalogue, config) pair. It
 // owns mutable planning scratch, so it must not be shared by concurrent
@@ -51,10 +50,6 @@ type Stepper struct {
 	// fleet joining many sessions onto a shared trace scans it once, not
 	// once per join. Traces are immutable by contract after first use.
 	netSeen map[*lte.Trace]struct{}
-	// groups maps each StepBatch group key to its delta in deltas; both are
-	// recycled from one StepBatch call to the next.
-	groups map[batchKey]int32
-	deltas []stepDelta
 }
 
 // State is the compact persistent state of one resumable session. Create
@@ -65,9 +60,9 @@ type State struct {
 	user *headtrace.Trace
 	// link is the download path: a bandwidth trace (InitState), a
 	// packet-level emulated path (NewStateNetem) or any other Link
-	// (NewStateLink). Only trace links take part in StepBatch grouping: on a
-	// trace the State is a function of (user, trace, steps taken), while
-	// any other link carries state of its own.
+	// (NewStateLink). On a trace the State is a function of (user, trace,
+	// steps taken), which lets the fleet share one State among sessions
+	// that join together; any other link carries state of its own.
 	link Link
 	bw   predict.Estimator
 	// bwStore is the in-struct home of the default harmonic estimator, so a
@@ -276,7 +271,6 @@ func NewStepper(cat *Catalog, cfg Config) (*Stepper, error) {
 		},
 		estKind: estKind,
 		netSeen: make(map[*lte.Trace]struct{}),
-		groups:  make(map[batchKey]int32),
 	}
 	for _, f := range cfg.FrameRates {
 		proc, err := st.s.procPower(power.PtileScheme, f)
@@ -574,9 +568,7 @@ func (s *session) compute(state *State, d *stepDelta) error {
 }
 
 // apply writes a computed step into state; it is the only code that mutates
-// a bound State. Step applies its own compute's delta, and a StepBatch
-// follower applies its leader's, which is the delta its own compute would
-// have produced. An abandoned segment delivered nothing: it feeds the
+// a bound State. An abandoned segment delivered nothing: it feeds the
 // estimator no sample and leaves the previous-choice memory alone, and its
 // zero version adds nothing to the sums.
 func (s *session) apply(state *State, d *stepDelta) (StepInfo, error) {
@@ -656,9 +648,12 @@ func (d *stepDelta) trace() SegmentTrace {
 }
 
 // Finish settles the session accounting into a Result. It may be called
-// before the catalogue is exhausted (a truncated session); it fails on a
-// session that never streamed a segment.
+// before the catalogue is exhausted (a truncated session), and the state
+// may step on afterwards: the Result's PerSegment is capped at its length,
+// so neither the state's later rows nor a caller's appends reach the other.
+// It fails on a session that never streamed a segment.
 func (st *Stepper) Finish(state *State) (*Result, error) {
+	n := len(state.perSegment)
 	res := &Result{
 		Scheme:         st.s.cfg.Scheme,
 		Phone:          st.s.cfg.Phone,
@@ -672,7 +667,7 @@ func (st *Stepper) Finish(state *State) (*Result, error) {
 		PtileSegments:  state.ptileSegments,
 		ViewportHits:   state.viewportHits,
 		Emergencies:    state.emergencies,
-		PerSegment:     state.perSegment,
+		PerSegment:     state.perSegment[:n:n],
 	}
 	summary, err := state.acc.Summary()
 	if err != nil {
