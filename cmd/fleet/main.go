@@ -72,9 +72,9 @@ func main() {
 
 // autoShards picks the default shard count: one shard per core, raised
 // toward ~16k sessions per shard for huge fleets but never beyond 4× the
-// core count. Finer shards keep each shard's event heap shallow and its
-// advance working set cache-sized (and, on multi-core hosts, balance the
-// per-advance barrier); oversharding a small fleet just multiplies
+// core count. Finer shards keep each shard's advance working set
+// cache-sized (and, on multi-core hosts, balance the per-advance barrier);
+// oversharding a small fleet just multiplies
 // planning-scratch copies and cohort steps, since every shard steps its own
 // copy of each cohort. Measured on the fleet
 // bench: 4×-oversharding is +30–45 % events/sec on a 1M-session fleet and

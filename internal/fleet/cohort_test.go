@@ -115,8 +115,8 @@ func TestFleetSteadyStateAllocs(t *testing.T) {
 			step: 1, ticks: 10, ceiling: ceiling}
 	}
 	cases := []row{
-		// Warmed past the join wave (joins end at t=3), so arenas, heaps and
-		// run scratch are at capacity. The seed loop ran at ~1.15/event.
+		// Warmed past the join wave (joins end at t=3), so arenas and heaps
+		// are at capacity. The seed loop ran at ~1.15/event.
 		{name: "steady", sessions: 500, shards: 1, workers: 1, warm: 5, step: 13, ticks: 1,
 			perEvent: true, ceiling: 0.25},
 		// Each ceiling is ≤ 1.1× the allocs/tick measured when it was set,
@@ -256,14 +256,56 @@ func requireCohortCounters(t *testing.T, led Ledger) {
 	}
 }
 
+// requireLedgerMatchesResults reconciles a drained fleet's ledger with its
+// per-session results: the counts exactly, the float sums within a relative
+// 1e-9, since the ledger adds them in event order and this sum in session
+// order. A cohort that booked a segment, a stall or a settle for one member
+// too few or too many shows here on any mix of inputs.
+func requireLedgerMatchesResults(t *testing.T, led Ledger, results []*sim.Result) {
+	t.Helper()
+	var segments, stalls, emergencies int
+	var stallSec, energy, qoeSum, bits float64
+	for i, res := range results {
+		if res == nil {
+			t.Fatalf("session %d has no result", i)
+		}
+		segments += res.Segments
+		stalls += res.QoE.Stalls
+		emergencies += res.Emergencies
+		stallSec += res.QoE.StallSec
+		energy += res.Energy.Total()
+		qoeSum += res.QoE.MeanQ
+		bits += res.BitsDownloaded
+	}
+	if led.Joined != len(results) || led.Finished != len(results) || led.Segments != segments ||
+		led.Stalls != stalls || led.Emergencies != emergencies {
+		t.Fatalf("ledger counts %+v, results sum to %d sessions, %d segments, %d stalls, %d emergencies",
+			led, len(results), segments, stalls, emergencies)
+	}
+	for _, f := range []struct {
+		name      string
+		led, want float64
+	}{
+		{"StallSec", led.StallSec, stallSec},
+		{"EnergyMJ", led.EnergyMJ, energy},
+		{"QoESum", led.QoESum, qoeSum},
+		{"Bits", led.Bits, bits},
+	} {
+		if math.Abs(f.led-f.want) > 1e-9*math.Abs(f.want) {
+			t.Fatalf("ledger %s %v, results sum to %v", f.name, f.led, f.want)
+		}
+	}
+}
+
 // TestFleetCohortsAmongPtiles runs the differential on the fixture whose
 // sessions choose among Ptiles, with cohorts whose members leave at
 // different segments while the cohort streams on: every member's Result,
 // rows included, must equal a Stepper loop stopped at its leave count, bit
-// for bit. After every Advance the test appends a row to each newly settled
-// Result, as a caller may; a Result whose rows shared their array with the
-// cohort's state would let that row overwrite one the cohort had already
-// recorded for the members still streaming.
+// for bit, and the ledger must reconcile with the results. After every
+// Advance the test appends a row to each newly settled Result, as a caller
+// may; a Result whose rows shared their array with the cohort's state would
+// let that row overwrite one the cohort had already recorded for the
+// members still streaming.
 func TestFleetCohortsAmongPtiles(t *testing.T) {
 	fx := multiPtileFixture(t)
 	multi := 0
@@ -335,6 +377,7 @@ func TestFleetCohortsAmongPtiles(t *testing.T) {
 			if led.Finished != len(specs) || led.BatchReplays == 0 {
 				t.Fatalf("fleet must drain with cohorts sharing steps: %+v", led)
 			}
+			requireLedgerMatchesResults(t, led, eng.Results())
 		})
 	}
 }
@@ -353,8 +396,8 @@ var cohortFuzz struct {
 // traces and one of four join times (so cohorts form; −0 is among them and
 // joins with +0), the other its leave count, 0 or 1 to past the video's
 // end. Every session's Result, rows included, must equal a Stepper loop
-// stopped at its leave count, bit for bit, and the cohort counters must
-// cover every step.
+// stopped at its leave count, bit for bit, the cohort counters must cover
+// every step, and the ledger must reconcile with the results.
 func FuzzFleetCohorts(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, 0, 9, 1, 0, 32, 2, 32, 0}, uint8(0), false)
 	f.Add([]byte{2, 1, 66, 0, 2, 24, 130, 5, 2, 17, 98, 0, 226, 4}, uint8(1), true)
@@ -407,7 +450,96 @@ func FuzzFleetCohorts(f *testing.F) {
 			requireSameResult(t, fmt.Sprintf("session %d %+v", i, spec), eng.Results()[i], refs[k])
 		}
 		requireCohortCounters(t, eng.Ledger())
+		requireLedgerMatchesResults(t, eng.Ledger(), eng.Results())
 	})
+}
+
+// TestFleetTiedCohorts runs two cohorts whose completions tie at every
+// segment: their viewer traces hold the same samples behind different
+// pointers, so they are two cohorts with equal states. Members of the two
+// alternate on each of two shards, leave at mixed counts (some before the
+// video ends, some with it, some never), and stream over the driving trace,
+// so both cohorts book stalls and settles at the same virtual times. Every
+// member must equal its Stepper reference, each shard's heap holds at most
+// the two cohorts' events, and the ledger is bit-identical on one worker
+// and on two.
+func TestFleetTiedCohorts(t *testing.T) {
+	fx := fixture(t)
+	cfg := simConfig(t, sim.SchemeOurs)
+	net := netFor(t, lte.ProfileDriving, 9)
+	a := fx.eval[0]
+	b := &headtrace.Trace{UserID: a.UserID, VideoID: a.VideoID, Samples: a.Samples}
+	leaves := []int{0, 1, 5, 5, 13, len(fx.cat.Content), 30}
+	specs := make([]SessionSpec, 56)
+	for i := range specs {
+		// Shard i%2 gets a, b, a, b, ... and each cohort every leave count.
+		user := a
+		if i/2%2 == 1 {
+			user = b
+		}
+		specs[i] = SessionSpec{User: user, Net: net, LeaveAfterSegments: leaves[i/4%len(leaves)]}
+	}
+	refs := make(map[refKey]*sim.Result)
+	for _, spec := range specs {
+		k := refKey{spec.User, spec.Net, spec.LeaveAfterSegments}
+		if refs[k] == nil {
+			refs[k] = stepperRef(t, fx.cat, cfg, k.user, k.net, k.leave)
+		}
+	}
+	var first Ledger
+	for _, workers := range []int{1, 2} {
+		eng, err := New(Config{Catalog: fx.cat, Sim: cfg, Shards: 2, Workers: workers}, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tied := 0
+		for until := 0.0; ; until += 0.5 {
+			if _, ok := eng.NextEventTime(); !ok {
+				break
+			}
+			if err := eng.Advance(until); err != nil {
+				t.Fatal(err)
+			}
+			for si, sh := range eng.shards {
+				requireCohortHeap(t, until, si, sh)
+				if evs := sh.heap.events; len(evs) > 2 {
+					t.Fatalf("t=%g: shard %d holds %d events for two cohorts", until, si, len(evs))
+				} else if len(evs) == 2 && evs[0].Time == evs[1].Time {
+					tied++
+				}
+			}
+		}
+		for i, spec := range specs {
+			requireSameResult(t, fmt.Sprintf("workers=%d session %d %+v", workers, i, spec),
+				eng.Results()[i], refs[refKey{spec.User, spec.Net, spec.LeaveAfterSegments}])
+		}
+		led := eng.Ledger()
+		requireCohortCounters(t, led)
+		requireLedgerMatchesResults(t, led, eng.Results())
+		if tied == 0 || led.Stalls == 0 {
+			t.Fatalf("workers=%d: the cohorts must tie and stall: %d tied boundaries, %+v", workers, tied, led)
+		}
+		if workers == 1 {
+			first = led
+			continue
+		}
+		for _, f := range []struct {
+			name string
+			a, b float64
+		}{
+			{"StallSec", first.StallSec, led.StallSec},
+			{"EnergyMJ", first.EnergyMJ, led.EnergyMJ},
+			{"QoESum", first.QoESum, led.QoESum},
+			{"Bits", first.Bits, led.Bits},
+		} {
+			if math.Float64bits(f.a) != math.Float64bits(f.b) {
+				t.Fatalf("%s depends on worker count: %v vs %v", f.name, f.a, f.b)
+			}
+		}
+		if led != first {
+			t.Fatalf("ledger depends on worker count:\nworkers=1: %+v\nworkers=2: %+v", first, led)
+		}
+	}
 }
 
 // observedTier is BenchmarkFleetTickObserved's second observability tier: a

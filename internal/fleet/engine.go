@@ -55,9 +55,10 @@ type Config struct {
 	Registry *obs.Registry
 	// Flight, when set, black-boxes 1-in-SampleEvery sessions (the
 	// recorder's SessionN gate): join/download/stall/leave events land in
-	// per-session rings that dump on anomaly triggers. Unsampled sessions
-	// and nil recorders cost one nil check per event, preserving the
-	// steady-state allocation budget.
+	// per-session rings that dump on anomaly triggers. A nil recorder costs
+	// one nil check per event, and a completion writes events for its
+	// cohort's sampled members only, preserving the steady-state allocation
+	// budget.
 	Flight *obs.FlightRecorder
 }
 
@@ -65,7 +66,9 @@ type Config struct {
 // float fields are summed per shard in event order and then across shards
 // in shard order, so they are deterministic for a fixed shard count
 // regardless of worker count. Everything is booked at a join, a segment
-// completion or a leave, the only events a session has.
+// completion or a leave, the only events a session has. A cohort's members
+// take these together, from one heap event, and the ledger books them once
+// per member.
 type Ledger struct {
 	// Joined, Finished, Active count sessions; Active = Joined − Finished.
 	Joined, Finished, Active int
@@ -82,8 +85,9 @@ type Ledger struct {
 	Bits     float64
 	// Emergencies counts finished sessions' emergency controller decisions.
 	Emergencies int
-	// Events counts every join, segment completion and leave:
-	// Joined + Segments + Finished.
+	// Events counts every member's joins, segment completions and leaves:
+	// Joined + Segments + Finished. It is read from the ledger, not counted
+	// in heap pops, which number one per cohort.
 	Events int
 	// BatchLeaders and BatchReplays decompose the member steps taken:
 	// cohort steps, each one Stepper.Step of a cohort's shared State, and
@@ -113,33 +117,34 @@ func (l *Ledger) add(o Ledger) {
 	l.BatchFallbacks += o.BatchFallbacks
 }
 
-// shard is one independent event queue plus the structure-of-arrays state
-// columns for the sessions it owns (global session i lives on shard
-// i % Shards at local slot i / Shards). A shard is advanced by at most one
-// goroutine at a time; its stepper and heap are never shared.
+// shard is one independent event queue plus the sessions it owns: global
+// session i lives on shard i % Shards at local slot i / Shards. A shard is
+// advanced by at most one goroutine at a time; its stepper and heap are
+// never shared.
 type shard struct {
 	eng     *Engine
+	index   int // the shard's position in Engine.shards
 	stepper *sim.Stepper
-	heap    Heap
+	// heap holds one event per live cohort, the members' next segment
+	// completion, carrying the cohort's index in cohorts.
+	heap Heap
 
-	// Per-slot columns. cohort indexes the slot's cohort in cohorts.
-	cohort []int32
-	leave  []int32
+	// leave is the per-slot column of LeaveAfterSegments.
+	leave []int32
 	// flight is the per-slot black-box column, nil when Config.Flight is
 	// unset; unsampled slots hold nil sessions.
 	flight []*obs.FlightSession
 
 	// cohorts holds one entry per distinct (User, Net, JoinSec) among the
-	// shard's sessions.
+	// shard's sessions, in the order of their first members.
 	cohorts []cohort
 
-	// joins is the shard's join schedule, sorted by (time, spec order), and
-	// joinPos the next unjoined session. The whole wave is known at
-	// construction, so it never touches the heap: a million-session fleet
-	// starts with an empty heap instead of a million-entry one, and each
-	// join costs a cursor bump instead of an O(log n) pop. Joins order
-	// before heap events at the same timestamp — exactly the order the
-	// heap gave them when they were pushed first with the lowest ids.
+	// joins is the shard's join schedule, one entry per cohort sorted by
+	// (time, cohort), and joinPos the next cohort to join. The whole wave
+	// is known at construction, so it never touches the heap: a
+	// million-session fleet starts with an empty heap, and each join costs
+	// a cursor bump instead of an O(log n) pop. Joins order before heap
+	// events at the same timestamp.
 	joins   []joinEv
 	joinPos int
 
@@ -149,12 +154,6 @@ type shard struct {
 	arena    []sim.State
 	arenaPos int
 
-	// run numbers the same-(time, kind) runs advanceRun has processed, and
-	// runMembers holds the stepping members of the current one in pop
-	// order. Reused across runs.
-	run        uint64
-	runMembers []runMember
-
 	led Ledger
 	err error
 }
@@ -163,32 +162,32 @@ type shard struct {
 // JoinSec). On a bandwidth trace a sim.State is a deterministic function of
 // its viewer, its trace and the steps it has taken: binding seeds it from
 // the trace alone, a step reads only the State, the stepper's (catalogue,
-// config) and those traces, and only a step writes it. Members join in one
-// run and take their steps at the same virtual times, so each member's own
-// State would equal the cohort's, and one State stepped once per run serves
-// them all, bit for bit. A member that leaves settles from the State before
-// the cohort steps on.
+// config) and those traces, and only a step writes it. Members join
+// together and take their steps at the same virtual times, so each member's
+// own State would equal the cohort's, and one State stepped once serves
+// them all, bit for bit. So a cohort is scheduled as one: it holds one heap
+// event, and its completion books the segment for every member, settles the
+// members that leave from the State before it steps on, then steps once.
 type cohort struct {
-	// state is nil before the first member joins and after the last leaves.
+	// state is nil before the cohort joins and after its last member leaves.
 	state *sim.State
-	// live counts the members that have joined and not yet left.
-	live int
-	// run is the run in which state last stepped, and info that step: the
-	// download every live member has pending.
-	run  uint64
+	// members holds the slots of the members that have not left, in session
+	// order, and sampled those of them the flight recorder samples (nil
+	// without one). Each is a window of a shard-wide array New sizes once,
+	// so a leave compacts it in place.
+	members, sampled []int32
+	// minLeave is the smallest leave count among members, 0 when none has
+	// one: the completion that reaches it, or the last segment, is the only
+	// one that scans the members for leavers.
+	minLeave int32
+	// info is the state's last step: the download every member has pending.
 	info sim.StepInfo
-}
-
-// runMember is a stepping member of a same-(time, kind) run.
-type runMember struct {
-	session int
-	slot    int
 }
 
 // joinEv is one entry of a shard's static join schedule.
 type joinEv struct {
-	time    float64
-	session int
+	time   float64
+	cohort int
 }
 
 // stateChunk is the arena chunk size in cohort states.
@@ -236,8 +235,8 @@ type fleetMetrics struct {
 }
 
 // New builds an engine over the given session population. Construction is
-// cheap per session (join events only); a cohort's state is allocated when
-// its first member joins.
+// cheap per session (a cohort lookup and a member-list entry); a cohort's
+// state is allocated when it joins.
 func New(cfg Config, specs []SessionSpec) (*Engine, error) {
 	if cfg.Shards <= 0 {
 		return nil, fmt.Errorf("fleet: need at least one shard, got %d", cfg.Shards)
@@ -283,8 +282,8 @@ func New(cfg Config, specs []SessionSpec) (*Engine, error) {
 		n := (len(specs) - si + cfg.Shards - 1) / cfg.Shards
 		sh := &shard{
 			eng:     e,
+			index:   si,
 			stepper: stepper,
-			cohort:  make([]int32, n),
 			leave:   make([]int32, n),
 		}
 		if cfg.Flight != nil {
@@ -292,42 +291,65 @@ func New(cfg Config, specs []SessionSpec) (*Engine, error) {
 		}
 		e.shards[si] = sh
 	}
-	// JoinSec compares by value: +0 and −0 join in one run.
+	// JoinSec compares by value: +0 and −0 join in one cohort.
 	type cohortKey struct {
 		shard int
 		user  *headtrace.Trace
 		net   *lte.Trace
 		join  float64
 	}
-	cohorts := make(map[cohortKey]int32)
+	index := make(map[cohortKey]int32)
+	ids := make([]int32, len(specs))   // each session's cohort on its shard
+	sizes := make([][]int, cfg.Shards) // members per cohort, per shard
 	for i, spec := range specs {
-		sh := e.shards[i%cfg.Shards]
-		slot := i / cfg.Shards
-		key := cohortKey{i % cfg.Shards, spec.User, spec.Net, spec.JoinSec}
-		id, ok := cohorts[key]
+		si := i % cfg.Shards
+		sh := e.shards[si]
+		key := cohortKey{si, spec.User, spec.Net, spec.JoinSec}
+		id, ok := index[key]
 		if !ok {
 			id = int32(len(sh.cohorts))
+			index[key] = id
 			sh.cohorts = append(sh.cohorts, cohort{})
-			cohorts[key] = id
+			sh.joins = append(sh.joins, joinEv{time: spec.JoinSec, cohort: int(id)})
+			sizes[si] = append(sizes[si], 0)
 		}
-		sh.cohort[slot] = id
-		sh.leave[slot] = int32(spec.LeaveAfterSegments)
-		sh.joins = append(sh.joins, joinEv{time: spec.JoinSec, session: i})
+		ids[i] = id
+		sizes[si][id]++
+		sh.leave[i/cfg.Shards] = int32(spec.LeaveAfterSegments)
 	}
-	for _, sh := range e.shards {
-		// Ordering by (time, session) equals a stable sort by time: appends
-		// ran in ascending session order, so this keeps the order the heap's
-		// push-sequence ids used to impose on equal join times.
-		slices.SortFunc(sh.joins, func(a, b joinEv) int {
-			if a.time != b.time {
-				return cmp.Compare(a.time, b.time)
+	for si, sh := range e.shards {
+		// Each cohort's member lists are windows of one array per shard, laid
+		// out cohort by cohort.
+		members := make([]int32, len(sh.leave))
+		var sampled []int32
+		if cfg.Flight != nil {
+			sampled = make([]int32, len(sh.leave))
+		}
+		off := 0
+		for id, n := range sizes[si] {
+			c := &sh.cohorts[id]
+			c.members = members[off : off : off+n]
+			if sampled != nil {
+				c.sampled = sampled[off : off : off+n]
 			}
-			return cmp.Compare(a.session, b.session)
+			off += n
+		}
+		// Cohorts are numbered in the order of their first members, so equal
+		// join times keep that order.
+		slices.SortFunc(sh.joins, func(a, b joinEv) int {
+			return cmp.Or(cmp.Compare(a.time, b.time), cmp.Compare(a.cohort, b.cohort))
 		})
-		// A live session holds exactly one heap event, its next completion;
-		// reserving one slot per session up front avoids append-doubling
-		// memmoves during the join wave.
-		sh.heap.Reserve(len(sh.joins))
+		// A live cohort holds exactly one heap event, its next completion.
+		sh.heap.Reserve(len(sh.cohorts))
+	}
+	for i, id := range ids {
+		sh := e.shards[i%cfg.Shards]
+		slot := int32(i / cfg.Shards)
+		c := &sh.cohorts[id]
+		c.members = append(c.members, slot)
+		if l := sh.leave[slot]; l != 0 && (c.minLeave == 0 || l < c.minLeave) {
+			c.minLeave = l
+		}
 	}
 	return e, nil
 }
@@ -440,165 +462,142 @@ func (e *Engine) publish() {
 }
 
 // advance drains the shard's queue up to the time horizon. Every event is a
-// join from the static schedule or a segment completion from the heap, and
-// the events sharing one virtual timestamp and kind are processed together
-// as one run.
+// cohort's join from the static schedule or its segment completion from the
+// heap, and every member of the cohort takes it.
 func (sh *shard) advance(until float64) error {
 	if sh.err != nil {
 		return sh.err
 	}
 	for {
-		// Next occurrence: the join cursor merges with the heap top. Joins win
-		// ties — they carried the lowest push-sequence ids back when they
-		// lived on the heap, so this keeps the old pop order exactly.
-		ev, hok := sh.heap.Peek()
-		if j := sh.joinPos; j < len(sh.joins) && (!hok || sh.joins[j].time <= ev.Time) {
-			ev = Event{Time: sh.joins[j].time, Kind: KindJoin}
-		} else if !hok {
+		// Next occurrence: the join cursor merges with the heap top, joins
+		// winning ties.
+		ev, ok := sh.heap.Peek()
+		if j := sh.joinPos; j < len(sh.joins) && (!ok || sh.joins[j].time <= ev.Time) {
+			ev = Event{Time: sh.joins[j].time, Kind: KindJoin, Session: sh.joins[j].cohort}
+		} else if !ok {
 			return nil
 		}
 		if ev.Time > until {
 			return nil
 		}
-		if err := sh.advanceRun(ev.Time, ev.Kind); err != nil {
-			sh.err = fmt.Errorf("fleet: %s run at t=%.3f: %w", ev.Kind, ev.Time, err)
+		var err error
+		if ev.Kind == KindJoin {
+			sh.joinPos++
+			err = sh.join(ev.Time, ev.Session)
+		} else {
+			sh.heap.Pop()
+			err = sh.complete(ev.Time, ev.Session)
+		}
+		if err != nil {
+			sh.err = fmt.Errorf("fleet: %s at t=%.3f: %w", ev.Kind, ev.Time, err)
 			return sh.err
 		}
 	}
 }
 
-// advanceRun processes the maximal run of events with timestamp t and the
-// given kind, in two phases:
-//
-//  1. Take the whole run. Run members were all pushed before anything a
-//     member's handling could push at time t, so handling them one at a
-//     time would pop exactly this run first; taking it up front changes
-//     nothing. Joins bind their cohort's state on its first member;
-//     completions book their segment and stall, and a member that leaves
-//     settles here, before its cohort's state steps on.
-//  2. Walk the stepping members in pop order. A member's cohort steps at its
-//     first member of the run, and every member pushes its next completion,
-//     so the heap's insertion sequence, and with it every future tie-break
-//     and the ledger's float summation order, is the one-at-a-time order.
-func (sh *shard) advanceRun(t float64, kind Kind) error {
-	sh.run++
-	sh.runMembers = sh.runMembers[:0]
+// session is the global index of the session at a local slot.
+func (sh *shard) session(slot int32) int { return int(slot)*len(sh.eng.shards) + sh.index }
 
-	// Phase 1: pop the run. Joins drain from the static schedule cursor (all
-	// same-time joins precede any heap event at that time, so the run is
-	// exactly the cursor's same-time prefix); completions pop from the heap.
-	switch kind {
-	case KindJoin:
-		for sh.joinPos < len(sh.joins) && sh.joins[sh.joinPos].time == t {
-			session := sh.joins[sh.joinPos].session
-			sh.joinPos++
-			slot := sh.slot(session)
-			if err := sh.join(t, slot, session); err != nil {
-				return err
-			}
-			sh.runMembers = append(sh.runMembers, runMember{session: session, slot: slot})
-		}
-	case KindSegmentComplete:
-		for {
-			ev, ok := sh.heap.Peek()
-			if !ok || ev.Time != t {
-				break
-			}
-			sh.heap.Pop()
-			slot := sh.slot(ev.Session)
-			if sh.complete(t, slot, ev.Session) {
-				sh.runMembers = append(sh.runMembers, runMember{session: ev.Session, slot: slot})
-			} else if err := sh.finish(t, slot, ev.Session); err != nil {
-				return err
+// join binds a cohort's state, books its members' joins and takes its first
+// step.
+func (sh *shard) join(t float64, id int) error {
+	c := &sh.cohorts[id]
+	spec := sh.eng.specs[sh.session(c.members[0])]
+	c.state = sh.allocState()
+	if err := sh.stepper.InitState(c.state, spec.User, spec.Net); err != nil {
+		return err
+	}
+	sh.led.Joined += len(c.members)
+	if sh.flight != nil {
+		// Pass every member through the recorder's sampling gate.
+		for _, slot := range c.members {
+			fsess := sh.eng.cfg.Flight.SessionN(sh.session(slot))
+			sh.flight[slot] = fsess
+			if fsess != nil {
+				fsess.Record(obs.FlightEvent{TimeSec: t, Kind: obs.FlightJoin, Seg: -1})
+				c.sampled = append(c.sampled, slot)
 			}
 		}
 	}
-
-	// Phase 2: step each cohort once and reschedule every member.
-	for _, m := range sh.runMembers {
-		c := &sh.cohorts[sh.cohort[m.slot]]
-		if c.run == sh.run {
-			sh.led.BatchReplays++
-		} else {
-			info, err := sh.stepper.Step(c.state)
-			if err != nil {
-				return fmt.Errorf("session %d: %w", m.session, err)
-			}
-			c.run, c.info = sh.run, info
-			sh.led.BatchLeaders++
-		}
-		sh.heap.Push(t+c.info.WaitSec+c.info.DownloadSec, KindSegmentComplete, m.session)
-	}
-	return nil
+	return sh.step(t, id)
 }
 
-func (sh *shard) slot(session int) int { return session / len(sh.eng.shards) }
-
-// join adds a joining session to its cohort, binding the cohort's state on
-// its first member, and books the join.
-func (sh *shard) join(t float64, slot, session int) error {
-	c := &sh.cohorts[sh.cohort[slot]]
-	if c.state == nil {
-		spec := sh.eng.specs[session]
-		state := sh.allocState()
-		if err := sh.stepper.InitState(state, spec.User, spec.Net); err != nil {
+// complete books the segment download a cohort's members finished at time
+// t, its stall included, settles the members that leave with it (catalogue
+// exhausted or their LeaveAfterSegments reached), and steps the rest on.
+func (sh *shard) complete(t float64, id int) error {
+	c := &sh.cohorts[id]
+	info, n := c.info, len(c.members)
+	sh.led.Segments += n
+	if info.StallSec > 0 {
+		sh.led.Stalls += n
+		// One add per member, as each member booking its own stall would
+		// make: a single n·StallSec rounds differently.
+		for range n {
+			sh.led.StallSec += info.StallSec
+		}
+	}
+	for _, slot := range c.sampled {
+		sh.flight[slot].RecordSegment(t, info.Segment, info.DownloadSec, info.StallSec, c.state.EstimateBps(), false)
+	}
+	if info.Done || c.minLeave != 0 && c.state.Segments() >= int(c.minLeave) {
+		if err := sh.settle(t, c); err != nil {
 			return err
 		}
-		c.state = state
+		if len(c.members) == 0 {
+			c.state = nil
+			return nil
+		}
 	}
-	c.live++
-	sh.led.Joined++
-	sh.flightJoin(t, slot, session)
+	return sh.step(t, id)
+}
+
+// step advances a cohort's state by one segment for all its members and
+// schedules their next completion.
+func (sh *shard) step(t float64, id int) error {
+	c := &sh.cohorts[id]
+	info, err := sh.stepper.Step(c.state)
+	if err != nil {
+		return fmt.Errorf("session %d: %w", sh.session(c.members[0]), err)
+	}
+	c.info = info
+	sh.led.BatchLeaders++
+	sh.led.BatchReplays += len(c.members) - 1
+	sh.heap.Push(t+info.WaitSec+info.DownloadSec, KindSegmentComplete, id)
 	return nil
 }
 
-// complete books a finished segment download, its stall included, and
-// reports whether the session steps again; false means it leaves (catalogue
-// exhausted or its LeaveAfterSegments reached).
-func (sh *shard) complete(t float64, slot, session int) bool {
-	sh.led.Segments++
-	c := &sh.cohorts[sh.cohort[slot]]
-	info := c.info
-	if info.StallSec > 0 {
-		sh.led.Stalls++
-		sh.led.StallSec += info.StallSec
+// settle retires, in session order, the members of a cohort that leave at
+// time t, before its state steps on: every member when the catalogue is
+// exhausted, else those whose leave count the state has reached. It then
+// recomputes the smallest leave count still pending.
+func (sh *shard) settle(t float64, c *cohort) error {
+	segs := c.state.Segments()
+	stay := c.members[:0]
+	c.minLeave = 0
+	for _, slot := range c.members {
+		if l := sh.leave[slot]; !c.info.Done && (l == 0 || segs < int(l)) {
+			stay = append(stay, slot)
+			if l != 0 && (c.minLeave == 0 || l < c.minLeave) {
+				c.minLeave = l
+			}
+			continue
+		}
+		if err := sh.finish(t, c, slot); err != nil {
+			return err
+		}
 	}
-	sh.flightDownload(t, slot, c.state, info)
-	return !info.Done && (sh.leave[slot] == 0 || c.state.Segments() < int(sh.leave[slot]))
+	c.members = stay
+	if sh.flight != nil {
+		c.sampled = slices.DeleteFunc(c.sampled, func(slot int32) bool { return sh.flight[slot] == nil })
+	}
+	return nil
 }
 
-// flightJoin passes a joining session through the flight recorder's sampling
-// gate and records its join event. A no-op without Config.Flight.
-func (sh *shard) flightJoin(t float64, slot, session int) {
-	if sh.flight == nil {
-		return
-	}
-	fsess := sh.eng.cfg.Flight.SessionN(session)
-	sh.flight[slot] = fsess
-	if fsess != nil {
-		fsess.Record(obs.FlightEvent{TimeSec: t, Kind: obs.FlightJoin, Seg: -1})
-	}
-}
-
-// flightDownload records one completed segment into the session's black
-// box: its stall, if it rebuffered, and its download. A no-op for unsampled
-// sessions.
-func (sh *shard) flightDownload(t float64, slot int, state *sim.State, info sim.StepInfo) {
-	if sh.flight == nil {
-		return
-	}
-	fsess := sh.flight[slot]
-	if fsess == nil || state == nil {
-		return
-	}
-	fsess.RecordSegment(t, info.Segment, info.DownloadSec, info.StallSec, state.EstimateBps(), false)
-}
-
-// finish retires a session that leaves at time t and settles its
-// accounting from its cohort's state, which it releases with the last
-// member.
-func (sh *shard) finish(t float64, slot, session int) error {
-	c := &sh.cohorts[sh.cohort[slot]]
+// finish retires the member at slot, which leaves at time t, and settles
+// its accounting from its cohort's state.
+func (sh *shard) finish(t float64, c *cohort, slot int32) error {
+	session := sh.session(slot)
 	res, err := sh.stepper.Finish(c.state)
 	if err != nil {
 		return fmt.Errorf("session %d: %w", session, err)
@@ -617,10 +616,6 @@ func (sh *shard) finish(t float64, slot, session int) error {
 			fsess.Close()
 			sh.flight[slot] = nil
 		}
-	}
-	c.live--
-	if c.live == 0 {
-		c.state = nil
 	}
 	return nil
 }

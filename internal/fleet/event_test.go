@@ -11,9 +11,6 @@ func TestHeapOrdering(t *testing.T) {
 	h.Push(1, KindJoin, 1)
 	h.Push(2, KindSegmentComplete, 2)
 	h.Push(1, KindSegmentComplete, 3) // ties with session 1's event; pushed later, pops later
-	if h.n != 4 || len(h.runs) != 4 {
-		t.Fatalf("heap holds %d events in %d runs, want 4 in 4", h.n, len(h.runs))
-	}
 	if ev, ok := h.Peek(); !ok || ev.Session != 1 || ev.Kind != KindJoin {
 		t.Fatalf("Peek = %+v,%v, want join of session 1", ev, ok)
 	}
@@ -39,19 +36,16 @@ func TestHeapOrdering(t *testing.T) {
 	}
 }
 
-// TestHeapRuns pins when a push joins a run: only the most recently opened
-// run, only while it is pending, only at a bit-identical time. Pop order is
-// (Time, push order) throughout.
+// TestHeapRuns pins the pop order of runs of same-time pushes: (Time, push
+// order) throughout, whether a run's pushes are consecutive or interleaved
+// with other times, and -0 is the time +0.
 func TestHeapRuns(t *testing.T) {
 	var h Heap
 	h.Push(2, KindSegmentComplete, 0)
-	h.Push(2, KindSegmentComplete, 1) // joins 0's run
-	h.Push(1, KindJoin, 2)            // opens a run
-	h.Push(2, KindSegmentComplete, 3) // 0's run is no longer the latest: opens one
-	h.Push(2, KindSegmentComplete, 4) // joins 3's run
-	if h.n != 5 || len(h.runs) != 3 {
-		t.Fatalf("heap holds %d events in %d runs, want 5 in 3", h.n, len(h.runs))
-	}
+	h.Push(2, KindSegmentComplete, 1)
+	h.Push(1, KindJoin, 2)
+	h.Push(2, KindSegmentComplete, 3)
+	h.Push(2, KindSegmentComplete, 4)
 	if ev, _ := h.Pop(); ev.Session != 2 || ev.Kind != KindJoin {
 		t.Fatalf("first pop %+v, want join of session 2", ev)
 	}
@@ -60,23 +54,17 @@ func TestHeapRuns(t *testing.T) {
 			t.Fatalf("pop: session %d, want %d", ev.Session, want)
 		}
 	}
-	// 3's run still holds 4, so a push at its time joins behind 4.
+	// A push at a pending time queues behind the events already there.
 	h.Push(2, KindSegmentComplete, 5)
-	if len(h.runs) != 1 || h.n != 2 {
-		t.Fatalf("heap holds %d events in %d runs, want 2 in 1", h.n, len(h.runs))
-	}
 	for _, want := range []int{4, 5} {
 		if ev, _ := h.Pop(); ev.Session != want {
 			t.Fatalf("pop: session %d, want %d", ev.Session, want)
 		}
 	}
-	// A drained run takes no more pushes, and -0 is not the time +0.
+	// -0 ties with +0 on push order and keeps its sign.
 	h.Push(2, KindSegmentComplete, 6)
 	h.Push(0, KindSegmentComplete, 7)
 	h.Push(math.Copysign(0, -1), KindSegmentComplete, 8)
-	if len(h.runs) != 3 {
-		t.Fatalf("heap holds %d runs, want 3", len(h.runs))
-	}
 	for _, want := range []int{7, 8, 6} {
 		ev, _ := h.Pop()
 		if ev.Session != want {
@@ -86,26 +74,16 @@ func TestHeapRuns(t *testing.T) {
 			t.Fatalf("session 8 popped at %g, pushed at -0", ev.Time)
 		}
 	}
-	if h.n != 0 || len(h.runs) != 0 {
-		t.Fatalf("drained heap holds %d events in %d runs", h.n, len(h.runs))
-	}
-	// Every node went back to the free list and is reused before the slab
-	// grows.
-	slab := len(h.nodes)
-	for i := 0; i < slab; i++ {
-		h.Push(float64(i), KindSegmentComplete, i)
-	}
-	if len(h.nodes) != slab {
-		t.Fatalf("slab grew from %d to %d nodes with %d free", slab, len(h.nodes), slab)
+	if _, ok := h.Pop(); ok {
+		t.Fatal("pop from drained heap succeeded")
 	}
 }
 
 // FuzzEventHeapOrdering drives the heap through random interleavings of
-// single pushes, bursts of equal-time pushes (the shape a batch's
-// rescheduling produces) and pops, checking against a flat reference model
-// that (a) every pop returns the minimum (time, push-order) among pending
-// events, (b) no event is lost or popped twice, (c) Peek always agrees with
-// Pop, and (d) the heap never holds more runs than events.
+// single pushes, bursts of equal-time pushes and pops, checking against a
+// flat reference model that (a) every pop returns the minimum (time,
+// push-order) among pending events, (b) no event is lost or popped twice,
+// and (c) Peek always agrees with Pop.
 func FuzzEventHeapOrdering(f *testing.F) {
 	f.Add([]byte{0, 10, 1, 0, 10, 2, 1, 0, 0, 0, 2, 0, 0, 5, 3, 1, 0, 0})
 	f.Add([]byte{0, 1, 1, 0, 1, 2, 0, 1, 3, 1, 1, 0, 1, 0, 0, 1, 0, 0})
@@ -178,15 +156,12 @@ func FuzzEventHeapOrdering(f *testing.F) {
 					push(tm, data[i+2]+byte(k))
 				}
 			}
-			if h.n != pending() {
-				t.Fatalf("heap holds %d events, model has %d pending", h.n, pending())
-			}
-			if len(h.runs) > h.n {
-				t.Fatalf("heap holds %d runs for %d events", len(h.runs), h.n)
+			if len(h.events) != pending() {
+				t.Fatalf("heap holds %d events, model has %d pending", len(h.events), pending())
 			}
 		}
 		// Drain: every pending event must come out, in order.
-		for h.n > 0 {
+		for len(h.events) > 0 {
 			checkPop()
 		}
 		if pending() != 0 {

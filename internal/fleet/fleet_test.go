@@ -531,12 +531,55 @@ func TestFleetGoldenLedger(t *testing.T) {
 	}
 }
 
-// TestFleetHeapHoldsOneEventPerSession pins the engine's event budget: a
-// live session holds exactly one heap event, its next segment completion,
-// so at every Advance boundary a shard's heap holds one event per live
-// session, and the node and the run per session that New reserves are never
-// outgrown, stalls and early leaves included.
-func TestFleetHeapHoldsOneEventPerSession(t *testing.T) {
+// requireCohortHeap checks a shard's scheduling state at an Advance
+// boundary: its heap holds exactly one event per live cohort (one that has
+// joined and still has members) and none for any other, within the capacity
+// New reserved, one slot per cohort; and every cohort lists its remaining
+// members in session order with the smallest leave count among them.
+func requireCohortHeap(t *testing.T, at float64, si int, sh *shard) {
+	t.Helper()
+	if c := cap(sh.heap.events); c != len(sh.cohorts) {
+		t.Fatalf("t=%g: shard %d heap capacity %d, New reserved one slot for each of %d cohorts", at, si, c, len(sh.cohorts))
+	}
+	pending := make([]int, len(sh.cohorts))
+	for _, ev := range sh.heap.events {
+		pending[ev.Session]++
+	}
+	joined := make([]bool, len(sh.cohorts))
+	for _, j := range sh.joins[:sh.joinPos] {
+		joined[j.cohort] = true
+	}
+	for id, c := range sh.cohorts {
+		live := joined[id] && len(c.members) > 0
+		want := 0
+		if live {
+			want = 1
+		}
+		if pending[id] != want || (c.state != nil) != live {
+			t.Fatalf("t=%g: shard %d cohort %d (joined %v, %d members, state %v) has %d heap events, want %d",
+				at, si, id, joined[id], len(c.members), c.state != nil, pending[id], want)
+		}
+		var minLeave int32
+		for k, slot := range c.members {
+			if k > 0 && slot <= c.members[k-1] {
+				t.Fatalf("t=%g: shard %d cohort %d members %v out of session order", at, si, id, c.members)
+			}
+			if l := sh.leave[slot]; l != 0 && (minLeave == 0 || l < minLeave) {
+				minLeave = l
+			}
+		}
+		if c.minLeave != minLeave {
+			t.Fatalf("t=%g: shard %d cohort %d holds smallest leave count %d, its members' is %d", at, si, id, c.minLeave, minLeave)
+		}
+	}
+}
+
+// TestFleetHeapHoldsOneEventPerCohort pins the engine's event budget: a
+// live cohort holds exactly one heap event, its members' next segment
+// completion, so at every Advance boundary a shard's heap holds one event
+// per live cohort and never outgrows the slot per cohort that New reserves,
+// stalls and early leaves included. The 500 sessions form 39 cohorts.
+func TestFleetHeapHoldsOneEventPerCohort(t *testing.T) {
 	fx := fixture(t)
 	cfg := simConfig(t, sim.SchemePtile)
 	cfg.RecordSegments = false
@@ -553,11 +596,11 @@ func TestFleetHeapHoldsOneEventPerSession(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := &eng.shards[0].heap
-			reserved, reservedRuns := cap(h.nodes), cap(h.runs)
-			if reserved != sessions || reservedRuns != sessions {
-				t.Fatalf("New reserved %d heap nodes and %d runs for %d sessions", reserved, reservedRuns, sessions)
+			sh := eng.shards[0]
+			if len(sh.cohorts) != 39 {
+				t.Fatalf("%d sessions formed %d cohorts, want 3 viewers × 13 join times", sessions, len(sh.cohorts))
 			}
+			peak := 0
 			for until := 1.0; ; until++ {
 				if _, ok := eng.NextEventTime(); !ok {
 					break
@@ -565,95 +608,115 @@ func TestFleetHeapHoldsOneEventPerSession(t *testing.T) {
 				if err := eng.Advance(until); err != nil {
 					t.Fatal(err)
 				}
-				led := eng.Ledger()
-				if live := led.Joined - led.Finished; h.n != live {
-					t.Fatalf("t=%g: heap holds %d events for %d live sessions", until, h.n, live)
-				}
+				requireCohortHeap(t, until, 0, sh)
+				peak = max(peak, len(sh.heap.events))
 			}
 			if led := eng.Ledger(); led.Finished != sessions || led.Stalls == 0 {
 				t.Fatalf("fleet must drain and stall: %+v", led)
 			}
-			if c, cr := cap(h.nodes), cap(h.runs); c != reserved || cr != reservedRuns {
-				t.Fatalf("heap grew from the %d nodes and %d runs reserved to %d and %d", reserved, reservedRuns, c, cr)
+			if peak != len(sh.cohorts) {
+				t.Fatalf("the heap held at most %d events, want all %d cohorts' at once", peak, len(sh.cohorts))
 			}
 		})
 	}
 }
 
-// TestFleetHeapOneRunForIdenticalSessions pins the heap's run coalescing on
-// its best case: decision-identical sessions (one viewer, one trace, one
-// join time) complete every segment at one time and are rescheduled
-// together, so after the join wave the shard's heap holds all of them in a
-// single run.
-func TestFleetHeapOneRunForIdenticalSessions(t *testing.T) {
+// TestFleetHeapOneEventForIdenticalSessions pins the best case:
+// decision-identical sessions (one viewer, one trace, one join time) form
+// one cohort, so the shard's heap holds a single event for all of them
+// while they stream. When every member leaves early, at counts 1 to 9, the
+// cohort releases its state and its event with its last member: it steps
+// at its join and at eight completions, and never again.
+func TestFleetHeapOneEventForIdenticalSessions(t *testing.T) {
 	fx := fixture(t)
 	cfg := simConfig(t, sim.SchemeOurs)
 	cfg.RecordSegments = false
 	const sessions = 300
 	net := netFor(t, lte.ProfileDriving, 7)
-	specs := make([]SessionSpec, sessions)
-	for i := range specs {
-		specs[i] = SessionSpec{User: fx.eval[0], Net: net}
+	cases := []struct {
+		name  string
+		leave func(i int) int
+		steps int // cohort steps: one at the join, one per completion but the last
+	}{
+		{"whole-video", func(int) int { return 0 }, len(fx.cat.Content)},
+		{"early-leavers", func(i int) int { return 1 + i%9 }, 9},
 	}
-	eng, err := New(Config{Catalog: fx.cat, Sim: cfg, Shards: 1}, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &eng.shards[0].heap
-	boundaries := 0
-	for until := 0.0; ; until += 0.5 {
-		if _, ok := eng.NextEventTime(); !ok {
-			break
-		}
-		if err := eng.Advance(until); err != nil {
-			t.Fatal(err)
-		}
-		if led := eng.Ledger(); led.Active > 0 {
-			boundaries++
-			if h.n != sessions || len(h.runs) != 1 {
-				t.Fatalf("t=%g: heap holds %d events in %d runs, want %d in 1", until, h.n, len(h.runs), sessions)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			specs := make([]SessionSpec, sessions)
+			for i := range specs {
+				specs[i] = SessionSpec{User: fx.eval[0], Net: net, LeaveAfterSegments: tc.leave(i)}
 			}
-		}
-	}
-	if led := eng.Ledger(); led.Finished != sessions || boundaries < 10 {
-		t.Fatalf("fleet must drain after streaming a while: %d boundaries, %+v", boundaries, led)
+			eng, err := New(Config{Catalog: fx.cat, Sim: cfg, Shards: 1}, specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sh := eng.shards[0]
+			boundaries := 0
+			for until := 0.0; ; until += 0.5 {
+				if _, ok := eng.NextEventTime(); !ok {
+					break
+				}
+				if err := eng.Advance(until); err != nil {
+					t.Fatal(err)
+				}
+				requireCohortHeap(t, until, 0, sh)
+				led := eng.Ledger()
+				if led.Active > 0 {
+					boundaries++
+				}
+				if want := min(led.Active, 1); len(sh.heap.events) != want {
+					t.Fatalf("t=%g: heap holds %d events for %d identical sessions, want %d", until, len(sh.heap.events), led.Active, want)
+				}
+			}
+			led := eng.Ledger()
+			if led.Finished != sessions || boundaries < 3 {
+				t.Fatalf("fleet must drain after streaming a while: %d boundaries, %+v", boundaries, led)
+			}
+			if led.BatchLeaders != tc.steps {
+				t.Fatalf("the cohort stepped %d times, want %d", led.BatchLeaders, tc.steps)
+			}
+		})
 	}
 }
 
-// TestFleetHeapRunCount bounds the runs a shard's heap holds on the
+// TestFleetHeapEventCount bounds the events a shard's heap holds on the
 // fixture's mixed fleet: three viewers joining at thirteen offsets, split
-// over two shards. Each shard's pending completions cluster at a handful of
-// timestamps, so each holds at most 13 runs while holding up to 1,000
-// events. A run whose members' next completions differ pushes them
-// interleaved and fragments for a while (the driving trace reaches ~200
-// runs per shard), so this pins the walking trace's steady grouping.
-func TestFleetHeapRunCount(t *testing.T) {
+// over two shards, so each shard's 1,000 sessions form 39 cohorts. Each
+// shard holds one event per live cohort, so never more than 39, and all 39
+// at once after the join wave, whatever the trace does to the members'
+// timing.
+func TestFleetHeapEventCount(t *testing.T) {
 	fx := fixture(t)
 	cfg := simConfig(t, sim.SchemeOurs)
 	cfg.RecordSegments = false
-	const sessions, shards, maxRuns = 2000, 2, 13
-	eng, err := New(Config{Catalog: fx.cat, Sim: cfg, Shards: shards},
-		specsFor(fx, netFor(t, lte.ProfileWalking, 7), sessions))
-	if err != nil {
-		t.Fatal(err)
-	}
-	peakEvents := 0
-	for until := 0.0; ; until += 0.5 {
-		if _, ok := eng.NextEventTime(); !ok {
-			break
-		}
-		if err := eng.Advance(until); err != nil {
-			t.Fatal(err)
-		}
-		for si, sh := range eng.shards {
-			h := &sh.heap
-			if len(h.runs) > maxRuns {
-				t.Fatalf("t=%g: shard %d holds %d runs for %d events, want at most %d", until, si, len(h.runs), h.n, maxRuns)
+	const sessions, shards, cohorts = 2000, 2, 39
+	for _, prof := range []lte.Profile{lte.ProfileWalking, lte.ProfileDriving} {
+		t.Run(prof.String(), func(t *testing.T) {
+			eng, err := New(Config{Catalog: fx.cat, Sim: cfg, Shards: shards},
+				specsFor(fx, netFor(t, prof, 7), sessions))
+			if err != nil {
+				t.Fatal(err)
 			}
-			peakEvents = max(peakEvents, h.n)
-		}
-	}
-	if peakEvents != sessions/shards {
-		t.Fatalf("a shard held at most %d events, want all %d of its sessions at once", peakEvents, sessions/shards)
+			peak := 0
+			for until := 0.0; ; until += 0.5 {
+				if _, ok := eng.NextEventTime(); !ok {
+					break
+				}
+				if err := eng.Advance(until); err != nil {
+					t.Fatal(err)
+				}
+				for si, sh := range eng.shards {
+					if len(sh.cohorts) != cohorts {
+						t.Fatalf("shard %d has %d cohorts, want %d", si, len(sh.cohorts), cohorts)
+					}
+					requireCohortHeap(t, until, si, sh)
+					peak = max(peak, len(sh.heap.events))
+				}
+			}
+			if peak != cohorts {
+				t.Fatalf("a shard held at most %d events, want all %d of its cohorts' at once", peak, cohorts)
+			}
+		})
 	}
 }

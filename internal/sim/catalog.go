@@ -47,9 +47,12 @@ type Catalog struct {
 
 	// planMu guards plans, the lazily built per-configuration encoded-size
 	// tables shared by every session streaming this catalogue (see
-	// precompute.go). Zero-valued on a fresh catalogue.
+	// precompute.go), and grids, the outcome of checking the Ftile tiles
+	// against each grid the catalogue has been priced on. Zero-valued on a
+	// fresh catalogue.
 	planMu sync.Mutex
 	plans  map[planKey]*planEntry
+	grids  map[geom.Grid]error
 }
 
 // CatalogConfig tunes catalogue construction.

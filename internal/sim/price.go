@@ -33,7 +33,7 @@ type Pricer struct {
 // NewPricer prices cat under cfg at the catalogue's own segment duration
 // (cfg.SegmentSec is replaced by cat.SegmentSec), resolving the plan tables
 // once and building them on first use. Every Ftile tile of cat must lie on
-// cfg.Grid.
+// cfg.Grid; the check, too, runs once per catalogue and grid.
 func NewPricer(cat *Catalog, cfg Config) (*Pricer, error) {
 	if cat == nil || len(cat.Content) == 0 {
 		return nil, fmt.Errorf("sim: empty catalogue")
@@ -42,14 +42,8 @@ func NewPricer(cat *Catalog, cfg Config) (*Pricer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	for k, groups := range cat.Ftiles {
-		for _, g := range groups {
-			for _, id := range g.Tiles {
-				if id.Row < 0 || id.Row >= cfg.Grid.Rows || id.Col < 0 || id.Col >= cfg.Grid.Cols {
-					return nil, fmt.Errorf("sim: segment %d Ftile tile %+v off the %dx%d grid", k, id, cfg.Grid.Rows, cfg.Grid.Cols)
-				}
-			}
-		}
+	if err := cat.checkGrid(cfg.Grid); err != nil {
+		return nil, err
 	}
 	p := &Pricer{cfg: cfg, cat: cat, fm: cfg.Encoder.FrameRate, lut: geom.FoVLUTFor(cfg.Grid, cfg.FoVDeg, cfg.FoVDeg)}
 	// Without tables (determinism tests) every size and coverage mask is
@@ -61,6 +55,37 @@ func NewPricer(cat *Catalog, cfg Config) (*Pricer, error) {
 		}
 	}
 	return p, nil
+}
+
+// checkGrid reports an Ftile tile of the catalogue off grid g. It walks the
+// tiles once per grid: every session that streams the catalogue prices it
+// on the same grid, so later calls read the memo.
+func (c *Catalog) checkGrid(g geom.Grid) error {
+	c.planMu.Lock()
+	defer c.planMu.Unlock()
+	if err, ok := c.grids[g]; ok {
+		return err
+	}
+	err := c.offGrid(g)
+	if c.grids == nil {
+		c.grids = make(map[geom.Grid]error)
+	}
+	c.grids[g] = err
+	return err
+}
+
+// offGrid walks every Ftile tile and reports the first off grid g.
+func (c *Catalog) offGrid(g geom.Grid) error {
+	for k, groups := range c.Ftiles {
+		for _, grp := range groups {
+			for _, id := range grp.Tiles {
+				if id.Row < 0 || id.Row >= g.Rows || id.Col < 0 || id.Col >= g.Cols {
+					return fmt.Errorf("sim: segment %d Ftile tile %+v off the %dx%d grid", k, id, g.Rows, g.Cols)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // Catalog returns the priced catalogue.
