@@ -154,21 +154,9 @@ func run() int {
 		logger.Error("head-trace generation failed", "err", err)
 		return 1
 	}
-	nTrain := *users * 5 / 6
-	train, eval, err := ds.SplitTrainEval(nTrain, *seed+1)
+	prep, err := sim.PrepareVideo(ds, *users*5/6, *seed, 0)
 	if err != nil {
-		logger.Error("train/eval split failed", "err", err)
-		return 1
-	}
-	ccfg, err := sim.DefaultCatalogConfig()
-	if err != nil {
-		logger.Error("catalogue config invalid", "err", err)
-		return 1
-	}
-	ccfg.Seed = *seed
-	cat, err := sim.BuildCatalog(p, train, ccfg)
-	if err != nil {
-		logger.Error("catalogue build failed", "err", err)
+		logger.Error("video preparation failed", "err", err)
 		return 1
 	}
 	ncfg, err := lte.ProfileConfig(prof)
@@ -193,7 +181,7 @@ func run() int {
 	specs := make([]fleet.SessionSpec, *sessions)
 	for i := range specs {
 		specs[i] = fleet.SessionSpec{
-			User:    eval[i%len(eval)],
+			User:    prep.Eval[i%len(prep.Eval)],
 			Net:     net,
 			JoinSec: 0.25 * float64(i%13),
 		}
@@ -206,7 +194,7 @@ func run() int {
 		flight = obs.NewFlightRecorder(obs.FlightConfig{SampleEvery: *flightSample, Registry: reg})
 	}
 	eng, err := fleet.New(fleet.Config{
-		Catalog:  cat,
+		Catalog:  prep.Catalog,
 		Sim:      cfg,
 		Shards:   *shards,
 		Workers:  *workers,

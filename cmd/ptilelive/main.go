@@ -82,22 +82,12 @@ func run() int {
 		logger.Error("head-trace generation failed", "err", err)
 		return 1
 	}
-	train, eval, err := ds.SplitTrainEval(*users*5/6, *seed+1)
+	prep, err := sim.PrepareVideo(ds, *users*5/6, *seed, 0)
 	if err != nil {
-		logger.Error("train/eval split failed", "err", err)
+		logger.Error("video preparation failed", "err", err)
 		return 1
 	}
-	ccfg, err := sim.DefaultCatalogConfig()
-	if err != nil {
-		logger.Error("catalogue config invalid", "err", err)
-		return 1
-	}
-	ccfg.Seed = *seed
-	cat, err := sim.BuildCatalog(p, train, ccfg)
-	if err != nil {
-		logger.Error("catalogue build failed", "err", err)
-		return 1
-	}
+	cat, eval := prep.Catalog, prep.Eval
 
 	// Measurement set: the catalogue's own eval split plus extra held-out
 	// viewers, none of which feed either pipeline.

@@ -100,24 +100,12 @@ func run() int {
 			logger.Error("head-trace generation failed", "video", id, "err", err)
 			return 1
 		}
-		nTrain := *users * 5 / 6
-		train, _, err := ds.SplitTrainEval(nTrain, *seed+1)
+		prep, err := sim.PrepareVideo(ds, *users*5/6, *seed, 0)
 		if err != nil {
-			logger.Error("train/eval split failed", "video", id, "err", err)
+			logger.Error("video preparation failed", "video", id, "err", err)
 			return 1
 		}
-		ccfg, err := sim.DefaultCatalogConfig()
-		if err != nil {
-			logger.Error("catalogue config invalid", "err", err)
-			return 1
-		}
-		ccfg.Seed = *seed
-		cat, err := sim.BuildCatalog(p, train, ccfg)
-		if err != nil {
-			logger.Error("catalogue build failed", "video", id, "err", err)
-			return 1
-		}
-		catalogs[id] = cat
+		catalogs[id] = prep.Catalog
 	}
 
 	srv, err := httpstream.NewServer(catalogs, video.DefaultEncoderConfig(), []float64{30, 27, 24, 21})

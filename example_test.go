@@ -9,9 +9,11 @@ import (
 // Example streams one video with the paper's algorithm and reports the
 // headline session metrics.
 func Example() {
-	sys, err := ptile360.NewSystem(ptile360.Options{
+	sys, err := ptile360.NewSystem(ptile360.Scale{
 		UsersPerVideo: 14,
 		TrainUsers:    10,
+		EvalUsers:     4,
+		Videos:        []int{2},
 		TraceSamples:  250,
 		Seed:          5,
 	})

@@ -55,19 +55,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	train, eval, err := ds.SplitTrainEval(10, 3)
+	prep, err := sim.PrepareVideo(ds, 10, 11, 0)
 	if err != nil {
 		return err
 	}
-	ccfg, err := sim.DefaultCatalogConfig()
-	if err != nil {
-		return err
-	}
-	cat, err := sim.BuildCatalog(p, train, ccfg)
-	if err != nil {
-		return err
-	}
-	inner, err := httpstream.NewServer(map[int]*sim.Catalog{2: cat},
+	inner, err := httpstream.NewServer(map[int]*sim.Catalog{2: prep.Catalog},
 		video.DefaultEncoderConfig(), []float64{30, 27, 24, 21})
 	if err != nil {
 		return err
@@ -147,7 +139,7 @@ func run() error {
 				results <- outcome{id: i, err: err}
 				return
 			}
-			report, err := client.Stream(2, eval[i%len(eval)])
+			report, err := client.Stream(2, prep.Eval[i%len(prep.Eval)])
 			results <- outcome{id: i, report: report, err: err}
 		}(i)
 	}

@@ -41,19 +41,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	train, eval, err := ds.SplitTrainEval(12, 7)
+	prep, err := sim.PrepareVideo(ds, 12, 42, 0)
 	if err != nil {
 		return err
 	}
-	ccfg, err := sim.DefaultCatalogConfig()
-	if err != nil {
-		return err
-	}
-	cat, err := sim.BuildCatalog(p, train, ccfg)
-	if err != nil {
-		return err
-	}
-	srv, err := httpstream.NewServer(map[int]*sim.Catalog{2: cat},
+	srv, err := httpstream.NewServer(map[int]*sim.Catalog{2: prep.Catalog},
 		video.DefaultEncoderConfig(), []float64{30, 27, 24, 21})
 	if err != nil {
 		return err
@@ -98,7 +90,7 @@ func run() error {
 	}
 
 	// Session 1: clean transport — the baseline the chaos run degrades from.
-	clean, err := stream(baseCfg, eval[0])
+	clean, err := stream(baseCfg, prep.Eval[0])
 	if err != nil {
 		return err
 	}
@@ -107,7 +99,7 @@ func run() error {
 	chaosCfg := baseCfg
 	chaosCfg.Transport = injector
 	chaosCfg.RetrySeed = 1234
-	chaos, err := stream(chaosCfg, eval[0])
+	chaos, err := stream(chaosCfg, prep.Eval[0])
 	if err != nil {
 		return err
 	}

@@ -38,19 +38,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	train, eval, err := ds.SplitTrainEval(12, 7)
+	prep, err := sim.PrepareVideo(ds, 12, 42, 0)
 	if err != nil {
 		return err
 	}
-	ccfg, err := sim.DefaultCatalogConfig()
-	if err != nil {
-		return err
-	}
-	cat, err := sim.BuildCatalog(p, train, ccfg)
-	if err != nil {
-		return err
-	}
-	srv, err := httpstream.NewServer(map[int]*sim.Catalog{2: cat},
+	srv, err := httpstream.NewServer(map[int]*sim.Catalog{2: prep.Catalog},
 		video.DefaultEncoderConfig(), []float64{30, 27, 24, 21})
 	if err != nil {
 		return err
@@ -89,7 +81,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	report, err := client.Stream(2, eval[0])
+	report, err := client.Stream(2, prep.Eval[0])
 	if err != nil {
 		return err
 	}

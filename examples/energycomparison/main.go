@@ -19,12 +19,11 @@ func main() {
 }
 
 func run() error {
-	sys, err := ptile360.NewSystem(ptile360.Options{
-		UsersPerVideo: 20,
-		TrainUsers:    16,
-		TraceSamples:  300,
-		Seed:          42,
-	})
+	// The quick scale's traces and seed with 20 viewers, 16 of which train
+	// the Ptiles.
+	scale := ptile360.QuickScale()
+	scale.UsersPerVideo, scale.TrainUsers = 20, 16
+	sys, err := ptile360.NewSystem(scale)
 	if err != nil {
 		return err
 	}
@@ -33,7 +32,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("video %d (%s), %d evaluation users\n\n",
-		prep.Profile.ID, prep.Profile.Name, len(prep.EvalUsers))
+		prep.Profile.ID, prep.Profile.Name, len(prep.Eval))
 
 	schemes := []ptile360.Scheme{
 		ptile360.SchemeCtile, ptile360.SchemeFtile, ptile360.SchemeNontile,
@@ -50,14 +49,14 @@ func run() error {
 			for _, scheme := range schemes {
 				// Average the per-segment energy over the evaluation users.
 				var energy float64
-				for idx := range prep.EvalUsers {
+				for idx := range prep.Eval {
 					res, err := sys.Stream(prep, idx, scheme, phone, traceID)
 					if err != nil {
 						return err
 					}
 					energy += res.Energy.Total() / float64(res.Segments)
 				}
-				energy /= float64(len(prep.EvalUsers))
+				energy /= float64(len(prep.Eval))
 				row += fmt.Sprintf("\t%.0f", energy)
 				switch scheme {
 				case ptile360.SchemeCtile:

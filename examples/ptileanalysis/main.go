@@ -21,7 +21,7 @@ func main() {
 }
 
 func run() error {
-	sys, err := ptile360.NewSystem(ptile360.DefaultOptions())
+	sys, err := ptile360.NewSystem(ptile360.FullScale())
 	if err != nil {
 		return err
 	}

@@ -19,12 +19,7 @@ func main() {
 
 func run() error {
 	// A small system: 16 synthetic viewers, 12 of which train the Ptiles.
-	sys, err := ptile360.NewSystem(ptile360.Options{
-		UsersPerVideo: 16,
-		TrainUsers:    12,
-		TraceSamples:  300,
-		Seed:          42,
-	})
+	sys, err := ptile360.NewSystem(ptile360.QuickScale())
 	if err != nil {
 		return err
 	}
@@ -36,7 +31,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("prepared %q: %d segments, %d evaluation users\n",
-		prep.Profile.Name, len(prep.Catalog.Content), len(prep.EvalUsers))
+		prep.Profile.Name, len(prep.Catalog.Content), len(prep.Eval))
 
 	// Stream with the full energy-efficient QoE-aware algorithm (Ours) on a
 	// Pixel 3 over the slower network condition (trace 2).

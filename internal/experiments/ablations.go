@@ -87,8 +87,8 @@ func Ablations(scale Scale) (*AblationsResult, error) {
 	set("controller", "energy-mpc", func(*sim.Config) {})
 	set("controller", "qoe-mpc", func(c *sim.Config) { c.UseQoEMPC = true })
 
-	sessions, err := sweep(len(knobs), len(setup.eval), func(k, u int) (*sim.Result, error) {
-		r, err := sim.Run(setup.catalog, setup.eval[u], trace2, knobs[k].cfg)
+	sessions, err := sweep(len(knobs), len(setup.Eval), func(k, u int) (*sim.Result, error) {
+		r, err := sim.Run(setup.Catalog, setup.Eval[u], trace2, knobs[k].cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablation %s=%s: %w", knobs[k].sweep, knobs[k].setting, err)
 		}
@@ -107,7 +107,7 @@ func Ablations(scale Scale) (*AblationsResult, error) {
 			row.Stalls += float64(r.QoE.Stalls)
 			row.MeanFrameRate += r.MeanFrameRate
 		}
-		n := float64(len(setup.eval))
+		n := float64(len(setup.Eval))
 		row.EnergyPerSegment /= n
 		row.QoE /= n
 		row.Stalls /= n

@@ -73,7 +73,7 @@ func buildComparison(phone power.Phone, scale Scale) (*Comparison, error) {
 	// Build (or fetch from cache) every video setup up front; distinct
 	// videos build concurrently, and concurrent figures requesting the same
 	// video share one build through the cache's singleflight.
-	setups := make([]*videoSetup, len(scale.Videos))
+	setups := make([]*sim.Video, len(scale.Videos))
 	if err := parallel.ForEach(len(scale.Videos), maxWorkers(), func(i int) error {
 		s, err := setupVideo(scale.Videos[i], scale)
 		if err != nil {
@@ -87,7 +87,7 @@ func buildComparison(phone power.Phone, scale Scale) (*Comparison, error) {
 
 	type cellJob struct {
 		cell  Cell
-		setup *videoSetup
+		setup *sim.Video
 		net   *lte.Trace
 		cfg   sim.Config
 	}
@@ -111,8 +111,8 @@ func buildComparison(phone power.Phone, scale Scale) (*Comparison, error) {
 
 	sessions, err := sweep(len(cells), scale.EvalUsers, func(c, u int) (*sim.Result, error) {
 		job := cells[c]
-		user := job.setup.eval[u]
-		r, err := sim.Run(job.setup.catalog, user, job.net, job.cfg)
+		user := job.setup.Eval[u]
+		r, err := sim.Run(job.setup.Catalog, user, job.net, job.cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %v video %d trace %d user %d: %w",
 				job.cell.Scheme, job.cell.VideoID, job.cell.TraceID, user.UserID, err)

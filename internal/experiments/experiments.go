@@ -7,14 +7,13 @@ package experiments
 import (
 	"fmt"
 
-	"ptile360/internal/headtrace"
 	"ptile360/internal/netem"
 	"ptile360/internal/parallel"
-	"ptile360/internal/sim"
 	"ptile360/internal/video"
 )
 
-// Scale sets the workload size of the trace-driven experiments.
+// Scale sets the workload size of the trace-driven experiments and of the
+// ptile360 façade's System.
 type Scale struct {
 	// UsersPerVideo is the number of generated viewers per video (48 in the
 	// dataset).
@@ -97,51 +96,6 @@ type Table struct {
 	Title   string
 	Columns []string
 	Rows    [][]string
-}
-
-// videoSetup bundles the per-video artifacts the trace-driven experiments
-// share: traces, the train/eval split, and the server catalogue. Setups are
-// memoized and shared across figures (see setupcache.go), so all fields are
-// read-only after construction.
-type videoSetup struct {
-	profile video.Profile
-	train   []*headtrace.Trace
-	eval    []*headtrace.Trace
-	catalog *sim.Catalog
-}
-
-// buildVideoSetup generates and splits the head-movement dataset for one
-// video and builds its catalogue. Since a valid scale leaves at least
-// EvalUsers viewers outside the training split, every setup evaluates
-// exactly EvalUsers viewers. Callers go through the memoizing setupVideo
-// (setupcache.go) instead of calling this directly.
-func buildVideoSetup(id int, scale Scale) (*videoSetup, error) {
-	p, err := video.ProfileByID(id)
-	if err != nil {
-		return nil, err
-	}
-	ds, err := datasetFor(p, scale.UsersPerVideo, scale.Seed)
-	if err != nil {
-		return nil, err
-	}
-	train, eval, err := ds.SplitTrainEval(scale.TrainUsers, scale.Seed+1)
-	if err != nil {
-		return nil, err
-	}
-	if len(eval) > scale.EvalUsers {
-		eval = eval[:scale.EvalUsers]
-	}
-	ccfg, err := sim.DefaultCatalogConfig()
-	if err != nil {
-		return nil, err
-	}
-	ccfg.Seed = scale.Seed
-	ccfg.Workers = maxWorkers()
-	cat, err := sim.BuildCatalog(p, train, ccfg)
-	if err != nil {
-		return nil, err
-	}
-	return &videoSetup{profile: p, train: train, eval: eval, catalog: cat}, nil
 }
 
 // sweep runs fn for every (cell, user) pair on the engine's worker pool and

@@ -34,8 +34,8 @@ func Fig1(videoID, segment int, scale Scale) (*Fig1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if segment < 0 || segment >= len(setup.catalog.Ptiles) {
-		return nil, fmt.Errorf("experiments: segment %d outside [0, %d)", segment, len(setup.catalog.Ptiles))
+	if segment < 0 || segment >= len(setup.Catalog.Ptiles) {
+		return nil, fmt.Errorf("experiments: segment %d outside [0, %d)", segment, len(setup.Catalog.Ptiles))
 	}
 
 	const (
@@ -69,7 +69,7 @@ func Fig1(videoID, segment int, scale Scale) (*Fig1Result, error) {
 		return false
 	}
 
-	ptiles := setup.catalog.Ptiles[segment]
+	ptiles := setup.Catalog.Ptiles[segment]
 	// Paint backgrounds: '.' panorama, '#' Ptile interiors.
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -83,8 +83,8 @@ func Fig1(videoID, segment int, scale Scale) (*Fig1Result, error) {
 	}
 	// Overlay viewing centers.
 	users := 0
-	for _, tr := range setup.train {
-		center, err := tr.ViewingCenter(segment, setup.catalog.SegmentSec)
+	for _, tr := range setup.Train {
+		center, err := tr.ViewingCenter(segment, setup.Catalog.SegmentSec)
 		if err != nil {
 			continue
 		}

@@ -213,9 +213,9 @@ func Fig6(scale Scale) (*Fig6Result, error) {
 
 	// Find the segment with the widest unbounded cluster.
 	bestSeg, bestDiam := 0, 0.0
-	nSeg := setup.profile.Segments(1)
+	nSeg := setup.Profile.Segments(1)
 	for seg := 0; seg < nSeg; seg += 5 {
-		centers := centersAt(setup.train, seg)
+		centers := centersAt(setup.Train, seg)
 		grown, err := cluster.DensityGrow(centers, params.Delta)
 		if err != nil {
 			return nil, err
@@ -227,7 +227,7 @@ func Fig6(scale Scale) (*Fig6Result, error) {
 		}
 	}
 
-	centers := centersAt(setup.train, bestSeg)
+	centers := centersAt(setup.Train, bestSeg)
 	grown, err := cluster.DensityGrow(centers, params.Delta)
 	if err != nil {
 		return nil, err
@@ -325,9 +325,9 @@ func Fig7(scale Scale) (*Fig7Result, error) {
 		}
 		var dist [4]float64
 		var coverage float64
-		nSeg := len(setup.catalog.Ptiles)
+		nSeg := len(setup.Catalog.Ptiles)
 		for seg := 0; seg < nSeg; seg++ {
-			n := len(setup.catalog.Ptiles[seg])
+			n := len(setup.Catalog.Ptiles[seg])
 			switch {
 			case n <= 1:
 				dist[0]++
@@ -338,7 +338,7 @@ func Fig7(scale Scale) (*Fig7Result, error) {
 			default:
 				dist[3]++
 			}
-			coverage += setup.catalog.Coverage[seg]
+			coverage += setup.Catalog.Coverage[seg]
 		}
 		for i := range dist {
 			dist[i] /= float64(nSeg)
@@ -403,11 +403,11 @@ func Fig8(scale Scale) (*Fig8Result, error) {
 			return nil, err
 		}
 		ratios := make(map[video.Quality][]float64)
-		for seg, ptiles := range setup.catalog.Ptiles {
+		for seg, ptiles := range setup.Catalog.Ptiles {
 			if len(ptiles) == 0 {
 				continue
 			}
-			sc := setup.catalog.Content[seg]
+			sc := setup.Catalog.Content[seg]
 			pt := ptiles[0]
 			tiles := grid.CoveringTiles(pt.Rect)
 			for q := video.MinQuality; q <= video.MaxQuality; q++ {

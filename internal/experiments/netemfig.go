@@ -127,12 +127,12 @@ func NetemFig(videoID int, scale Scale) (*NetemResult, error) {
 		r   *sim.Result
 		net netem.SessionStats
 	}
-	sessions, err := sweep(len(cells), len(setup.eval), func(c, u int) (session, error) {
+	sessions, err := sweep(len(cells), len(setup.Eval), func(c, u int) (session, error) {
 		cell := cells[c]
 		var s session
 		var err error
 		if cell.segTrace != nil {
-			s.r, err = sim.Run(setup.catalog, setup.eval[u], cell.segTrace, cell.cfg)
+			s.r, err = sim.Run(setup.Catalog, setup.Eval[u], cell.segTrace, cell.cfg)
 		} else {
 			// A packet path carries per-session link state: each session
 			// gets its own, seeded by the user's position.
@@ -144,7 +144,7 @@ func NetemFig(videoID int, scale Scale) (*NetemResult, error) {
 				PaceFactor: netemPaceFactor,
 			})
 			if err == nil {
-				s.r, err = sim.RunNetem(setup.catalog, setup.eval[u], pn, cell.cfg)
+				s.r, err = sim.RunNetem(setup.Catalog, setup.Eval[u], pn, cell.cfg)
 				s.net = pn.Stats()
 			}
 		}
@@ -157,7 +157,7 @@ func NetemFig(videoID int, scale Scale) (*NetemResult, error) {
 		return nil, err
 	}
 
-	res := &NetemResult{Video: videoID, Users: len(setup.eval)}
+	res := &NetemResult{Video: videoID, Users: len(setup.Eval)}
 	for c, cell := range cells {
 		row := NetemRow{Profile: cell.prof.Name, Model: cell.model, Estimator: cell.kind.String()}
 		var qoes, energies, stallSecs []float64

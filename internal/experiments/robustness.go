@@ -132,7 +132,7 @@ func PredAccuracy(scale Scale) (*PredAccuracyResult, error) {
 		meanErr := make([]float64, len(res.Horizons))
 		hits := make([]float64, len(res.Horizons))
 		var count float64
-		for _, tr := range setup.eval {
+		for _, tr := range setup.Eval {
 			xs, ys := tr.XYSeries()
 			for seg := 2; seg < nSeg-4; seg += 3 {
 				now := float64(seg)

@@ -8,6 +8,7 @@ import (
 	"ptile360/internal/headtrace"
 	"ptile360/internal/lte"
 	"ptile360/internal/power"
+	"ptile360/internal/sim"
 	"ptile360/internal/video"
 )
 
@@ -74,7 +75,7 @@ func (m *memo[K, V]) get(key K, hits, misses *int, build func() (V, error)) (V, 
 	return e.val, e.err
 }
 
-// setupKey captures every input buildVideoSetup reads. TraceSamples is
+// setupKey captures every input setupVideo reads. TraceSamples is
 // deliberately absent: the video setup does not depend on the LTE trace
 // length.
 type setupKey struct {
@@ -115,7 +116,7 @@ type comparisonKey struct {
 // CacheStats counts setup-cache traffic, for observability and the
 // cache-hit accounting tests.
 type CacheStats struct {
-	// SetupHits and SetupMisses count videoSetup lookups. A miss triggers
+	// SetupHits and SetupMisses count prepared-video lookups. A miss triggers
 	// one build; concurrent requests for an in-flight key count as hits.
 	SetupHits, SetupMisses int
 	// DatasetHits and DatasetMisses count head-trace dataset lookups.
@@ -132,7 +133,7 @@ type CacheStats struct {
 
 var cache struct {
 	mu          sync.Mutex
-	setups      memo[setupKey, *videoSetup]
+	setups      memo[setupKey, *sim.Video]
 	datasets    memo[datasetKey, *headtrace.Dataset]
 	traces      memo[traceKey, [2]*lte.Trace]
 	comparisons memo[comparisonKey, *Comparison]
@@ -140,11 +141,12 @@ var cache struct {
 	workers     int
 }
 
-// setupVideo returns the memoized per-video artifacts for (id, scale),
-// building them at most once per distinct key across all figures and
-// goroutines. The returned setup is shared — callers must treat it as
-// read-only.
-func setupVideo(id int, scale Scale) (*videoSetup, error) {
+// setupVideo returns the memoized prepared video for (id, scale), built
+// at most once per distinct key across all figures and goroutines: the
+// shared dataset (datasetFor) prepared by sim.PrepareVideo, whose Eval
+// holds the scale's first EvalUsers held-out viewers. The returned video is
+// shared — callers must treat it as read-only.
+func setupVideo(id int, scale Scale) (*sim.Video, error) {
 	key := setupKey{
 		videoID:       id,
 		usersPerVideo: scale.UsersPerVideo,
@@ -152,8 +154,23 @@ func setupVideo(id int, scale Scale) (*videoSetup, error) {
 		evalUsers:     scale.EvalUsers,
 		seed:          scale.Seed,
 	}
-	return cache.setups.get(key, &cache.stats.SetupHits, &cache.stats.SetupMisses, func() (*videoSetup, error) {
-		return buildVideoSetup(id, scale)
+	return cache.setups.get(key, &cache.stats.SetupHits, &cache.stats.SetupMisses, func() (*sim.Video, error) {
+		p, err := video.ProfileByID(id)
+		if err != nil {
+			return nil, err
+		}
+		ds, err := datasetFor(p, scale.UsersPerVideo, scale.Seed)
+		if err != nil {
+			return nil, err
+		}
+		v, err := sim.PrepareVideo(ds, scale.TrainUsers, scale.Seed, maxWorkers())
+		if err != nil {
+			return nil, err
+		}
+		if len(v.Eval) > scale.EvalUsers {
+			v.Eval = v.Eval[:scale.EvalUsers]
+		}
+		return v, nil
 	})
 }
 

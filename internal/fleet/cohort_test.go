@@ -542,6 +542,48 @@ func TestFleetTiedCohorts(t *testing.T) {
 	}
 }
 
+// TestFleetSettledTogetherOwnResults: the members of a cohort that leave in
+// one settle share one Finish, yet each holds its own Result, equal to its
+// Stepper reference, with rows capped at their length. Three members leave
+// after 5 segments and two with the video's end.
+func TestFleetSettledTogetherOwnResults(t *testing.T) {
+	fx := fixture(t)
+	cfg := simConfig(t, sim.SchemeOurs)
+	net := netFor(t, lte.ProfileWalking, 3)
+	leaves := []int{5, 0, 5, 0, 5}
+	specs := make([]SessionSpec, len(leaves))
+	for i, leave := range leaves {
+		specs[i] = SessionSpec{User: fx.eval[0], Net: net, LeaveAfterSegments: leave}
+	}
+	eng, err := New(Config{Catalog: fx.cat, Sim: cfg, Shards: 1}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	results := eng.Results()
+	refs := map[int]*sim.Result{}
+	for i, res := range results {
+		leave := leaves[i]
+		if refs[leave] == nil {
+			refs[leave] = stepperRef(t, fx.cat, cfg, fx.eval[0], net, leave)
+		}
+		requireSameResult(t, fmt.Sprintf("session %d (leave %d)", i, leave), res, refs[leave])
+		if len(res.PerSegment) != cap(res.PerSegment) {
+			t.Fatalf("session %d: rows %d long with capacity %d", i, len(res.PerSegment), cap(res.PerSegment))
+		}
+		for j := range i {
+			if results[j] == res {
+				t.Fatalf("sessions %d and %d hold one Result", j, i)
+			}
+		}
+	}
+	if led := eng.Ledger(); led.BatchLeaders == led.BatchLeaders+led.BatchReplays {
+		t.Fatalf("the five sessions must form one cohort: %+v", led)
+	}
+}
+
 // observedTier is BenchmarkFleetTickObserved's second observability tier: a
 // registry sampled into a TSDB, a quotient SLO evaluated on every sample,
 // and a 1-in-64 flight recorder.

@@ -569,12 +569,15 @@ func (sh *shard) step(t float64, id int) error {
 
 // settle retires, in session order, the members of a cohort that leave at
 // time t, before its state steps on: every member when the catalogue is
-// exhausted, else those whose leave count the state has reached. It then
-// recomputes the smallest leave count still pending.
+// exhausted, else those whose leave count the state has reached. They all
+// read the one state, so one Finish settles them: each gets its own copy of
+// the Result, sharing its rows (see Engine.Results). It then recomputes the
+// smallest leave count still pending.
 func (sh *shard) settle(t float64, c *cohort) error {
 	segs := c.state.Segments()
 	stay := c.members[:0]
 	c.minLeave = 0
+	var res *sim.Result
 	for _, slot := range c.members {
 		if l := sh.leave[slot]; !c.info.Done && (l == 0 || segs < int(l)) {
 			stay = append(stay, slot)
@@ -583,9 +586,16 @@ func (sh *shard) settle(t float64, c *cohort) error {
 			}
 			continue
 		}
-		if err := sh.finish(t, c, slot); err != nil {
-			return err
+		if res == nil {
+			var err error
+			if res, err = sh.stepper.Finish(c.state); err != nil {
+				return fmt.Errorf("session %d: %w", sh.session(slot), err)
+			}
+		} else {
+			own := *res
+			res = &own
 		}
+		sh.finish(t, slot, res)
 	}
 	c.members = stay
 	if sh.flight != nil {
@@ -594,14 +604,11 @@ func (sh *shard) settle(t float64, c *cohort) error {
 	return nil
 }
 
-// finish retires the member at slot, which leaves at time t, and settles
-// its accounting from its cohort's state.
-func (sh *shard) finish(t float64, c *cohort, slot int32) error {
+// finish retires the member at slot, which leaves at time t with result
+// res, and books its accounting. Each leaver books its own adds, in session
+// order: one n-fold add would round differently.
+func (sh *shard) finish(t float64, slot int32, res *sim.Result) {
 	session := sh.session(slot)
-	res, err := sh.stepper.Finish(c.state)
-	if err != nil {
-		return fmt.Errorf("session %d: %w", session, err)
-	}
 	// Distinct indices per session: shards never write the same slot.
 	sh.eng.results[session] = res
 	sh.led.Finished++
@@ -617,5 +624,4 @@ func (sh *shard) finish(t float64, c *cohort, slot int32) error {
 			sh.flight[slot] = nil
 		}
 	}
-	return nil
 }

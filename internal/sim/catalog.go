@@ -153,6 +153,46 @@ func BuildCatalog(p video.Profile, train []*headtrace.Trace, cfg CatalogConfig) 
 	return cat, nil
 }
 
+// Video is one video prepared for streaming: its viewers split into
+// training and evaluation users, and the catalogue built from the training
+// users. Every field is read-only once prepared.
+type Video struct {
+	// Profile is the video.
+	Profile video.Profile
+	// Train are the viewers whose viewing centers built the Ptiles; Eval
+	// are the held-out viewers that stream.
+	Train, Eval []*headtrace.Trace
+	// Catalog is the server-side preparation (content series, Ptiles,
+	// Ftile groups).
+	Catalog *Catalog
+}
+
+// PrepareVideo prepares ds's video as the evaluation does (Section V-A): it
+// splits the viewers into nTrain training users and the held-out rest at
+// seed+1, and builds the catalogue from the training users (Section IV-A)
+// with DefaultCatalogConfig at seed, on up to workers goroutines (0 =
+// GOMAXPROCS; the catalogue is the same for any count). The traces are
+// generated at seed by convention, so one seed reproduces the whole video.
+func PrepareVideo(ds *headtrace.Dataset, nTrain int, seed int64, workers int) (*Video, error) {
+	if ds == nil {
+		return nil, fmt.Errorf("sim: nil dataset")
+	}
+	train, eval, err := ds.SplitTrainEval(nTrain, seed+1)
+	if err != nil {
+		return nil, err
+	}
+	cfg, err := DefaultCatalogConfig()
+	if err != nil {
+		return nil, err
+	}
+	cfg.Seed, cfg.Workers = seed, workers
+	cat, err := BuildCatalog(ds.Video, train, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Video{Profile: ds.Video, Train: train, Eval: eval, Catalog: cat}, nil
+}
+
 // buildFtileGroups clusters the training viewing centers into k groups and
 // assigns every grid tile to the nearest group centroid, yielding the
 // variable-size tiling of the Ftile baseline.

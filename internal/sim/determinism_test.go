@@ -63,35 +63,36 @@ func TestBuildCatalogWorkersDeterministic(t *testing.T) {
 }
 
 // TestSessionPlanTablesBitIdentical proves the precomputed size tables are a
-// pure memoization: for every scheme, a session planned from the tables
-// returns byte-for-byte the same Result as the direct per-call computation
-// path (the serial reference).
+// pure memoization: for every scheme, on both fixtures, a session planned
+// from the tables returns byte-for-byte the same Result as the direct
+// per-call computation path (the serial reference).
 func TestSessionPlanTablesBitIdentical(t *testing.T) {
-	fx := fixture(t)
-	for _, scheme := range Schemes() {
-		cfg, err := DefaultConfig(scheme, power.Nexus5X)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.RecordSegments = true
-		user := fx.eval[0]
+	forEachFixture(t, func(t *testing.T, fx *testFixture) {
+		for _, scheme := range Schemes() {
+			cfg, err := DefaultConfig(scheme, power.Nexus5X)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.RecordSegments = true
+			user := fx.eval[0]
 
-		disablePlanTables = true
-		ref, refErr := Run(fx.cat, user, fx.trace, cfg)
-		disablePlanTables = false
-		if refErr != nil {
-			t.Fatalf("%v: reference run: %v", scheme, refErr)
-		}
+			disablePlanTables = true
+			ref, refErr := Run(fx.cat, user, fx.trace, cfg)
+			disablePlanTables = false
+			if refErr != nil {
+				t.Fatalf("%v: reference run: %v", scheme, refErr)
+			}
 
-		got, err := Run(fx.cat, user, fx.trace, cfg)
-		if err != nil {
-			t.Fatalf("%v: table run: %v", scheme, err)
+			got, err := Run(fx.cat, user, fx.trace, cfg)
+			if err != nil {
+				t.Fatalf("%v: table run: %v", scheme, err)
+			}
+			if !reflect.DeepEqual(ref, got) {
+				t.Fatalf("%v: table-planned session differs from direct-computation reference:\nref: %+v\ngot: %+v",
+					scheme, ref, got)
+			}
 		}
-		if !reflect.DeepEqual(ref, got) {
-			t.Fatalf("%v: table-planned session differs from direct-computation reference:\nref: %+v\ngot: %+v",
-				scheme, ref, got)
-		}
-	}
+	})
 }
 
 // TestPlanTablesSingleflight checks that repeated sessions with the same

@@ -50,64 +50,65 @@ func (l *pricingLink) Packets() []netem.PacketSample { return nil }
 
 // TestPricerMatchesPlan pins one size model: every option a Ptile or Ours
 // session is offered, Ptile and conventional fallback alike, prices at
-// exactly its SizeBits through the exported Pricer, on both standard LTE
-// traces, every eval viewer, with and without StrictViewportQoE, from the
-// plan tables and on the direct reference path.
+// exactly its SizeBits through the exported Pricer, on both fixtures, both
+// standard LTE traces, every eval viewer, with and without
+// StrictViewportQoE, from the plan tables and on the direct reference path.
 func TestPricerMatchesPlan(t *testing.T) {
-	fx := fixture(t)
-	tr1, tr2, err := lte.StandardTraces(300, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tables := range []bool{true, false} {
-		for _, scheme := range []Scheme{SchemePtile, SchemeOurs} {
-			for _, strict := range []bool{false, true} {
-				cfg, err := DefaultConfig(scheme, power.Pixel3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.StrictViewportQoE = strict
-				disablePlanTables = !tables
-				st, err := NewStepper(fx.cat, cfg)
-				if err != nil {
+	forEachFixture(t, func(t *testing.T, fx *testFixture) {
+		tr1, tr2, err := lte.StandardTraces(300, 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tables := range []bool{true, false} {
+			for _, scheme := range []Scheme{SchemePtile, SchemeOurs} {
+				for _, strict := range []bool{false, true} {
+					cfg, err := DefaultConfig(scheme, power.Pixel3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.StrictViewportQoE = strict
+					disablePlanTables = !tables
+					st, err := NewStepper(fx.cat, cfg)
+					if err != nil {
+						disablePlanTables = false
+						t.Fatal(err)
+					}
+					pr, err := NewPricer(fx.cat, cfg)
 					disablePlanTables = false
-					t.Fatal(err)
-				}
-				pr, err := NewPricer(fx.cat, cfg)
-				disablePlanTables = false
-				if err != nil {
-					t.Fatal(err)
-				}
-				if (pr.tab != nil) != tables {
-					t.Fatalf("pricer tables present = %v, want %v", pr.tab != nil, tables)
-				}
-				var fetches, fallbacks int
-				for _, tr := range []*lte.Trace{tr1, tr2} {
-					for _, user := range fx.eval {
-						link := &pricingLink{t: t, tr: tr, pr: pr}
-						state, err := st.NewStateLink(user, link)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for done := false; !done; {
-							info, err := st.Step(state)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if (pr.tab != nil) != tables {
+						t.Fatalf("pricer tables present = %v, want %v", pr.tab != nil, tables)
+					}
+					var fetches, fallbacks int
+					for _, tr := range []*lte.Trace{tr1, tr2} {
+						for _, user := range fx.eval {
+							link := &pricingLink{t: t, tr: tr, pr: pr}
+							state, err := st.NewStateLink(user, link)
 							if err != nil {
 								t.Fatal(err)
 							}
-							done = info.Done
+							for done := false; !done; {
+								info, err := st.Step(state)
+								if err != nil {
+									t.Fatal(err)
+								}
+								done = info.Done
+							}
+							fetches += link.fetches
+							fallbacks += link.fallbacks
 						}
-						fetches += link.fetches
-						fallbacks += link.fallbacks
 					}
-				}
-				t.Logf("%v tables=%v strict=%v: %d fetches priced, %d conventional fallbacks",
-					scheme, tables, strict, fetches, fallbacks)
-				if fallbacks == 0 || fallbacks == fetches {
-					t.Fatalf("%v: %d fallbacks of %d fetches; the sessions must price both kinds", scheme, fallbacks, fetches)
+					t.Logf("%v tables=%v strict=%v: %d fetches priced, %d conventional fallbacks",
+						scheme, tables, strict, fetches, fallbacks)
+					if fallbacks == 0 || fallbacks == fetches {
+						t.Fatalf("%v: %d fallbacks of %d fetches; the sessions must price both kinds", scheme, fallbacks, fetches)
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestPricerRejectsOffGridCatalogue: a catalogue with an Ftile tile off the

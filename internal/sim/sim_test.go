@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -12,9 +14,8 @@ import (
 	"ptile360/internal/video"
 )
 
-// testFixture builds a small deterministic evaluation setup shared by the
-// session tests: video 2 (shortest focused video), 16 users, a 300 s LTE
-// trace.
+// testFixture is a small deterministic evaluation setup shared by the
+// session tests: a catalogue, its evaluation viewers and a 300 s LTE trace.
 type testFixture struct {
 	cat  *Catalog
 	eval []*headtrace.Trace
@@ -22,24 +23,44 @@ type testFixture struct {
 	trace *lte.Trace
 }
 
-// The fixture is shared package-wide (notably by the stress tests); build
-// it once behind a sync.Once so the cache stays race-clean under -race and
-// t.Parallel.
-var (
-	fixtureOnce  sync.Once
-	fixtureCache *testFixture
-	fixtureErr   error
-)
-
-func fixture(t testing.TB) *testFixture {
-	t.Helper()
-	fixtureOnce.Do(func() { fixtureCache, fixtureErr = buildFixture() })
-	if fixtureErr != nil {
-		t.Fatal(fixtureErr)
-	}
-	return fixtureCache
+// fixtureMemo builds one fixture once per test binary. The fixtures are
+// shared package-wide (notably by the stress tests), so the build sits
+// behind a sync.Once to stay race-clean under -race and t.Parallel.
+type fixtureMemo struct {
+	once sync.Once
+	fx   *testFixture
+	err  error
 }
 
+func (m *fixtureMemo) get(t testing.TB, build func() (*testFixture, error)) *testFixture {
+	t.Helper()
+	m.once.Do(func() { m.fx, m.err = build() })
+	if m.err != nil {
+		t.Fatal(m.err)
+	}
+	return m.fx
+}
+
+var videoTwo, videoEight fixtureMemo
+
+// fixture is video 2 (shortest focused video) with 16 users, 12 of them
+// training: one Ptile in each of its 172 segments.
+func fixture(t testing.TB) *testFixture { return videoTwo.get(t, buildFixture) }
+
+// ptileFixture is video 8 prepared by PrepareVideo from 16 users, 12 of
+// them training, at seed 42: its segments offer no Ptile, one or two, so
+// sessions choose among Ptiles and fall back where none is offered.
+func ptileFixture(t testing.TB) *testFixture { return videoEight.get(t, buildPtileFixture) }
+
+// forEachFixture runs fn as a subtest on each fixture.
+func forEachFixture(t *testing.T, fn func(t *testing.T, fx *testFixture)) {
+	t.Run("video2", func(t *testing.T) { fn(t, fixture(t)) })
+	t.Run("video8", func(t *testing.T) { fn(t, ptileFixture(t)) })
+}
+
+// buildFixture generates the traces at seed 42 and splits them at seed 7;
+// the catalogue takes DefaultCatalogConfig's seed. Golden values pin these
+// seeds.
 func buildFixture() (*testFixture, error) {
 	p, err := video.ProfileByID(2)
 	if err != nil {
@@ -68,6 +89,43 @@ func buildFixture() (*testFixture, error) {
 		return nil, err
 	}
 	return &testFixture{cat: cat, eval: eval, trace: tr2}, nil
+}
+
+func buildPtileFixture() (*testFixture, error) {
+	p, err := video.ProfileByID(8)
+	if err != nil {
+		return nil, err
+	}
+	gcfg := headtrace.DefaultGeneratorConfig()
+	gcfg.NumUsers = 16
+	ds, err := headtrace.Generate(p, gcfg, 42)
+	if err != nil {
+		return nil, err
+	}
+	v, err := PrepareVideo(ds, 12, 42, 0)
+	if err != nil {
+		return nil, err
+	}
+	_, tr2, err := lte.StandardTraces(300, 99)
+	if err != nil {
+		return nil, err
+	}
+	return &testFixture{cat: v.Catalog, eval: v.Eval, trace: tr2}, nil
+}
+
+// TestPtileFixtureChoosesAmongPtiles: the second fixture holds segments
+// with no Ptile, with one and with more, so the differentials that run on
+// it see every kind.
+func TestPtileFixtureChoosesAmongPtiles(t *testing.T) {
+	fx := ptileFixture(t)
+	kinds := map[int]int{}
+	for _, pts := range fx.cat.Ptiles {
+		kinds[min(len(pts), 2)]++
+	}
+	t.Logf("segments with no Ptile %d, one %d, two or more %d", kinds[0], kinds[1], kinds[2])
+	if kinds[0] == 0 || kinds[1] == 0 || kinds[2] == 0 {
+		t.Fatalf("segments by Ptile count (0, 1, 2+): %v; want every kind", kinds)
+	}
 }
 
 func TestBuildCatalogShape(t *testing.T) {
@@ -122,6 +180,75 @@ func TestBuildCatalogValidation(t *testing.T) {
 	short.DurationSec = 0
 	if _, err := BuildCatalog(short, fx.eval, ccfg); err == nil {
 		t.Fatal("want error for zero-length video")
+	}
+}
+
+// shortDataset generates users viewers of the first 40 s of video 8 at
+// seed.
+func shortDataset(t *testing.T, users int, seed int64) *headtrace.Dataset {
+	t.Helper()
+	p, err := video.ProfileByID(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.DurationSec = 40
+	gcfg := headtrace.DefaultGeneratorConfig()
+	gcfg.NumUsers = users
+	ds, err := headtrace.Generate(p, gcfg, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// TestPrepareVideoMatchesInlineSteps: PrepareVideo is the split at seed+1
+// and the catalogue built from its training users at seed, the same on one
+// worker and on four.
+func TestPrepareVideoMatchesInlineSteps(t *testing.T) {
+	const seed = 5
+	ds := shortDataset(t, 12, seed)
+	train, eval, err := ds.SplitTrainEval(9, seed+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccfg, err := DefaultCatalogConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccfg.Seed = seed
+	want, err := BuildCatalog(ds.Video, train, ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		v, err := PrepareVideo(ds, 9, seed, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Profile != ds.Video || !slices.Equal(v.Train, train) || !slices.Equal(v.Eval, eval) {
+			t.Fatalf("workers=%d: profile %v, %d train and %d eval users; want %v, the split's %d and %d",
+				workers, v.Profile, len(v.Train), len(v.Eval), ds.Video, len(train), len(eval))
+		}
+		if !reflect.DeepEqual(v.Catalog, want) {
+			t.Fatalf("workers=%d: catalogue differs from BuildCatalog at seed %d", workers, seed)
+		}
+	}
+}
+
+// TestPrepareVideoRejects: a training count outside (0, viewers) and a nil
+// or empty dataset are errors.
+func TestPrepareVideoRejects(t *testing.T) {
+	ds := shortDataset(t, 4, 1)
+	for _, nTrain := range []int{-1, 0, 4, 5} {
+		if _, err := PrepareVideo(ds, nTrain, 1, 0); err == nil {
+			t.Fatalf("%d of 4 viewers training accepted", nTrain)
+		}
+	}
+	if _, err := PrepareVideo(nil, 1, 1, 0); err == nil {
+		t.Fatal("nil dataset accepted")
+	}
+	if _, err := PrepareVideo(&headtrace.Dataset{Video: ds.Video}, 1, 1, 0); err == nil {
+		t.Fatal("empty dataset accepted")
 	}
 }
 

@@ -10,8 +10,9 @@
 //
 // Quick start:
 //
-//	sys, err := ptile360.NewSystem(ptile360.DefaultOptions())
+//	sys, err := ptile360.NewSystem(ptile360.FullScale())
 //	prep, err := sys.PrepareVideo(8)          // build Ptiles for video 8
+//	fmt.Println(len(prep.Eval))               // 8 held-out viewers
 //	res, err := sys.Stream(prep, 0, ptile360.SchemeOurs, ptile360.Pixel3, 2)
 //	fmt.Println(res.Energy.Total(), res.QoE.MeanQ)
 //
@@ -41,8 +42,11 @@ type (
 	SessionResult = sim.Result
 	// Catalog is a prepared per-video server catalogue.
 	Catalog = sim.Catalog
-	// Scale sets the experiment workload size.
+	// Scale sets the workload size of a System and of the experiments.
 	Scale = experiments.Scale
+	// Prepared is a video prepared for streaming: its catalogue and its
+	// training and evaluation users.
+	Prepared = sim.Video
 	// Table is a printable experiment output.
 	Table = experiments.Table
 	// VideoProfile describes one Table III test video.
@@ -69,107 +73,49 @@ const (
 	GalaxyS20 = power.GalaxyS20
 )
 
-// Options configures a System.
-type Options struct {
-	// UsersPerVideo is the number of generated viewers per video.
-	UsersPerVideo int
-	// TrainUsers of them construct Ptiles; the rest are evaluation users.
-	TrainUsers int
-	// TraceSamples is the LTE trace length in seconds.
-	TraceSamples int
-	// Seed drives every stochastic component; equal seeds reproduce
-	// bit-identical systems.
-	Seed int64
-}
-
-// DefaultOptions returns the paper's evaluation setting: 48 viewers per
-// video with 40 used for Ptile construction.
-func DefaultOptions() Options {
-	return Options{
-		UsersPerVideo: 48,
-		TrainUsers:    40,
-		TraceSamples:  400,
-		Seed:          42,
-	}
-}
-
-// Validate reports whether the options are usable.
-func (o Options) Validate() error {
-	if o.UsersPerVideo <= 1 {
-		return fmt.Errorf("ptile360: users per video %d too small", o.UsersPerVideo)
-	}
-	if o.TrainUsers <= 0 || o.TrainUsers >= o.UsersPerVideo {
-		return fmt.Errorf("ptile360: train users %d outside (0, %d)", o.TrainUsers, o.UsersPerVideo)
-	}
-	if o.TraceSamples <= 0 {
-		return fmt.Errorf("ptile360: non-positive trace length %d", o.TraceSamples)
-	}
-	return nil
-}
-
-// System is a prepared streaming test-bed: network traces plus lazily built
-// per-video catalogues.
+// System is a prepared streaming test-bed: network traces plus per-video
+// catalogues prepared on request.
 type System struct {
-	opts   Options
+	scale  Scale
 	trace1 *lte.Trace
 	trace2 *lte.Trace
 }
 
-// NewSystem validates the options and generates the two network conditions
-// (trace 1 = 2 × trace 2, Section V-A).
-func NewSystem(opts Options) (*System, error) {
-	if err := opts.Validate(); err != nil {
+// NewSystem validates the scale and generates the two network conditions
+// (trace 1 = 2 × trace 2, Section V-A). The system reads the scale's
+// UsersPerVideo, TrainUsers, TraceSamples and Seed; equal scales reproduce
+// bit-identical systems. Its Videos and EvalUsers steer the experiments
+// only: PrepareVideo takes any Table III video and keeps every held-out
+// viewer.
+func NewSystem(scale Scale) (*System, error) {
+	if err := scale.Validate(); err != nil {
 		return nil, err
 	}
-	tr1, tr2, err := lte.StandardTraces(opts.TraceSamples, opts.Seed+99)
+	tr1, tr2, err := lte.StandardTraces(scale.TraceSamples, scale.Seed+99)
 	if err != nil {
 		return nil, err
 	}
-	return &System{opts: opts, trace1: tr1, trace2: tr2}, nil
+	return &System{scale: scale, trace1: tr1, trace2: tr2}, nil
 }
 
 // Videos lists the Table III test videos.
 func Videos() []VideoProfile { return video.Catalog() }
 
-// Prepared bundles a video's catalogue with its evaluation users.
-type Prepared struct {
-	// Profile is the video.
-	Profile VideoProfile
-	// Catalog is the server-side preparation (content series, Ptiles,
-	// Ftile groups).
-	Catalog *Catalog
-	// EvalUsers are the held-out viewers available to Stream.
-	EvalUsers []*HeadTrace
-}
-
 // PrepareVideo generates the head-movement dataset for the given Table III
 // video, splits it into training and evaluation users, and constructs the
-// Ptile catalogue from the training set (Section IV-A).
+// Ptile catalogue from the training set (Section IV-A; sim.PrepareVideo).
 func (s *System) PrepareVideo(videoID int) (*Prepared, error) {
 	p, err := video.ProfileByID(videoID)
 	if err != nil {
 		return nil, err
 	}
 	gcfg := headtrace.DefaultGeneratorConfig()
-	gcfg.NumUsers = s.opts.UsersPerVideo
-	ds, err := headtrace.Generate(p, gcfg, s.opts.Seed)
+	gcfg.NumUsers = s.scale.UsersPerVideo
+	ds, err := headtrace.Generate(p, gcfg, s.scale.Seed)
 	if err != nil {
 		return nil, err
 	}
-	train, eval, err := ds.SplitTrainEval(s.opts.TrainUsers, s.opts.Seed+1)
-	if err != nil {
-		return nil, err
-	}
-	ccfg, err := sim.DefaultCatalogConfig()
-	if err != nil {
-		return nil, err
-	}
-	ccfg.Seed = s.opts.Seed
-	cat, err := sim.BuildCatalog(p, train, ccfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{Profile: p, Catalog: cat, EvalUsers: eval}, nil
+	return sim.PrepareVideo(ds, s.scale.TrainUsers, s.scale.Seed, 0)
 }
 
 // Trace returns one of the two standard network conditions (1 or 2).
@@ -188,25 +134,25 @@ func (s *System) Trace(traceID int) (*NetworkTrace, error) {
 // prepared video streams under the given scheme on the given phone over
 // network condition traceID.
 func (s *System) Stream(prep *Prepared, evalIdx int, scheme Scheme, phone Phone, traceID int) (*SessionResult, error) {
-	if prep == nil {
-		return nil, fmt.Errorf("ptile360: nil prepared video")
-	}
-	if evalIdx < 0 || evalIdx >= len(prep.EvalUsers) {
-		return nil, fmt.Errorf("ptile360: eval user %d outside [0, %d)", evalIdx, len(prep.EvalUsers))
-	}
-	net, err := s.Trace(traceID)
-	if err != nil {
-		return nil, err
+	var user *HeadTrace
+	if prep != nil { // StreamConfig rejects a nil prep
+		if evalIdx < 0 || evalIdx >= len(prep.Eval) {
+			return nil, fmt.Errorf("ptile360: eval user %d outside [0, %d)", evalIdx, len(prep.Eval))
+		}
+		user = prep.Eval[evalIdx]
 	}
 	cfg, err := sim.DefaultConfig(scheme, phone)
 	if err != nil {
 		return nil, err
 	}
-	return sim.Run(prep.Catalog, prep.EvalUsers[evalIdx], net, cfg)
+	return s.StreamConfig(prep, user, traceID, cfg)
 }
 
 // StreamConfig exposes the full session configuration for advanced callers.
 func (s *System) StreamConfig(prep *Prepared, user *HeadTrace, traceID int, cfg sim.Config) (*SessionResult, error) {
+	if prep == nil {
+		return nil, fmt.Errorf("ptile360: nil prepared video")
+	}
 	net, err := s.Trace(traceID)
 	if err != nil {
 		return nil, err

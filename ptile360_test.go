@@ -3,28 +3,30 @@ package ptile360
 import (
 	"strings"
 	"testing"
+
+	"ptile360/internal/sim"
 )
 
-func testOptions() Options {
-	return Options{UsersPerVideo: 14, TrainUsers: 10, TraceSamples: 250, Seed: 5}
+func testScale() Scale {
+	return Scale{UsersPerVideo: 14, TrainUsers: 10, EvalUsers: 4, Videos: []int{2}, TraceSamples: 250, Seed: 5}
 }
 
-func TestOptionsValidate(t *testing.T) {
-	if err := DefaultOptions().Validate(); err != nil {
+func TestNewSystemValidation(t *testing.T) {
+	if _, err := NewSystem(FullScale()); err != nil {
 		t.Fatal(err)
 	}
-	bad := []Options{
-		{UsersPerVideo: 1, TrainUsers: 0, TraceSamples: 10},
-		{UsersPerVideo: 10, TrainUsers: 10, TraceSamples: 10},
-		{UsersPerVideo: 10, TrainUsers: 5, TraceSamples: 0},
+	bad := map[string]func(*Scale){
+		"one viewer":             func(s *Scale) { s.UsersPerVideo = 1 },
+		"train equal to viewers": func(s *Scale) { s.TrainUsers = s.UsersPerVideo },
+		"no trace samples":       func(s *Scale) { s.TraceSamples = 0 },
+		"zero value":             func(s *Scale) { *s = Scale{} },
 	}
-	for i, o := range bad {
-		if err := o.Validate(); err == nil {
-			t.Fatalf("options %d accepted", i)
+	for name, edit := range bad {
+		s := testScale()
+		edit(&s)
+		if _, err := NewSystem(s); err == nil {
+			t.Fatalf("%s: NewSystem accepted %+v", name, s)
 		}
-	}
-	if _, err := NewSystem(Options{}); err == nil {
-		t.Fatal("want error for zero options")
 	}
 }
 
@@ -35,7 +37,7 @@ func TestVideos(t *testing.T) {
 }
 
 func TestSystemEndToEnd(t *testing.T) {
-	sys, err := NewSystem(testOptions())
+	sys, err := NewSystem(testScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +45,7 @@ func TestSystemEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prep.Profile.ID != 2 || prep.Catalog == nil || len(prep.EvalUsers) != 4 {
+	if prep.Profile.ID != 2 || prep.Catalog == nil || len(prep.Eval) != 4 {
 		t.Fatalf("prepared video malformed: %+v", prep.Profile)
 	}
 	res, err := sys.Stream(prep, 0, SchemeOurs, Pixel3, 2)
@@ -64,7 +66,7 @@ func TestSystemEndToEnd(t *testing.T) {
 }
 
 func TestSystemStreamValidation(t *testing.T) {
-	sys, err := NewSystem(testOptions())
+	sys, err := NewSystem(testScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,6 +76,13 @@ func TestSystemStreamValidation(t *testing.T) {
 	}
 	if _, err := sys.Stream(nil, 0, SchemeOurs, Pixel3, 1); err == nil {
 		t.Fatal("want error for nil prep")
+	}
+	cfg, err := sim.DefaultConfig(SchemeOurs, Pixel3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.StreamConfig(nil, prep.Eval[0], 1, cfg); err == nil {
+		t.Fatal("want error for nil prep in StreamConfig")
 	}
 	if _, err := sys.Stream(prep, 99, SchemeOurs, Pixel3, 1); err == nil {
 		t.Fatal("want error for bad user index")
@@ -87,7 +96,7 @@ func TestSystemStreamValidation(t *testing.T) {
 }
 
 func TestTraceAccess(t *testing.T) {
-	sys, err := NewSystem(testOptions())
+	sys, err := NewSystem(testScale())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,8 @@ import (
 	"ptile360/internal/power"
 )
 
-// FullScale returns the paper's evaluation scale.
+// FullScale returns the paper's evaluation scale: 48 viewers per video, 40
+// of them training the Ptiles, over all eight videos.
 func FullScale() Scale { return experiments.FullScale() }
 
 // QuickScale returns a reduced workload for smoke runs.
