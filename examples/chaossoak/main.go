@@ -4,9 +4,9 @@
 // fault-injected tile server and hammered by three kinds of traffic at
 // once: a fleet of resilient streaming clients, a request stampede far
 // beyond capacity, and a single abusive client bursting past its token
-// budget. The run prints the chain's per-endpoint outcome ledger, shows
-// that every request reached exactly one terminal outcome, and finishes
-// with a signal-style graceful drain.
+// budget. The run finishes with a signal-style graceful drain, prints the
+// chain's per-endpoint outcome ledger, and fails unless every request that
+// entered the chain reached exactly one terminal outcome.
 package main
 
 import (
@@ -95,12 +95,18 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// Count every request entering the chain, whatever its outcome.
+	var entered atomic.Int64
+	counted := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		entered.Add(1)
+		chain.ServeHTTP(w, r)
+	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
 	srv := &http.Server{
-		Handler:           chain,
+		Handler:           counted,
 		ReadHeaderTimeout: 5 * time.Second,
 		IdleTimeout:       10 * time.Second,
 	}
@@ -222,6 +228,9 @@ func run() error {
 	totals := snap.Totals()
 	fmt.Printf("\nterminal outcomes: %d (admitted %d, shed %d, limited %d, broken %d, panicked %d)\n",
 		totals.Terminal(), totals.Admitted, totals.Shed, totals.Limited, totals.Broken, totals.Panicked)
-	fmt.Println("drained cleanly: no request left without a terminal outcome")
+	if n := entered.Load(); totals.Terminal() != n {
+		return fmt.Errorf("%d requests entered the chain but %d reached a terminal outcome", n, totals.Terminal())
+	}
+	fmt.Printf("drained cleanly: each of the %d requests that entered the chain reached one terminal outcome\n", entered.Load())
 	return nil
 }

@@ -42,11 +42,7 @@ func idealTransport(tb testing.TB, h *harness) http.RoundTripper {
 // waits compressed away: the full cost of a live HTTP session, reported
 // per segment.
 func BenchmarkClientSession(b *testing.B) {
-	harnessOnce.Do(func() { harnessCache, harnessErr = buildHarness() })
-	if harnessErr != nil {
-		b.Fatal(harnessErr)
-	}
-	h := harnessCache
+	h := newHarness(b)
 	rt := idealTransport(b, h)
 	prof, err := netem.Named("stable")
 	if err != nil {
@@ -86,11 +82,7 @@ func BenchmarkClientSession(b *testing.B) {
 // first Ptile at q3, 27 fps; conventional requests through every segment at
 // q3 around one center.
 func BenchmarkServerSegment(b *testing.B) {
-	harnessOnce.Do(func() { harnessCache, harnessErr = buildHarness() })
-	if harnessErr != nil {
-		b.Fatal(harnessErr)
-	}
-	h := harnessCache
+	h := newHarness(b)
 	var ptileReqs, convReqs []*http.Request
 	for k, pts := range h.cat.Ptiles {
 		if len(pts) > 0 {

@@ -602,12 +602,8 @@ func degradeLadder(options []abr.OptionMeta, chosen abr.OptionMeta) []abr.Option
 	return rungs
 }
 
-// readBufPool recycles the 64 KiB buffers segment bodies are read through;
-// the bytes are only counted, so any buffer will do.
-var readBufPool = sync.Pool{New: func() any { return new([64 << 10]byte) }}
-
 // bodySink discards segment bodies. Hiding io.Discard's ReadFrom makes
-// io.CopyBuffer read through the pooled 64 KiB buffer.
+// io.CopyBuffer read through a pooled 64 KiB chunk.
 var bodySink io.Writer = struct{ io.Writer }{io.Discard}
 
 // get GETs one segment version and reads its body, returning the byte count
@@ -648,8 +644,9 @@ func (l *httpLink) get(f *sim.Fetch, opt abr.OptionMeta) (int64, float64, error)
 	}
 
 	start := time.Now()
-	buf := readBufPool.Get().(*[64 << 10]byte)
-	defer readBufPool.Put(buf)
+	// The bytes are only counted, so any pooled chunk will do.
+	buf := chunkPool.Get().(*[chunkSize]byte)
+	defer chunkPool.Put(buf)
 	// Read at most one byte past the price, so an overlong body shows.
 	nBytes, err := io.CopyBuffer(bodySink, io.LimitReader(resp.Body, want+1), buf[:])
 	switch {

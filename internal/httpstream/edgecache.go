@@ -1,6 +1,7 @@
 package httpstream
 
 import (
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -17,18 +18,71 @@ type EdgeCacheConfig struct {
 	MaxEntries int
 }
 
-// cachedResponse is one stored origin response.
+// chunkSize is the unit of the tier's byte path: the server writes segment
+// bodies in slices of the filler, which is this long, the client reads
+// them through buffers of it, and the edge cache stores bodies in chunks
+// of it.
+const chunkSize = 64 << 10
+
+// chunkPool recycles the tier's 64 KiB buffers: the client's read buffers
+// and the edge cache's body chunks.
+var chunkPool = sync.Pool{New: func() any { return new([chunkSize]byte) }}
+
+// chunkedBody is a byte string held in pooled chunks, every one full but
+// the last.
+type chunkedBody struct {
+	chunks []*[chunkSize]byte
+	size   int
+}
+
+// append copies p onto the end of the body, taking chunks as it fills.
+func (b *chunkedBody) append(p []byte) {
+	for len(p) > 0 {
+		off := b.size % chunkSize
+		if off == 0 {
+			b.chunks = append(b.chunks, chunkPool.Get().(*[chunkSize]byte))
+		}
+		n := copy(b.chunks[len(b.chunks)-1][off:], p)
+		b.size += n
+		p = p[n:]
+	}
+}
+
+// writeTo writes the body to w chunk by chunk, stopping at the first error.
+func (b *chunkedBody) writeTo(w io.Writer) {
+	for i, ch := range b.chunks {
+		if _, err := w.Write(ch[:min(chunkSize, b.size-i*chunkSize)]); err != nil {
+			return
+		}
+	}
+}
+
+// recycle returns the chunks to the pool and empties the body.
+func (b *chunkedBody) recycle() {
+	for _, ch := range b.chunks {
+		chunkPool.Put(ch)
+	}
+	*b = chunkedBody{}
+}
+
+// cachedResponse is one origin response held for replay. Its chunks go
+// back to the pool when the last holder lets go: the store (until an
+// eviction or a Bump flush) and every replay in progress, hits and
+// singleflight waiters alike. refs counts the holders under EdgeCache.mu.
 type cachedResponse struct {
 	status int
 	header http.Header
-	body   []byte
+	body   chunkedBody
+	refs   int
 }
 
 // flight is one in-progress fill. Waiters block on done; resp is non-nil
-// only when the fill produced a storable response they may replay.
+// only when the fill produced a storable response they may replay, and
+// then the fill has taken one reference on it for each of the waiters.
 type flight struct {
-	done chan struct{}
-	resp *cachedResponse
+	done    chan struct{}
+	resp    *cachedResponse
+	waiters int // guarded by EdgeCache.mu
 }
 
 // EdgeCache is the tier's hot-segment/manifest cache with singleflight
@@ -77,10 +131,14 @@ func (c *EdgeCache) Epoch() int64 { return c.epoch.Load() }
 
 // Bump advances the version epoch and flushes the store, returning the new
 // epoch. Entries from older epochs are unreachable by construction (the
-// epoch is part of the key); the flush just releases their memory at once.
+// epoch is part of the key); the flush just releases their chunks at once,
+// or, for a body still being replayed, when its last replay ends.
 func (c *EdgeCache) Bump() int64 {
 	v := c.epoch.Add(1)
 	c.mu.Lock()
+	for _, resp := range c.entries {
+		c.unref(resp)
+	}
 	c.entries = make(map[string]*cachedResponse)
 	c.order = nil
 	c.mu.Unlock()
@@ -102,15 +160,17 @@ func (c *EdgeCache) Serve(w http.ResponseWriter, r *http.Request, next http.Hand
 	key := c.key(r)
 	c.mu.Lock()
 	if resp, ok := c.entries[key]; ok {
+		resp.refs++
 		c.mu.Unlock()
-		writeCached(w, resp)
+		c.replay(w, resp)
 		return true
 	}
 	if fl, ok := c.flights[key]; ok {
+		fl.waiters++
 		c.mu.Unlock()
 		<-fl.done
 		if fl.resp != nil {
-			writeCached(w, fl.resp)
+			c.replay(w, fl.resp)
 			return true
 		}
 		// The fill failed or was uncacheable; go to the origin directly.
@@ -125,15 +185,24 @@ func (c *EdgeCache) Serve(w http.ResponseWriter, r *http.Request, next http.Hand
 	completed := false
 	// Finalize on every exit path — including a panicking origin handler
 	// (an injected connection abort): waiters must never hang, and a
-	// partial body must never be stored.
+	// partial body must never be stored. The waiters' references are
+	// taken before they wake, so each of them replays the body even if a
+	// flush or an eviction drops the entry first; a body that is neither
+	// stored nor awaited returns its chunks when the fill lets go.
 	defer func() {
+		var resp *cachedResponse
 		if completed && cw.storable() {
-			resp := cw.snapshot()
-			fl.resp = resp
-			c.store(key, resp)
+			resp = cw.snapshot()
 		}
+		cw.body.recycle()
 		c.mu.Lock()
 		delete(c.flights, key)
+		if resp != nil {
+			resp.refs = fl.waiters + 1 // the waiters' and the fill's own
+			fl.resp = resp
+			c.store(key, resp)
+			c.unref(resp)
+		}
 		c.mu.Unlock()
 		close(fl.done)
 	}()
@@ -142,19 +211,39 @@ func (c *EdgeCache) Serve(w http.ResponseWriter, r *http.Request, next http.Hand
 	return false
 }
 
-// store inserts an entry, evicting oldest-first beyond the entry cap.
+// store inserts an entry, evicting oldest-first beyond the entry cap. The
+// caller holds c.mu.
 func (c *EdgeCache) store(key string, resp *cachedResponse) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, dup := c.entries[key]; dup {
 		return
 	}
 	for len(c.entries) >= c.cfg.MaxEntries && len(c.order) > 0 {
+		c.unref(c.entries[c.order[0]])
 		delete(c.entries, c.order[0])
 		c.order = c.order[1:]
 	}
+	resp.refs++
 	c.entries[key] = resp
 	c.order = append(c.order, key)
+}
+
+// unref drops one holder of resp, recycling its chunks with the last. The
+// caller holds c.mu.
+func (c *EdgeCache) unref(resp *cachedResponse) {
+	if resp.refs--; resp.refs == 0 {
+		resp.body.recycle()
+	}
+}
+
+// replay writes a response the caller holds a reference on, then drops
+// that reference.
+func (c *EdgeCache) replay(w http.ResponseWriter, resp *cachedResponse) {
+	defer func() {
+		c.mu.Lock()
+		c.unref(resp)
+		c.mu.Unlock()
+	}()
+	writeCached(w, resp)
 }
 
 // writeCached replays a stored response, marking it for observability.
@@ -165,21 +254,19 @@ func writeCached(w http.ResponseWriter, resp *cachedResponse) {
 	}
 	h.Set("X-Edge-Cache", "hit")
 	w.WriteHeader(resp.status)
-	w.Write(resp.body)
+	resp.body.writeTo(w)
 }
 
 // captureWriter tees the origin response to the requesting client while
-// buffering up to max bytes for the cache. A 200 that declares a
-// Content-Length within max gets its buffer allocated once, at that size;
-// a body that declares more than max flips overflow before its first byte
-// and is never buffered; any other body grows by append. Oversized bodies
-// flip overflow and drop the buffer — the client still gets the full
-// stream.
+// copying up to max bytes of it into pooled chunks for the cache. A body
+// that declares more than max flips overflow before its first byte and
+// takes no chunk; one that outgrows max flips overflow and returns its
+// chunks — the client still gets the full stream.
 type captureWriter struct {
 	dst         http.ResponseWriter
 	status      int
 	wroteHeader bool
-	buf         []byte
+	body        chunkedBody
 	max         int
 	overflow    bool
 }
@@ -191,14 +278,7 @@ func (cw *captureWriter) WriteHeader(code int) {
 		cw.status = code
 		cw.wroteHeader = true
 		n, err := strconv.ParseInt(cw.dst.Header().Get("Content-Length"), 10, 64)
-		switch {
-		case err != nil:
-			// No usable declared length: the body grows by append.
-		case n > int64(cw.max):
-			cw.overflow = true
-		case code == http.StatusOK && n > 0:
-			cw.buf = make([]byte, 0, n)
-		}
+		cw.overflow = err == nil && n > int64(cw.max)
 	}
 	cw.dst.WriteHeader(code)
 }
@@ -208,11 +288,11 @@ func (cw *captureWriter) Write(p []byte) (int, error) {
 		cw.WriteHeader(http.StatusOK)
 	}
 	if !cw.overflow {
-		if len(cw.buf)+len(p) > cw.max {
+		if cw.body.size+len(p) > cw.max {
 			cw.overflow = true
-			cw.buf = nil
+			cw.body.recycle()
 		} else {
-			cw.buf = append(cw.buf, p...)
+			cw.body.append(p)
 		}
 	}
 	return cw.dst.Write(p)
@@ -234,16 +314,16 @@ func (cw *captureWriter) storable() bool {
 	}
 	if cl := cw.dst.Header().Get("Content-Length"); cl != "" {
 		n, err := strconv.ParseInt(cl, 10, 64)
-		if err != nil || n != int64(len(cw.buf)) {
+		if err != nil || n != int64(cw.body.size) {
 			return false
 		}
 	}
 	return true
 }
 
-// snapshot packages the captured response for storage. The body buffer
-// moves to the cache without a copy, so the capture writer is dead after
-// the fill.
+// snapshot packages the captured response for the cache. The chunks move
+// to the response without a copy, so the capture writer is dead after the
+// fill.
 func (cw *captureWriter) snapshot() *cachedResponse {
 	status := cw.status
 	if !cw.wroteHeader {
@@ -253,7 +333,7 @@ func (cw *captureWriter) snapshot() *cachedResponse {
 	for k, vs := range cw.dst.Header() {
 		hdr[k] = append([]string(nil), vs...)
 	}
-	body := cw.buf
-	cw.buf = nil
-	return &cachedResponse{status: status, header: hdr, body: body}
+	resp := &cachedResponse{status: status, header: hdr, body: cw.body}
+	cw.body = chunkedBody{}
+	return resp
 }

@@ -123,11 +123,7 @@ func FuzzSegmentRequest(f *testing.F) {
 		qy := u.Query()
 		f.Add(qy.Get(keys[0]), qy.Get(keys[1]), qy.Get(keys[2]), qy.Get(keys[3]), qy.Get(keys[4]), qy.Get(keys[5]))
 	}
-	harnessOnce.Do(func() { harnessCache, harnessErr = buildHarness() })
-	if harnessErr != nil {
-		f.Fatal(harnessErr)
-	}
-	handler := harnessCache.server.Config.Handler
+	handler := newHarness(f).server.Config.Handler
 
 	f.Fuzz(func(t *testing.T, seg, q, fr, ptile, cx, cy string) {
 		qy := url.Values{"video": {"2"}}

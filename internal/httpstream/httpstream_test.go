@@ -26,23 +26,35 @@ type harness struct {
 	eval   []*headtrace.Trace
 }
 
-// The harness is expensive (catalog build) and shared across the whole
-// package, including parallel and fuzz workers — build it exactly once
-// behind a sync.Once so the cache is race-clean.
-var (
-	harnessOnce  sync.Once
-	harnessCache *harness
-	harnessErr   error
-)
-
-func newHarness(t *testing.T) *harness {
-	t.Helper()
-	harnessOnce.Do(func() { harnessCache, harnessErr = buildHarness() })
-	if harnessErr != nil {
-		t.Fatal(harnessErr)
-	}
-	return harnessCache
+// harnessMemo builds one harness once per test binary. A harness is
+// expensive (catalog build) and shared across the whole package, including
+// parallel and fuzz workers, so the build sits behind a sync.Once to stay
+// race-clean.
+type harnessMemo struct {
+	once sync.Once
+	h    *harness
+	err  error
 }
+
+func (m *harnessMemo) get(tb testing.TB, build func() (*harness, error)) *harness {
+	tb.Helper()
+	m.once.Do(func() { m.h, m.err = build() })
+	if m.err != nil {
+		tb.Fatal(m.err)
+	}
+	return m.h
+}
+
+var videoTwo, videoEight harnessMemo
+
+// newHarness serves video 2, whose segments offer one Ptile each.
+func newHarness(tb testing.TB) *harness { return videoTwo.get(tb, buildHarness) }
+
+// newPtileHarness serves video 8 prepared the way sim's ptileFixture is
+// (PrepareVideo, 16 users, 12 of them training, seed 42): its segments
+// offer no Ptile, one or two, so the client chooses among Ptiles and falls
+// back to conventional tiles where none is offered.
+func newPtileHarness(tb testing.TB) *harness { return videoEight.get(tb, buildPtileHarness) }
 
 func buildHarness() (*harness, error) {
 	p, err := video.ProfileByID(2)
@@ -72,6 +84,28 @@ func buildHarness() (*harness, error) {
 		return nil, err
 	}
 	return &harness{server: httptest.NewServer(srv), srv: srv, cat: cat, eval: eval}, nil
+}
+
+func buildPtileHarness() (*harness, error) {
+	p, err := video.ProfileByID(8)
+	if err != nil {
+		return nil, err
+	}
+	gcfg := headtrace.DefaultGeneratorConfig()
+	gcfg.NumUsers = 16
+	ds, err := headtrace.Generate(p, gcfg, 42)
+	if err != nil {
+		return nil, err
+	}
+	v, err := sim.PrepareVideo(ds, 12, 42, 0)
+	if err != nil {
+		return nil, err
+	}
+	srv, err := NewServer(map[int]*sim.Catalog{8: v.Catalog}, video.DefaultEncoderConfig(), []float64{30, 27, 24, 21})
+	if err != nil {
+		return nil, err
+	}
+	return &harness{server: httptest.NewServer(srv), srv: srv, cat: v.Catalog, eval: v.Eval}, nil
 }
 
 func TestNewServerValidation(t *testing.T) {

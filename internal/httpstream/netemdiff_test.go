@@ -2,6 +2,7 @@ package httpstream
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
@@ -136,4 +137,102 @@ func TestClientShapedMatchesRun(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestClientMatchesSimChoosingAmongPtiles holds both guarantees above on
+// video 8, where a session chooses among the Ptiles a segment offers and
+// falls back to conventional tiles where it offers none: the MPC and the
+// Ptile baseline on two eval viewers match sim.RunNetem over the stable
+// path and sim.Run shaped to LTE trace 1. A session streamed twice through
+// a Router, the second time replayed from its edge cache, matches too.
+func TestClientMatchesSimChoosingAmongPtiles(t *testing.T) {
+	h := newPtileHarness(t)
+	rt := idealTransport(t, h)
+	tr1, _, err := lte.StandardTraces(400, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// stream runs one session and requires the simulator's rows, served
+	// from Ptiles and conventional tiles both, and returns its report.
+	stream := func(t *testing.T, cfg ClientConfig, v int, res *sim.Result) *SessionReport {
+		t.Helper()
+		cfg.Phone, cfg.TimeCompression = power.Pixel3, 1e12
+		client, err := NewClient(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := client.Stream(8, h.eval[v])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(report.Segments) != len(h.cat.Content) {
+			t.Fatalf("streamed %d of %d segments", len(report.Segments), len(h.cat.Content))
+		}
+		requireSameSession(t, report, res)
+		fallbacks := 0
+		for _, ev := range report.Segments {
+			if !ev.FromPtile {
+				fallbacks++
+			}
+		}
+		t.Logf("%d of %d segments took the conventional fallback", fallbacks, len(report.Segments))
+		if fallbacks == 0 || fallbacks == len(report.Segments) {
+			t.Fatalf("%d of %d segments fell back: want Ptiles and fallbacks both", fallbacks, len(report.Segments))
+		}
+		return report
+	}
+	for _, useMPC := range []bool{true, false} {
+		for v := 0; v < 2; v++ {
+			t.Run(fmt.Sprintf("mpc=%v/stable/viewer%d", useMPC, v), func(t *testing.T) {
+				res, err := sim.RunNetem(h.cat, h.eval[v], sessionNet(t, "stable", 7), simConfig(t, useMPC))
+				if err != nil {
+					t.Fatal(err)
+				}
+				stream(t, ClientConfig{BaseURL: "http://netem", Net: sessionNet(t, "stable", 7),
+					UseMPC: useMPC, Transport: rt}, v, res)
+			})
+			t.Run(fmt.Sprintf("mpc=%v/trace1/viewer%d", useMPC, v), func(t *testing.T) {
+				res, err := sim.Run(h.cat, h.eval[v], tr1, simConfig(t, useMPC))
+				if err != nil {
+					t.Fatal(err)
+				}
+				stream(t, ClientConfig{BaseURL: h.server.URL, Shape: tr1, UseMPC: useMPC}, v, res)
+			})
+		}
+	}
+	t.Run("router-replay", func(t *testing.T) {
+		router, err := NewRouter(RouterConfig{}, Shard{Name: "a", Handler: h.server.Config.Handler})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run(h.cat, h.eval[0], tr1, simConfig(t, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// pass streams the session through the router and reads its ledger
+		// once every handler has returned: closing the server waits for
+		// them, so the last request's counters are in. Close is idempotent.
+		pass := func() (*SessionReport, TierLedger) {
+			ts := httptest.NewServer(router)
+			defer ts.Close()
+			report := stream(t, ClientConfig{BaseURL: ts.URL, Shape: tr1, UseMPC: true}, 0, res)
+			ts.Close()
+			return report, router.Ledger()
+		}
+		report, first := pass()
+		_, led := pass()
+		// Bodies over the cache's 1 MiB cap stream through uncached; the
+		// manifest and every other segment replay from stored chunks.
+		uncached := int64(0)
+		for _, ev := range report.Segments {
+			if ev.Bytes > 1<<20 {
+				uncached++
+			}
+		}
+		t.Logf("%d bodies over the cap", uncached)
+		requests := led.Requests - first.Requests
+		if led.ShardRequests-first.ShardRequests != uncached || led.CacheHits-first.CacheHits != requests-uncached {
+			t.Fatalf("second pass: ledger %+v after %+v, want all but the %d uncached bodies served by the cache", led, first, uncached)
+		}
+	})
 }

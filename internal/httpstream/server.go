@@ -380,7 +380,7 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 // filler is the read-only segment body pattern: byte k of every body is
 // byte(k), because the filler's length is a multiple of 256.
 var filler = func() []byte {
-	b := make([]byte, 64<<10)
+	b := make([]byte, chunkSize)
 	for i := range b {
 		b[i] = byte(i)
 	}
