@@ -73,12 +73,13 @@ func main() {
 // autoShards picks the default shard count: one shard per core, raised
 // toward ~16k sessions per shard for huge fleets but never beyond 4× the
 // core count. Finer shards keep each shard's advance working set
-// cache-sized (and, on multi-core hosts, balance the per-advance barrier);
-// oversharding a small fleet just multiplies
-// planning-scratch copies and cohort steps, since every shard steps its own
-// copy of each cohort. Measured on the fleet
-// bench: 4×-oversharding is +30–45 % events/sec on a 1M-session fleet and
-// −53 % on a 10k one — see EXPERIMENTS.md ("Fleet shard sizing").
+// cache-sized (and, on multi-core hosts, balance the per-advance barrier).
+// fleet.New deals whole cohorts to shards, so extra shards add no cohort
+// steps; oversharding a small fleet multiplies only the planning-scratch
+// copies, and shards beyond the cohort count stay empty. Measured on the
+// fleet bench before cohorts: 4×-oversharding was +30–45 % events/sec on a
+// 1M-session fleet and −53 % on a 10k one — see EXPERIMENTS.md ("Fleet
+// shard sizing").
 func autoShards(procs, sessions int) int {
 	s := sessions / 16384
 	if s < procs {
@@ -177,7 +178,7 @@ func run() int {
 	}
 	// Sessions cycle the eval viewers with staggered joins so the event
 	// queues interleave instead of marching in lockstep; the 13 join times
-	// and the eval viewers bound the cohorts each shard steps.
+	// and the eval viewers bound the cohorts the fleet steps.
 	specs := make([]fleet.SessionSpec, *sessions)
 	for i := range specs {
 		specs[i] = fleet.SessionSpec{

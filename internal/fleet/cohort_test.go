@@ -454,30 +454,30 @@ func FuzzFleetCohorts(f *testing.F) {
 	})
 }
 
-// TestFleetTiedCohorts runs two cohorts whose completions tie at every
-// segment: their viewer traces hold the same samples behind different
-// pointers, so they are two cohorts with equal states. Members of the two
-// alternate on each of two shards, leave at mixed counts (some before the
-// video ends, some with it, some never), and stream over the driving trace,
-// so both cohorts book stalls and settles at the same virtual times. Every
-// member must equal its Stepper reference, each shard's heap holds at most
-// the two cohorts' events, and the ledger is bit-identical on one worker
-// and on two.
+// TestFleetTiedCohorts runs two pairs of cohorts whose completions tie at
+// every segment: within a pair, the viewer traces hold the same samples
+// behind different pointers, so they are two cohorts with equal states. In
+// first-member order the cohorts are a, c, b, d, with b a copy of a and d
+// of c, so dealing them over two shards puts one tied pair on each. Members
+// leave at mixed counts (some before the video ends, some with it, some
+// never) and stream over the driving trace, so the cohorts of a pair book
+// stalls and settles at the same virtual times. Every member must equal its
+// Stepper reference, each shard's heap holds at most its pair's two events,
+// and the ledger is bit-identical on one worker and on two.
 func TestFleetTiedCohorts(t *testing.T) {
 	fx := fixture(t)
 	cfg := simConfig(t, sim.SchemeOurs)
 	net := netFor(t, lte.ProfileDriving, 9)
-	a := fx.eval[0]
-	b := &headtrace.Trace{UserID: a.UserID, VideoID: a.VideoID, Samples: a.Samples}
+	twin := func(u *headtrace.Trace) *headtrace.Trace {
+		return &headtrace.Trace{UserID: u.UserID, VideoID: u.VideoID, Samples: u.Samples}
+	}
+	a, c := fx.eval[0], fx.eval[1]
+	users := []*headtrace.Trace{a, c, twin(a), twin(c)}
 	leaves := []int{0, 1, 5, 5, 13, len(fx.cat.Content), 30}
 	specs := make([]SessionSpec, 56)
 	for i := range specs {
-		// Shard i%2 gets a, b, a, b, ... and each cohort every leave count.
-		user := a
-		if i/2%2 == 1 {
-			user = b
-		}
-		specs[i] = SessionSpec{User: user, Net: net, LeaveAfterSegments: leaves[i/4%len(leaves)]}
+		// Each cohort gets every leave count twice.
+		specs[i] = SessionSpec{User: users[i%4], Net: net, LeaveAfterSegments: leaves[i/4%len(leaves)]}
 	}
 	refs := make(map[refKey]*sim.Result)
 	for _, spec := range specs {
@@ -491,6 +491,12 @@ func TestFleetTiedCohorts(t *testing.T) {
 		eng, err := New(Config{Catalog: fx.cat, Sim: cfg, Shards: 2, Workers: workers}, specs)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for si, sh := range eng.shards {
+			// Shard 0 holds a and its twin, shard 1 c and its twin.
+			if len(sh.cohorts) != 2 || specs[sh.cohorts[0].members[0]].User.UserID != specs[sh.cohorts[1].members[0]].User.UserID {
+				t.Fatalf("shard %d was not dealt one tied pair of cohorts", si)
+			}
 		}
 		tied := 0
 		for until := 0.0; ; until += 0.5 {

@@ -16,8 +16,8 @@ import (
 // SessionSpec describes one viewer the engine should simulate. Traces may be
 // shared freely between specs (and with other engines): both trace types are
 // read-only or internally locked, and mutable session state lives in the
-// sim.State the engine creates at join time. Specs of one shard with the same
-// User, Net and JoinSec form a cohort and share that State.
+// sim.State the engine creates at join time. Specs with the same User, Net
+// and JoinSec form a cohort and share that State.
 type SessionSpec struct {
 	// User is the head-movement trace.
 	User *headtrace.Trace
@@ -38,10 +38,13 @@ type Config struct {
 	// Sim is the per-session streaming configuration (scheme, phone, MPC
 	// settings) shared by the whole fleet.
 	Sim sim.Config
-	// Shards is the number of independent event queues. Each shard owns a
-	// private sim.Stepper (plan scratch, controllers) and is advanced by at
-	// most one goroutine, so Shards bounds both parallelism and the number
-	// of copies of the planning scratch.
+	// Shards is the number of independent event queues. New deals whole
+	// cohorts to them round-robin in the order of their first members, so
+	// each cohort steps once per segment whatever the shard count, and a
+	// shard beyond the cohort count stays empty. Each shard that holds a
+	// cohort owns a private sim.Stepper (plan scratch, controllers) and is
+	// advanced by at most one goroutine, so Shards bounds both parallelism
+	// and the number of copies of the planning scratch.
 	Shards int
 	// Workers caps the goroutines advancing shards (0 = one per shard).
 	// Scheduling cost is O(Shards) goroutines at most, independent of the
@@ -62,13 +65,14 @@ type Config struct {
 	Flight *obs.FlightRecorder
 }
 
-// Ledger is the fleet-wide accounting roll-up. Integer fields are exact;
-// float fields are summed per shard in event order and then across shards
-// in shard order, so they are deterministic for a fixed shard count
-// regardless of worker count. Everything is booked at a join, a segment
-// completion or a leave, the only events a session has. A cohort's members
-// take these together, from one heap event, and the ledger books them once
-// per member.
+// Ledger is the fleet-wide accounting roll-up. Integer fields are exact and
+// do not depend on the shard count; float fields are summed per shard in
+// event order and then across shards in shard order, so they are
+// deterministic for a fixed shard count regardless of worker count, and
+// other shard counts move them only by summation order. Everything is booked
+// at a join, a segment completion or a leave, the only events a session has.
+// A cohort's members take these together, from one heap event, and the
+// ledger books them once per member.
 type Ledger struct {
 	// Joined, Finished, Active count sessions; Active = Joined − Finished.
 	Joined, Finished, Active int
@@ -91,7 +95,9 @@ type Ledger struct {
 	Events int
 	// BatchLeaders and BatchReplays decompose the member steps taken:
 	// cohort steps, each one Stepper.Step of a cohort's shared State, and
-	// the further member steps each such step served. Every join steps once
+	// the further member steps each such step served. A cohort lives whole
+	// on one shard, so it steps once per segment fleet-wide and both
+	// counts are the same at any shard count. Every join steps once
 	// and every segment completion steps again unless the session leaves,
 	// so between Advance calls Leaders + Replays = Joined + Segments −
 	// Finished. BatchFallbacks reads 0: every step is a cohort step or
@@ -117,26 +123,20 @@ func (l *Ledger) add(o Ledger) {
 	l.BatchFallbacks += o.BatchFallbacks
 }
 
-// shard is one independent event queue plus the sessions it owns: global
-// session i lives on shard i % Shards at local slot i / Shards. A shard is
-// advanced by at most one goroutine at a time; its stepper and heap are
-// never shared.
+// shard is one independent event queue plus the cohorts dealt to it. A
+// shard is advanced by at most one goroutine at a time; its stepper and heap
+// are never shared.
 type shard struct {
-	eng     *Engine
-	index   int // the shard's position in Engine.shards
+	eng *Engine
+	// stepper is nil on a shard dealt no cohort.
 	stepper *sim.Stepper
 	// heap holds one event per live cohort, the members' next segment
 	// completion, carrying the cohort's index in cohorts.
 	heap Heap
 
-	// leave is the per-slot column of LeaveAfterSegments.
-	leave []int32
-	// flight is the per-slot black-box column, nil when Config.Flight is
-	// unset; unsampled slots hold nil sessions.
-	flight []*obs.FlightSession
-
-	// cohorts holds one entry per distinct (User, Net, JoinSec) among the
-	// shard's sessions, in the order of their first members.
+	// cohorts holds the cohorts dealt to the shard, in the fleet's cohort
+	// order: fleet cohort g is the shard's entry g / Shards on shard
+	// g % Shards.
 	cohorts []cohort
 
 	// joins is the shard's join schedule, one entry per cohort sorted by
@@ -158,10 +158,10 @@ type shard struct {
 	err error
 }
 
-// cohort is the shared state of a shard's sessions with one (User, Net,
-// JoinSec). On a bandwidth trace a sim.State is a deterministic function of
-// its viewer, its trace and the steps it has taken: binding seeds it from
-// the trace alone, a step reads only the State, the stepper's (catalogue,
+// cohort is the shared state of the sessions with one (User, Net, JoinSec).
+// On a bandwidth trace a sim.State is a deterministic function of its
+// viewer, its trace and the steps it has taken: binding seeds it from the
+// trace alone, a step reads only the State, the stepper's (catalogue,
 // config) and those traces, and only a step writes it. Members join
 // together and take their steps at the same virtual times, so each member's
 // own State would equal the cohort's, and one State stepped once serves
@@ -171,10 +171,10 @@ type shard struct {
 type cohort struct {
 	// state is nil before the cohort joins and after its last member leaves.
 	state *sim.State
-	// members holds the slots of the members that have not left, in session
-	// order, and sampled those of them the flight recorder samples (nil
-	// without one). Each is a window of a shard-wide array New sizes once,
-	// so a leave compacts it in place.
+	// members holds the session indices of the members that have not left,
+	// in session order, and sampled those of them the flight recorder
+	// samples (nil without one). Each is a window of a fleet-wide array New
+	// sizes once, so a leave compacts it in place.
 	members, sampled []int32
 	// minLeave is the smallest leave count among members, 0 when none has
 	// one: the completion that reaches it, or the last segment, is the only
@@ -206,10 +206,16 @@ func (sh *shard) allocState() *sim.State {
 
 // Engine advances a fleet of sessions on per-shard virtual clocks.
 type Engine struct {
-	cfg     Config
-	specs   []SessionSpec
-	shards  []*shard
+	cfg    Config
+	specs  []SessionSpec
+	shards []*shard
+	// results, leave (LeaveAfterSegments) and flight (the black-box
+	// sessions, nil when Config.Flight is unset; unsampled sessions hold
+	// nil) are per-session columns. Only the shard a session's cohort is
+	// dealt to writes its entries.
 	results []*sim.Result
+	leave   []int32
+	flight  []*obs.FlightSession
 	reg     *obs.Registry
 	met     fleetMetrics
 	pub     Ledger
@@ -234,9 +240,11 @@ type fleetMetrics struct {
 	batchFallbacks *obs.Counter
 }
 
-// New builds an engine over the given session population. Construction is
-// cheap per session (a cohort lookup and a member-list entry); a cohort's
-// state is allocated when it joins.
+// New builds an engine over the given session population. It groups the
+// sessions into cohorts, numbered in the order of their first members, and
+// deals each whole cohort to one shard, round-robin. Construction is cheap
+// per session (a cohort lookup and a member-list entry); a cohort's state
+// is allocated when it joins.
 func New(cfg Config, specs []SessionSpec) (*Engine, error) {
 	if cfg.Shards <= 0 {
 		return nil, fmt.Errorf("fleet: need at least one shard, got %d", cfg.Shards)
@@ -268,88 +276,86 @@ func New(cfg Config, specs []SessionSpec) (*Engine, error) {
 		specs:   specs,
 		shards:  make([]*shard, cfg.Shards),
 		results: make([]*sim.Result, len(specs)),
+		leave:   make([]int32, len(specs)),
 		reg:     reg,
 	}
+	if cfg.Flight != nil {
+		e.flight = make([]*obs.FlightSession, len(specs))
+	}
 	e.registerMetrics()
+	// JoinSec compares by value: +0 and −0 join in one cohort.
+	type cohortKey struct {
+		user *headtrace.Trace
+		net  *lte.Trace
+		join float64
+	}
+	index := make(map[cohortKey]int32)
+	ids := make([]int32, len(specs)) // each session's cohort
+	var sizes []int                  // members per cohort
+	for i, spec := range specs {
+		key := cohortKey{spec.User, spec.Net, spec.JoinSec}
+		id, ok := index[key]
+		if !ok {
+			id = int32(len(sizes))
+			index[key] = id
+			sizes = append(sizes, 0)
+		}
+		ids[i] = id
+		sizes[id]++
+		e.leave[i] = int32(spec.LeaveAfterSegments)
+	}
+	n := cfg.Shards
 	for si := range e.shards {
-		// One stepper per shard: steppers carry mutable planning scratch and
-		// must not be shared, but every copy is built from the same
-		// (catalogue, config) pair so the math is identical on any shard.
-		stepper, err := sim.NewStepper(cfg.Catalog, cfg.Sim)
-		if err != nil {
-			return nil, err
-		}
-		n := (len(specs) - si + cfg.Shards - 1) / cfg.Shards
-		sh := &shard{
-			eng:     e,
-			index:   si,
-			stepper: stepper,
-			leave:   make([]int32, n),
-		}
-		if cfg.Flight != nil {
-			sh.flight = make([]*obs.FlightSession, n)
+		sh := &shard{eng: e}
+		if dealt := (len(sizes) - si + n - 1) / n; dealt > 0 {
+			// One stepper per shard: steppers carry mutable planning scratch
+			// and must not be shared, but every copy is built from the same
+			// (catalogue, config) pair so the math is identical on any shard.
+			stepper, err := sim.NewStepper(cfg.Catalog, cfg.Sim)
+			if err != nil {
+				return nil, err
+			}
+			sh.stepper = stepper
+			sh.cohorts = make([]cohort, 0, dealt)
 		}
 		e.shards[si] = sh
 	}
-	// JoinSec compares by value: +0 and −0 join in one cohort.
-	type cohortKey struct {
-		shard int
-		user  *headtrace.Trace
-		net   *lte.Trace
-		join  float64
+	// Each cohort's member lists are windows of one fleet-wide array, laid
+	// out cohort by cohort.
+	members := make([]int32, len(specs))
+	var sampled []int32
+	if cfg.Flight != nil {
+		sampled = make([]int32, len(specs))
 	}
-	index := make(map[cohortKey]int32)
-	ids := make([]int32, len(specs))   // each session's cohort on its shard
-	sizes := make([][]int, cfg.Shards) // members per cohort, per shard
-	for i, spec := range specs {
-		si := i % cfg.Shards
-		sh := e.shards[si]
-		key := cohortKey{si, spec.User, spec.Net, spec.JoinSec}
-		id, ok := index[key]
-		if !ok {
-			id = int32(len(sh.cohorts))
-			index[key] = id
-			sh.cohorts = append(sh.cohorts, cohort{})
-			sh.joins = append(sh.joins, joinEv{time: spec.JoinSec, cohort: int(id)})
-			sizes[si] = append(sizes[si], 0)
+	off := 0
+	for g, size := range sizes {
+		c := cohort{members: members[off : off : off+size]}
+		if sampled != nil {
+			c.sampled = sampled[off : off : off+size]
 		}
-		ids[i] = id
-		sizes[si][id]++
-		sh.leave[i/cfg.Shards] = int32(spec.LeaveAfterSegments)
+		off += size
+		sh := e.shards[g%n]
+		sh.cohorts = append(sh.cohorts, c)
 	}
-	for si, sh := range e.shards {
-		// Each cohort's member lists are windows of one array per shard, laid
-		// out cohort by cohort.
-		members := make([]int32, len(sh.leave))
-		var sampled []int32
-		if cfg.Flight != nil {
-			sampled = make([]int32, len(sh.leave))
+	for i, g := range ids {
+		c := &e.shards[int(g)%n].cohorts[int(g)/n]
+		c.members = append(c.members, int32(i))
+		if l := e.leave[i]; l != 0 && (c.minLeave == 0 || l < c.minLeave) {
+			c.minLeave = l
 		}
-		off := 0
-		for id, n := range sizes[si] {
-			c := &sh.cohorts[id]
-			c.members = members[off : off : off+n]
-			if sampled != nil {
-				c.sampled = sampled[off : off : off+n]
-			}
-			off += n
+	}
+	for _, sh := range e.shards {
+		sh.joins = make([]joinEv, len(sh.cohorts))
+		for id, c := range sh.cohorts {
+			sh.joins[id] = joinEv{time: specs[c.members[0]].JoinSec, cohort: id}
 		}
-		// Cohorts are numbered in the order of their first members, so equal
+		// A shard's cohorts keep the fleet's first-member order, so equal
 		// join times keep that order.
 		slices.SortFunc(sh.joins, func(a, b joinEv) int {
 			return cmp.Or(cmp.Compare(a.time, b.time), cmp.Compare(a.cohort, b.cohort))
 		})
 		// A live cohort holds exactly one heap event, its next completion.
 		sh.heap.Reserve(len(sh.cohorts))
-	}
-	for i, id := range ids {
-		sh := e.shards[i%cfg.Shards]
-		slot := int32(i / cfg.Shards)
-		c := &sh.cohorts[id]
-		c.members = append(c.members, slot)
-		if l := sh.leave[slot]; l != 0 && (c.minLeave == 0 || l < c.minLeave) {
-			c.minLeave = l
-		}
 	}
 	return e, nil
 }
@@ -495,27 +501,25 @@ func (sh *shard) advance(until float64) error {
 	}
 }
 
-// session is the global index of the session at a local slot.
-func (sh *shard) session(slot int32) int { return int(slot)*len(sh.eng.shards) + sh.index }
-
 // join binds a cohort's state, books its members' joins and takes its first
 // step.
 func (sh *shard) join(t float64, id int) error {
 	c := &sh.cohorts[id]
-	spec := sh.eng.specs[sh.session(c.members[0])]
+	e := sh.eng
+	spec := e.specs[c.members[0]]
 	c.state = sh.allocState()
 	if err := sh.stepper.InitState(c.state, spec.User, spec.Net); err != nil {
 		return err
 	}
 	sh.led.Joined += len(c.members)
-	if sh.flight != nil {
+	if e.flight != nil {
 		// Pass every member through the recorder's sampling gate.
-		for _, slot := range c.members {
-			fsess := sh.eng.cfg.Flight.SessionN(sh.session(slot))
-			sh.flight[slot] = fsess
+		for _, i := range c.members {
+			fsess := e.cfg.Flight.SessionN(int(i))
+			e.flight[i] = fsess
 			if fsess != nil {
 				fsess.Record(obs.FlightEvent{TimeSec: t, Kind: obs.FlightJoin, Seg: -1})
-				c.sampled = append(c.sampled, slot)
+				c.sampled = append(c.sampled, i)
 			}
 		}
 	}
@@ -537,8 +541,8 @@ func (sh *shard) complete(t float64, id int) error {
 			sh.led.StallSec += info.StallSec
 		}
 	}
-	for _, slot := range c.sampled {
-		sh.flight[slot].RecordSegment(t, info.Segment, info.DownloadSec, info.StallSec, c.state.EstimateBps(), false)
+	for _, i := range c.sampled {
+		sh.eng.flight[i].RecordSegment(t, info.Segment, info.DownloadSec, info.StallSec, c.state.EstimateBps(), false)
 	}
 	if info.Done || c.minLeave != 0 && c.state.Segments() >= int(c.minLeave) {
 		if err := sh.settle(t, c); err != nil {
@@ -558,7 +562,7 @@ func (sh *shard) step(t float64, id int) error {
 	c := &sh.cohorts[id]
 	info, err := sh.stepper.Step(c.state)
 	if err != nil {
-		return fmt.Errorf("session %d: %w", sh.session(c.members[0]), err)
+		return fmt.Errorf("session %d: %w", c.members[0], err)
 	}
 	c.info = info
 	sh.led.BatchLeaders++
@@ -574,13 +578,14 @@ func (sh *shard) step(t float64, id int) error {
 // the Result, sharing its rows (see Engine.Results). It then recomputes the
 // smallest leave count still pending.
 func (sh *shard) settle(t float64, c *cohort) error {
+	e := sh.eng
 	segs := c.state.Segments()
 	stay := c.members[:0]
 	c.minLeave = 0
 	var res *sim.Result
-	for _, slot := range c.members {
-		if l := sh.leave[slot]; !c.info.Done && (l == 0 || segs < int(l)) {
-			stay = append(stay, slot)
+	for _, i := range c.members {
+		if l := e.leave[i]; !c.info.Done && (l == 0 || segs < int(l)) {
+			stay = append(stay, i)
 			if l != 0 && (c.minLeave == 0 || l < c.minLeave) {
 				c.minLeave = l
 			}
@@ -589,39 +594,39 @@ func (sh *shard) settle(t float64, c *cohort) error {
 		if res == nil {
 			var err error
 			if res, err = sh.stepper.Finish(c.state); err != nil {
-				return fmt.Errorf("session %d: %w", sh.session(slot), err)
+				return fmt.Errorf("session %d: %w", i, err)
 			}
 		} else {
 			own := *res
 			res = &own
 		}
-		sh.finish(t, slot, res)
+		sh.finish(t, i, res)
 	}
 	c.members = stay
-	if sh.flight != nil {
-		c.sampled = slices.DeleteFunc(c.sampled, func(slot int32) bool { return sh.flight[slot] == nil })
+	if e.flight != nil {
+		c.sampled = slices.DeleteFunc(c.sampled, func(i int32) bool { return e.flight[i] == nil })
 	}
 	return nil
 }
 
-// finish retires the member at slot, which leaves at time t with result
-// res, and books its accounting. Each leaver books its own adds, in session
+// finish retires member session i, which leaves at time t with result res,
+// and books its accounting. Each leaver books its own adds, in session
 // order: one n-fold add would round differently.
-func (sh *shard) finish(t float64, slot int32, res *sim.Result) {
-	session := sh.session(slot)
-	// Distinct indices per session: shards never write the same slot.
-	sh.eng.results[session] = res
+func (sh *shard) finish(t float64, i int32, res *sim.Result) {
+	e := sh.eng
+	// Only the shard holding the session's cohort writes its entries.
+	e.results[i] = res
 	sh.led.Finished++
 	sh.led.EnergyMJ += res.Energy.Total()
 	sh.led.QoESum += res.QoE.MeanQ
 	sh.led.Bits += res.BitsDownloaded
 	sh.led.Emergencies += res.Emergencies
-	if sh.flight != nil {
-		if fsess := sh.flight[slot]; fsess != nil {
+	if e.flight != nil {
+		if fsess := e.flight[i]; fsess != nil {
 			fsess.Record(obs.FlightEvent{TimeSec: t, Kind: obs.FlightLeave, Seg: -1,
 				EnergyMJ: res.Energy.Total(), QoE: res.QoE.MeanQ})
 			fsess.Close()
-			sh.flight[slot] = nil
+			e.flight[i] = nil
 		}
 	}
 }

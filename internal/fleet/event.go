@@ -1,14 +1,15 @@
 // Package fleet advances large populations of streaming sessions on a
 // virtual clock. Instead of one blocking goroutine per viewer (which tops
-// out far below the ROADMAP's million-session target), sessions live on
-// shards, and the sessions of a shard with one viewer, one bandwidth trace
-// and one join time form a cohort that shares a compact sim.State, advanced
-// one segment at a time for all its members by events popped from a
-// per-shard binary heap: one pending event per live cohort. Scheduling
-// stays O(shards) goroutines regardless of the session count. The engine
-// reuses the sim planners, lte bandwidth traces, and geom FoV LUT through
-// one sim.Stepper per shard, and its per-session trajectories are
-// bit-identical to the blocking sim.Run path (see the differential tests).
+// out far below the ROADMAP's million-session target), the sessions with
+// one viewer, one bandwidth trace and one join time form a cohort that
+// shares a compact sim.State, and whole cohorts are dealt to shards. A
+// cohort's State is advanced one segment at a time for all its members by
+// events popped from its shard's binary heap: one pending event per live
+// cohort. Scheduling stays O(shards) goroutines regardless of the session
+// count. The engine reuses the sim planners, lte bandwidth traces, and geom
+// FoV LUT through one sim.Stepper per shard, and its per-session
+// trajectories are bit-identical to the blocking sim.Run path (see the
+// differential tests).
 package fleet
 
 // Kind discriminates virtual-clock events.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -295,46 +296,112 @@ func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestFleetShardCountInvariant checks per-session trajectories are
-// independent of how sessions are distributed over shards. (The ledger's
-// float sums legitimately reassociate across shard counts, so only results
-// and integer ledger fields are pinned.)
+// TestFleetShardCountInvariant: New deals whole cohorts to shards, so what a
+// fleet computes and how much stepping it takes do not depend on the shard
+// count. Two fleets run at 1 to 8 shards: the fixture's mixed fleet (39
+// cohorts) and one of 6 cohorts with early leavers, which leaves shards
+// empty at 7 and 8. At every count each cohort's members sit on one shard,
+// the shards' cohort counts differ by at most one, every Result equals the
+// 1-shard run's, BatchLeaders equals the cohort steps (per cohort, the
+// segments its longest-staying member streamed), the integer ledger fields
+// are identical and the float fields, which shards sum in another order,
+// agree within a relative 1e-12.
 func TestFleetShardCountInvariant(t *testing.T) {
 	fx := fixture(t)
 	net := netFor(t, lte.ProfileDriving, 9)
 	cfg := simConfig(t, sim.SchemePtile)
-	run := func(shards int) *Engine {
-		t.Helper()
-		eng, err := New(Config{Catalog: fx.cat, Sim: cfg, Shards: shards}, specsFor(fx, net, 200))
-		if err != nil {
-			t.Fatal(err)
+	few := make([]SessionSpec, 60)
+	for i := range few {
+		few[i] = SessionSpec{User: fx.eval[i%len(fx.eval)], Net: net, JoinSec: 0.5 * float64(i%2)}
+		if i%7 == 0 {
+			few[i].LeaveAfterSegments = 3 + i%11
 		}
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return eng
 	}
-	one := run(1)
-	many := run(5)
-	for i := range one.Results() {
-		requireSameResult(t, fmt.Sprintf("session %d", i), many.Results()[i], one.Results()[i])
+	cases := []struct {
+		name    string
+		specs   []SessionSpec
+		cohorts int
+	}{
+		{"mixed", specsFor(fx, net, 200), 39},
+		{"few-cohorts", few, 6},
 	}
-	l1, l5 := one.Ledger(), many.Ledger()
-	l1.StallSec, l5.StallSec = 0, 0
-	l1.EnergyMJ, l5.EnergyMJ = 0, 0
-	l1.QoESum, l5.QoESum = 0, 0
-	l1.Bits, l5.Bits = 0, 0
-	// The batched planner groups per shard, so its leader/replay decomposition
-	// legitimately shifts with the shard count (the work shared changes; the
-	// results do not — pinned above). Only the step total is invariant.
-	if s1, s5 := l1.BatchLeaders+l1.BatchReplays+l1.BatchFallbacks,
-		l5.BatchLeaders+l5.BatchReplays+l5.BatchFallbacks; s1 != s5 {
-		t.Fatalf("batched step total depends on shard count: %d vs %d", s1, s5)
-	}
-	l1.BatchLeaders, l5.BatchLeaders = 0, 0
-	l1.BatchReplays, l5.BatchReplays = 0, 0
-	if !reflect.DeepEqual(l1, l5) {
-		t.Fatalf("integer ledger depends on shard count:\nshards=1: %+v\nshards=5: %+v", l1, l5)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// The fleets run on one trace, so a cohort is a (viewer, join).
+			type key struct {
+				user *headtrace.Trace
+				join float64
+			}
+			var ref *Engine
+			for shards := 1; shards <= 8; shards++ {
+				eng, err := New(Config{Catalog: fx.cat, Sim: cfg, Shards: shards}, tc.specs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				home := make(map[key]int) // the shard each cohort's members sit on
+				dealt := make([]int, 0, shards)
+				placed := 0
+				for si, sh := range eng.shards {
+					dealt = append(dealt, len(sh.cohorts))
+					for _, c := range sh.cohorts {
+						for _, i := range c.members {
+							k := key{tc.specs[i].User, tc.specs[i].JoinSec}
+							if h, ok := home[k]; ok && h != si {
+								t.Fatalf("shards=%d: cohort %+v has members on shards %d and %d", shards, k, h, si)
+							}
+							home[k] = si
+							placed++
+						}
+					}
+				}
+				if len(home) != tc.cohorts || placed != len(tc.specs) {
+					t.Fatalf("shards=%d: %d sessions placed in %d cohorts, want %d in %d", shards, placed, len(home), len(tc.specs), tc.cohorts)
+				}
+				if slices.Max(dealt)-slices.Min(dealt) > 1 {
+					t.Fatalf("shards=%d: cohorts dealt %v, want counts within one of each other", shards, dealt)
+				}
+				if err := eng.Run(); err != nil {
+					t.Fatal(err)
+				}
+				steps := make(map[key]int)
+				for i, res := range eng.Results() {
+					if ref != nil {
+						requireSameResult(t, fmt.Sprintf("shards=%d session %d", shards, i), res, ref.Results()[i])
+					}
+					k := key{tc.specs[i].User, tc.specs[i].JoinSec}
+					steps[k] = max(steps[k], res.Segments)
+				}
+				led, cohortSteps := eng.Ledger(), 0
+				for _, n := range steps {
+					cohortSteps += n
+				}
+				if led.BatchLeaders != cohortSteps {
+					t.Fatalf("shards=%d: %d leader steps for %d cohort steps", shards, led.BatchLeaders, cohortSteps)
+				}
+				if ref == nil {
+					ref = eng
+					continue
+				}
+				want := ref.Ledger()
+				for _, f := range []struct {
+					name      string
+					got, want *float64
+				}{
+					{"StallSec", &led.StallSec, &want.StallSec},
+					{"EnergyMJ", &led.EnergyMJ, &want.EnergyMJ},
+					{"QoESum", &led.QoESum, &want.QoESum},
+					{"Bits", &led.Bits, &want.Bits},
+				} {
+					if math.Abs(*f.got-*f.want) > 1e-12*math.Abs(*f.want) {
+						t.Fatalf("shards=%d: ledger %s %v, 1 shard %v", shards, f.name, *f.got, *f.want)
+					}
+					*f.got, *f.want = 0, 0
+				}
+				if led != want {
+					t.Fatalf("integer ledger depends on shard count:\nshards=1: %+v\nshards=%d: %+v", want, shards, led)
+				}
+			}
+		})
 	}
 }
 
@@ -531,6 +598,72 @@ func TestFleetGoldenLedger(t *testing.T) {
 	}
 }
 
+// TestFleetTiedCohortsBookingOrder pins the order in which cohorts that
+// complete at the same virtual time book the ledger's floats. Ctile's sizes
+// depend only on the FoV block's tile count, so the fixture's viewers
+// joining at one time complete together at every segment; with
+// StrictViewportQoE they still settle with different mean QoE, so QoESum
+// depends on which of the tied cohorts books first. Cohorts are numbered in
+// the order of their first members, joins at one time run in that order,
+// and the heap pops tied completions in push order, so the tied cohorts
+// book in first-member order at every tie.
+func TestFleetTiedCohortsBookingOrder(t *testing.T) {
+	fx := fixture(t)
+	cfg := simConfig(t, sim.SchemeCtile)
+	cfg.RecordSegments = false
+	cfg.StrictViewportQoE = true
+	net := netFor(t, lte.ProfileWalking, 7)
+	var specs []SessionSpec
+	for _, leave := range []int{0, 7, 13} {
+		for _, join := range []float64{0, 0.5} {
+			for _, u := range fx.eval {
+				specs = append(specs, SessionSpec{User: u, Net: net, JoinSec: join, LeaveAfterSegments: leave})
+			}
+		}
+	}
+	eng, err := New(Config{Catalog: fx.cat, Sim: cfg, Shards: 1}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Count the Advance boundaries at which every viewer's cohort of one
+	// join time has its completion pending at one time.
+	tied := 0
+	for until := 0.0; ; until += 0.25 {
+		if _, ok := eng.NextEventTime(); !ok {
+			break
+		}
+		if err := eng.Advance(until); err != nil {
+			t.Fatal(err)
+		}
+		pending := make(map[float64]int)
+		for _, ev := range eng.shards[0].heap.events {
+			if pending[ev.Time]++; pending[ev.Time] == len(fx.eval) {
+				tied++
+			}
+		}
+	}
+	res := eng.Results()
+	if tied == 0 || res[0].QoE.MeanQ == res[1].QoE.MeanQ {
+		t.Fatalf("the viewers' cohorts must tie (%d boundaries) and settle with different mean QoE (%v, %v)",
+			tied, res[0].QoE.MeanQ, res[1].QoE.MeanQ)
+	}
+	led := eng.Ledger()
+	for _, f := range []struct {
+		name string
+		got  float64
+		want uint64
+	}{
+		{"StallSec", led.StallSec, 0x4011caeee2cc7dc2}, // 4.448176902514605
+		{"EnergyMJ", led.EnergyMJ, 0x412502af2c1cb4d5}, // 688471.5861565123
+		{"QoESum", led.QoESum, 0x4077551a69634b67},     // 373.3189481619542
+		{"Bits", led.Bits, 0x41d0d4069aab116f},         // 1.129323114672939e+09
+	} {
+		if bits := math.Float64bits(f.got); bits != f.want {
+			t.Errorf("%s = %v (%#x), pinned %v (%#x)", f.name, f.got, bits, math.Float64frombits(f.want), f.want)
+		}
+	}
+}
+
 // requireCohortHeap checks a shard's scheduling state at an Advance
 // boundary: its heap holds exactly one event per live cohort (one that has
 // joined and still has members) and none for any other, within the capacity
@@ -560,11 +693,11 @@ func requireCohortHeap(t *testing.T, at float64, si int, sh *shard) {
 				at, si, id, joined[id], len(c.members), c.state != nil, pending[id], want)
 		}
 		var minLeave int32
-		for k, slot := range c.members {
-			if k > 0 && slot <= c.members[k-1] {
+		for k, i := range c.members {
+			if k > 0 && i <= c.members[k-1] {
 				t.Fatalf("t=%g: shard %d cohort %d members %v out of session order", at, si, id, c.members)
 			}
-			if l := sh.leave[slot]; l != 0 && (minLeave == 0 || l < minLeave) {
+			if l := sh.eng.leave[i]; l != 0 && (minLeave == 0 || l < minLeave) {
 				minLeave = l
 			}
 		}
@@ -681,16 +814,17 @@ func TestFleetHeapOneEventForIdenticalSessions(t *testing.T) {
 }
 
 // TestFleetHeapEventCount bounds the events a shard's heap holds on the
-// fixture's mixed fleet: three viewers joining at thirteen offsets, split
-// over two shards, so each shard's 1,000 sessions form 39 cohorts. Each
-// shard holds one event per live cohort, so never more than 39, and all 39
-// at once after the join wave, whatever the trace does to the members'
-// timing.
+// fixture's mixed fleet: three viewers joining at thirteen offsets form 39
+// cohorts, dealt whole over two shards, 20 to shard 0 and 19 to shard 1.
+// Each shard holds one event per live cohort, so never more than its
+// cohorts, and all of them at once after the join wave, whatever the trace
+// does to the members' timing.
 func TestFleetHeapEventCount(t *testing.T) {
 	fx := fixture(t)
 	cfg := simConfig(t, sim.SchemeOurs)
 	cfg.RecordSegments = false
-	const sessions, shards, cohorts = 2000, 2, 39
+	const sessions, shards = 2000, 2
+	dealt := []int{20, 19}
 	for _, prof := range []lte.Profile{lte.ProfileWalking, lte.ProfileDriving} {
 		t.Run(prof.String(), func(t *testing.T) {
 			eng, err := New(Config{Catalog: fx.cat, Sim: cfg, Shards: shards},
@@ -698,7 +832,7 @@ func TestFleetHeapEventCount(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			peak := 0
+			peak := make([]int, shards)
 			for until := 0.0; ; until += 0.5 {
 				if _, ok := eng.NextEventTime(); !ok {
 					break
@@ -707,15 +841,15 @@ func TestFleetHeapEventCount(t *testing.T) {
 					t.Fatal(err)
 				}
 				for si, sh := range eng.shards {
-					if len(sh.cohorts) != cohorts {
-						t.Fatalf("shard %d has %d cohorts, want %d", si, len(sh.cohorts), cohorts)
+					if len(sh.cohorts) != dealt[si] {
+						t.Fatalf("shard %d has %d cohorts, want %d", si, len(sh.cohorts), dealt[si])
 					}
 					requireCohortHeap(t, until, si, sh)
-					peak = max(peak, len(sh.heap.events))
+					peak[si] = max(peak[si], len(sh.heap.events))
 				}
 			}
-			if peak != cohorts {
-				t.Fatalf("a shard held at most %d events, want all %d of its cohorts' at once", peak, cohorts)
+			if !slices.Equal(peak, dealt) {
+				t.Fatalf("the shards held at most %v events, want all %v of their cohorts' at once", peak, dealt)
 			}
 		})
 	}

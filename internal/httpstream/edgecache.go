@@ -89,8 +89,8 @@ type flight struct {
 // fill: concurrent requests for one key produce a single origin request,
 // and every waiter replays the captured response. Keys are prefixed with a
 // version epoch; Bump advances the epoch, which both invalidates every
-// stored entry and detaches in-progress fills (they complete under the old
-// epoch's keys and are never served again).
+// stored entry and detaches in-progress fills: their waiters still replay
+// the body, but a fill that completes after a Bump stores nothing.
 //
 // Only complete 200 responses whose body matches the declared
 // Content-Length are stored — a fault-truncated body must not poison the
@@ -145,11 +145,11 @@ func (c *EdgeCache) Bump() int64 {
 	return v
 }
 
-// key derives the epoch-qualified cache key: the full variant identity
+// cacheKey derives the epoch-qualified cache key: the full variant identity
 // (path plus canonically ordered query — quality, frame rate, ptile index
-// all distinguish entries) under the current version.
-func (c *EdgeCache) key(r *http.Request) string {
-	return "v" + strconv.FormatInt(c.epoch.Load(), 10) + "|" + r.URL.Path + "?" + r.URL.Query().Encode()
+// all distinguish entries) under version epoch.
+func cacheKey(epoch int64, r *http.Request) string {
+	return "v" + strconv.FormatInt(epoch, 10) + "|" + r.URL.Path + "?" + r.URL.Query().Encode()
 }
 
 // Serve answers the request from the cache when possible, otherwise fills
@@ -157,7 +157,8 @@ func (c *EdgeCache) key(r *http.Request) string {
 // or a shared in-progress fill — i.e. when next was NOT invoked for this
 // request.
 func (c *EdgeCache) Serve(w http.ResponseWriter, r *http.Request, next http.Handler) (hit bool) {
-	key := c.key(r)
+	epoch := c.epoch.Load()
+	key := cacheKey(epoch, r)
 	c.mu.Lock()
 	if resp, ok := c.entries[key]; ok {
 		resp.refs++
@@ -187,8 +188,10 @@ func (c *EdgeCache) Serve(w http.ResponseWriter, r *http.Request, next http.Hand
 	// (an injected connection abort): waiters must never hang, and a
 	// partial body must never be stored. The waiters' references are
 	// taken before they wake, so each of them replays the body even if a
-	// flush or an eviction drops the entry first; a body that is neither
-	// stored nor awaited returns its chunks when the fill lets go.
+	// flush or an eviction drops the entry first. A fill that a Bump
+	// overtook stores nothing: its key is dead, and the entry would hold its
+	// chunks until the next flush. A body that is neither stored nor awaited
+	// returns its chunks when the fill lets go.
 	defer func() {
 		var resp *cachedResponse
 		if completed && cw.storable() {
@@ -200,7 +203,11 @@ func (c *EdgeCache) Serve(w http.ResponseWriter, r *http.Request, next http.Hand
 		if resp != nil {
 			resp.refs = fl.waiters + 1 // the waiters' and the fill's own
 			fl.resp = resp
-			c.store(key, resp)
+			// Bump advances the epoch before it takes c.mu to flush, so a
+			// fill that reads the old epoch here is stored before the flush.
+			if epoch == c.epoch.Load() {
+				c.store(key, resp)
+			}
 			c.unref(resp)
 		}
 		c.mu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -280,16 +281,7 @@ func TestEdgeCacheReplayNeverReadsRecycledChunks(t *testing.T) {
 		for i := range ws {
 			ws[i] = replay(rt, 1)
 		}
-		// Wait until every waiter has joined the fill.
-		key := rt.cache.key(segment(1))
-		for joined := 0; joined < waiters; {
-			time.Sleep(time.Millisecond)
-			rt.cache.mu.Lock()
-			if fl := rt.cache.flights[key]; fl != nil {
-				joined = fl.waiters
-			}
-			rt.cache.mu.Unlock()
-		}
+		awaitWaiters(rt.cache, segment(1), waiters)
 		close(o.gate)
 		<-filled
 		// The flush comes before the waiters run, and the fills after it
@@ -305,6 +297,61 @@ func TestEdgeCacheReplayNeverReadsRecycledChunks(t *testing.T) {
 			t.Errorf("origin saw %d requests, want 4 (one per segment)", calls)
 		}
 	})
+}
+
+// awaitWaiters returns once n requests have joined the fill in progress
+// for r.
+func awaitWaiters(c *EdgeCache, r *http.Request, n int) {
+	key := cacheKey(c.Epoch(), r)
+	for joined := 0; joined < n; {
+		time.Sleep(time.Millisecond)
+		c.mu.Lock()
+		if fl := c.flights[key]; fl != nil {
+			joined = fl.waiters
+		}
+		c.mu.Unlock()
+	}
+}
+
+// TestEdgeCacheFillOvertakenByBump: a Bump that comes while a fill waits on
+// its origin kills the fill's key, so the fill stores nothing, yet the
+// fill's request and every waiter that joined it still get the body. The
+// next request misses and stores under the new epoch.
+func TestEdgeCacheFillOvertakenByBump(t *testing.T) {
+	const target, waiters = "/segment?video=2&seg=1&q=1", 3
+	o := &keyedOrigin{entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	c := NewEdgeCache(EdgeCacheConfig{})
+	recs := make([]*httptest.ResponseRecorder, 1+waiters)
+	hits := make([]bool, len(recs))
+	var wg sync.WaitGroup
+	for i := range recs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			recs[i], hits[i] = serveCache(c, o, target)
+		}()
+		if i == 0 {
+			<-o.entered // request 0 fills, the others wait on it
+		}
+	}
+	awaitWaiters(c, httptest.NewRequest(http.MethodGet, target, nil), waiters)
+	c.Bump()
+	close(o.gate)
+	wg.Wait()
+	if n := c.Entries(); n != 0 {
+		t.Fatalf("%d entries after a fill that a Bump overtook, want 0", n)
+	}
+	for i, rec := range recs {
+		if hits[i] != (i > 0) || !bytes.Equal(rec.Body.Bytes(), keyedBody(1)) {
+			t.Errorf("request %d: hit=%v and %d bytes, want the fill's body (a hit for its waiters)", i, hits[i], rec.Body.Len())
+		}
+	}
+	if rec, hit := serveCache(c, o, target); hit || !bytes.Equal(rec.Body.Bytes(), keyedBody(1)) {
+		t.Fatalf("first request after the Bump: hit=%v and %d bytes, want a miss passing the body through", hit, rec.Body.Len())
+	}
+	if _, hit := serveCache(c, o, target); !hit || c.Entries() != 1 || o.calls.Load() != 2 {
+		t.Fatalf("hit=%v with %d entries after %d origin calls: want the refill stored under the new epoch", hit, c.Entries(), o.calls.Load())
+	}
 }
 
 // discardWriter drops the body, so the cache benches time the cache and

@@ -168,8 +168,23 @@ func TestRouterCacheSingleflightAndInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(rt)
+	// A client can read the whole body before the router's ServeHTTP has
+	// returned and booked the request, so the ledger is read only once the
+	// expected number of calls has completed.
+	var served atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer served.Add(1)
+		rt.ServeHTTP(w, r)
+	}))
 	defer ts.Close()
+	awaitServed := func(want int64) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); served.Load() < want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d requests served, want %d", served.Load(), want)
+			}
+		}
+	}
 
 	const n = 8
 	var wg sync.WaitGroup
@@ -201,6 +216,7 @@ func TestRouterCacheSingleflightAndInvalidation(t *testing.T) {
 	if got := origin.Load(); got != 1 {
 		t.Fatalf("origin saw %d requests for one key, want 1 (singleflight)", got)
 	}
+	awaitServed(n)
 	led := rt.Ledger()
 	if led.Requests != n || led.ShardRequests != 1 || led.CacheHits != n-1 {
 		t.Fatalf("ledger %+v, want requests=%d shard=1 hits=%d", led, n, n-1)

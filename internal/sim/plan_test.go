@@ -113,3 +113,107 @@ func TestPlanQualitySplitBitIdentical(t *testing.T) {
 		}
 	})
 }
+
+// fetchRecorder is a pass-through link that records, for every fetch, the
+// segment, the serving Ptile and the predicted center the plan was built
+// for.
+type fetchRecorder struct {
+	scriptedLink
+	fetches []Fetch
+}
+
+func (l *fetchRecorder) Download(f *Fetch) error {
+	l.fetches = append(l.fetches, Fetch{Segment: f.Segment, Ptile: f.Ptile, Center: f.Center})
+	return l.scriptedLink.Download(f)
+}
+
+// expectedPtile recomputes the Ptile that should serve segment k for a
+// viewer predicted at center, from the Ptile rects in predicate form: a
+// Ptile covers the FoV when every FoV tile's centre lies inside its rect.
+// The smallest covering Ptile serves, the first of equal areas; else the
+// largest rect containing the center itself; else none (-1, conventional
+// tiles). It also returns how many Ptiles cover and the first that does.
+func expectedPtile(cfg Config, cat *Catalog, k int, center geom.Point) (want, covering, first int) {
+	pts := cat.Ptiles[k]
+	want, first = -1, -1
+	fov := cfg.Grid.FoVTiles(center, cfg.FoVDeg, cfg.FoVDeg)
+	for i, pt := range pts {
+		covers := true
+		for _, tile := range fov {
+			covers = covers && pt.Rect.Contains(cfg.Grid.TileRect(tile).Center())
+		}
+		if !covers {
+			continue
+		}
+		if covering++; first < 0 {
+			first = i
+		}
+		if want < 0 || pt.Rect.Area() < pts[want].Rect.Area() {
+			want = i
+		}
+	}
+	if want >= 0 {
+		return want, covering, first
+	}
+	for i, pt := range pts {
+		if pt.Rect.Contains(center) && (want < 0 || pt.Rect.Area() > pts[want].Rect.Area()) {
+			want = i
+		}
+	}
+	return want, covering, first
+}
+
+// TestPtileSegmentsServedBySmallestCoveringPtile checks, on the fixture
+// that chooses among Ptiles, that every Ptile and Ours fetch is served by
+// the Ptile expectedPtile picks for the fetch's predicted center. Both plan
+// paths share coveringPtile, so no differential between them can see a
+// wrong pick. The fixture must hold fetches with two covering Ptiles where
+// the first covering one is not the smallest, so a choice that keeps the
+// first covering Ptile fails.
+func TestPtileSegmentsServedBySmallestCoveringPtile(t *testing.T) {
+	fx := ptileFixture(t)
+	for _, scheme := range []Scheme{SchemePtile, SchemeOurs} {
+		cfg, err := DefaultConfig(scheme, power.Pixel3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := NewStepper(fx.cat, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var steps, multi, firstLarger int
+		for u, user := range fx.eval {
+			link := &fetchRecorder{scriptedLink: scriptedLink{tr: fx.trace, degrade: -1, abandon: -1}}
+			state, err := st.NewStateLink(user, link)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for done := false; !done; {
+				info, err := st.Step(state)
+				if err != nil {
+					t.Fatal(err)
+				}
+				done = info.Done
+			}
+			for _, f := range link.fetches {
+				want, covering, first := expectedPtile(cfg, fx.cat, f.Segment, f.Center)
+				if f.Ptile != want {
+					t.Fatalf("%v viewer %d segment %d at %+v: served by Ptile %d, want %d (%d covering)",
+						scheme, u, f.Segment, f.Center, f.Ptile, want, covering)
+				}
+				steps++
+				if covering > 1 {
+					multi++
+					if first != want {
+						firstLarger++
+					}
+				}
+			}
+		}
+		t.Logf("%v: %d fetches, %d with two or more covering Ptiles, %d of them with the first covering one not the smallest",
+			scheme, steps, multi, firstLarger)
+		if firstLarger == 0 {
+			t.Fatalf("%v: no fetch had a smaller Ptile behind the first covering one", scheme)
+		}
+	}
+}
